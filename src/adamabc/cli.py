@@ -341,35 +341,36 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
     reached after step t.  ``rows`` restricts output to those t (checkpoint
     subsampling); default is every step 1..T.
     """
-    h = trace.h
-    if rows is None:
-        rows = range(1, trace.T + 1)
+    h, T = trace.h, trace.T
+    ts = list(range(1, T + 1)) if rows is None else [int(t) for t in rows]
+    for t in ts:
+        if not (1 <= t <= T):
+            raise ConstraintViolation(f"trace row {t} outside [1, T={T}]")
+    # TRACE_COLUMNS less the schedule, each indexed by t - 1: step quantities
+    # [:T], post-step states [1:]
+    cols = [
+        trace.f_w[:T],
+        trace.grad_norm_sq[:T],
+        trace.f_u[:T],
+        trace.margin2[1:],
+        trace.eta_v[1:].sum(axis=1),
+        trace.S_total[1:],
+        trace.sigma_v[1:],
+        trace.delta.sum(axis=1),
+        trace.zeta,
+        trace.fhat[:T],
+        trace.lambda4,
+        trace.pi.values[1:],
+        trace.m1,
+    ]
+    if rows is not None:
+        sel = np.asarray(ts, dtype=np.intp) - 1
+        cols = [c[sel] for c in cols]
+    cols = [c.tolist() for c in cols]
+    cols[3:3] = [[eta_at(t, h) for t in ts], [beta2_at(t, h) for t in ts]]
+    row = ",".join(["{}"] + ["{:.17g}"] * len(cols)).format
     lines = [",".join(TRACE_COLUMNS)]
-    for t in rows:
-        if not (1 <= t <= trace.T):
-            raise ConstraintViolation(f"trace row {t} outside [1, T={trace.T}]")
-        lines.append(
-            ",".join(
-                (
-                    str(int(t)),
-                    _fmt(trace.f_w[t - 1]),
-                    _fmt(trace.grad_norm_sq[t - 1]),
-                    _fmt(trace.f_u[t - 1]),
-                    _fmt(eta_at(t, h)),
-                    _fmt(beta2_at(t, h)),
-                    _fmt(trace.margin2[t]),
-                    _fmt(trace.eta_v[t].sum()),
-                    _fmt(trace.S_total[t]),
-                    _fmt(trace.sigma_v[t]),
-                    _fmt(trace.delta[t - 1].sum()),
-                    _fmt(trace.zeta[t - 1]),
-                    _fmt(trace.fhat[t - 1]),
-                    _fmt(trace.lambda4[t - 1]),
-                    _fmt(trace.pi.values[t]),
-                    _fmt(trace.m1[t - 1]),
-                )
-            )
-        )
+    lines.extend(row(*r) for r in zip(ts, *cols))
     return "\n".join(lines) + "\n"
 
 
@@ -410,8 +411,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     for p in problems:
         h_p = with_dim(cfg.h, p.dim)
         results = []
+        first_trace = None  # the first seed's path, which the descent check reuses
         for seed in cfg.seeds:
             trace = run_trajectory(p, h_p, cfg.T, seed)
+            if first_trace is None:
+                first_trace = trace
             results.extend(run_trace_checks(trace))
             if cfg.inject_fault == "lipschitz_tenth":
                 bad_cert = replace(p.certificate, L_f=p.certificate.L_f / 10.0)
@@ -422,10 +426,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         oracle_rng = rng_stream(f"verify-oracle:{p.name}", cfg.seeds[0], "branch")
         results.extend(check_oracle_soundness(p, 5, 20_000, oracle_rng))
         if p.name == "noisy_quadratic":
-            trace = run_trajectory(p, h_p, cfg.T, cfg.seeds[0])
             cps = [c for c in default_checkpoints(cfg.T) if c < cfg.T][:8]
             branch_rng = rng_stream(f"verify-branch:{p.name}", cfg.seeds[0], "branch")
-            results.append(check_descent_expectation(p, trace, cps, 2_000, branch_rng))
+            results.append(check_descent_expectation(p, first_trace, cps, 2_000, branch_rng))
         merged = merge_results(results)
         verdict["checks"][p.name] = [r.as_dict() for r in merged]
         for r in merged:

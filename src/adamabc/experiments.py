@@ -34,8 +34,11 @@ from .problems import (
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
+    oracle_draws,
+    oracle_rows,
     rng_stream,
 )
+from .optimizer import BLOCK, adam_rows
 
 
 class InsufficientSeeds(ValueError):
@@ -193,9 +196,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # the lockstep seed-sweep engine
 
 
-_BLOCK = 4096  # oracle draws prefetched per seed
-
-
 def _sweep_seeds(
     p: Problem,
     h: HyperParams,
@@ -209,8 +209,8 @@ def _sweep_seeds(
 
     Oracle streams are the same ("trajectory", seed, "oracle") streams a lone
     run_trajectory uses, consumed in the same order, and every arithmetic step
-    is the rowwise image of adam_step's expressions — so row s of the stacked
-    state matches the single-seed trajectory bitwise.
+    goes through the same oracle_rows and adam_rows kernels — so row s of the
+    stacked state matches the single-seed trajectory bitwise.
     """
     S = len(seeds)
     d = p.dim
@@ -229,7 +229,7 @@ def _sweep_seeds(
     # per-coordinate so the addition order matches the trace's running S:
     # (v + g_1^2) + g_2^2 + ... per coordinate, summed over coordinates last
     Svec = np.full((S, d), h.v)
-    sup_grad = np.zeros(S)
+    sup_gsq = np.zeros(S)  # sqrt is monotone: the sup of the norms is sqrt(sup_gsq)
     sup_sigv = np.full(S, d * h.v)
     eta_prev = np.full((S, d), h.v / alpha1(h)) if collect_dsum else None
     dsum = np.empty((S, T)) if collect_dsum else None
@@ -247,19 +247,20 @@ def _sweep_seeds(
         )
     }
 
-    noise = np.empty((S, _BLOCK, d)) if quad and p.sigma > 0 else None
-    idxb = np.empty((S, _BLOCK), dtype=np.int64) if not quad else None
+    block = None  # prefetched draws, block[j] holding step j's draw for every seed
 
     cp_i = 0
     for t in range(1, T + 1):
-        j = (t - 1) % _BLOCK
+        j = (t - 1) % BLOCK
         if j == 0:
-            take = min(_BLOCK, T - (t - 1))
-            for s in range(S):
-                if noise is not None:
-                    rngs[s].standard_normal((take, d), out=noise[s, :take])
-                if idxb is not None:
-                    idxb[s, :take] = rngs[s].integers(0, data_n, size=take)
+            take = min(BLOCK, T - (t - 1))
+            for s, rng in enumerate(rngs):
+                r = oracle_draws(p, take, rng)
+                if r is None:  # noiseless: the oracle draws nothing
+                    break
+                if block is None:
+                    block = np.empty((take, S) + r.shape[1:], dtype=r.dtype)
+                block[:take, s] = r
 
         # exact gradient at the pre-update iterate w_t
         if quad:
@@ -274,29 +275,13 @@ def _sweep_seeds(
         run_gsq += gn2
         eta_t = eta_at(t, h)
         eta_gsq += eta_t * gn2
-        np.maximum(sup_grad, np.sqrt(gn2), out=sup_grad)
+        np.maximum(sup_gsq, gn2, out=sup_gsq)
 
-        # oracle draw, then one update (rowwise adam_step / sgd_step)
-        if quad:
-            G = grad_now if p.sigma == 0 else grad_now + p.sigma * noise[:, j]
-        else:
-            idx = idxb[:, j]
-            a = p.rows[idx]
-            if isinstance(p, LeastSquares):
-                r = np.einsum("kd,kd->k", a, W) - p.targets[idx]
-                G = a * r[:, None]
-            else:
-                y = p.labels[idx]
-                sg = _sigmoid(-y * np.einsum("kd,kd->k", a, W))
-                G = -(y * sg)[:, None] * a + p.reg * W
-
+        # oracle draw, then one update of every row
+        G = oracle_rows(p, W, None if block is None else block[j])
         G2 = G * G
         if rule == "adam":
-            b2 = beta2_at(t, h)
-            V = b2 * V + (1.0 - b2) * G2
-            M = h.beta1 * M + (1.0 - h.beta1) * G
-            eta_v = eta_t / (np.sqrt(V) + h.mu)
-            W = W - eta_v * M
+            eta_v = adam_rows(W, M, V, G, G2, beta2_at(t, h), eta_t, h)
             if collect_dsum:
                 dsum[:, t - 1] = (eta_prev - eta_v).sum(axis=1)
                 eta_prev = eta_v
@@ -316,7 +301,7 @@ def _sweep_seeds(
             out["S_total"][:, cp_i] = Svec.sum(axis=1)
             out["sigma_v"][:, cp_i] = sigv
             out["sup_sigma_v"][:, cp_i] = sup_sigv
-            out["sup_grad"][:, cp_i] = sup_grad
+            out["sup_grad"][:, cp_i] = np.sqrt(sup_gsq)
             cp_i += 1
 
     out["final_W"] = W

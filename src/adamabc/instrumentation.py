@@ -209,6 +209,9 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     tau = s.t + 1
     Gb = branch_samples(p, s.w, K, rng)
     b2 = beta2_at(tau, h)
+    # Not optimizer.adam_rows: ((1 - b2) * Gb) * Gb rounds differently from
+    # (1 - b2) * (Gb * Gb), so switching would change the bytes of the
+    # branch-based verdicts in verify.json.
     Vb = b2 * s.v_vec + (1.0 - b2) * Gb * Gb
     Mb = h.beta1 * s.m + (1.0 - h.beta1) * Gb
     eta_vb = eta_at(tau, h) / (np.sqrt(Vb) + h.mu)

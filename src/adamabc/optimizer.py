@@ -7,19 +7,28 @@ The update, per step tau = completed-steps + 1:
     eta_v = eta_tau / (sqrt(v') + mu)        (componentwise)
     w' = w - eta_v * m'
 
-No bias correction anywhere; mu sits outside the square root.  States are
-immutable values: stepping never mutates its inputs, so replaying a step from
-a saved state reproduces the original output bitwise.
+No bias correction anywhere; mu sits outside the square root.  ``adam_rows``
+is the only implementation: it updates a stacked (rows, d) state in place and
+serves the lockstep seed sweep (one row per seed), the recording loop of
+``run_trajectory`` (one row, written straight into the trace arrays) and
+``adam_step``.  ``adam_step`` keeps states immutable: it never mutates its
+inputs, so replaying a step from a saved state reproduces the original output
+bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, HyperParams, ScheduleValue, beta2_at, eta_at, validate_hyperparams
-from .problems import Problem, oracle_sample, rng_stream
+from .core import DimensionMismatch, HyperParams, beta2_at, eta_at, validate_hyperparams
+from .problems import Problem, oracle_draws, oracle_rows, rng_stream
+
+#: oracle draws prefetched per block, per row; blocked draws consume the
+#: stream exactly as single draws do
+BLOCK = 4096
 
 
 class NonFiniteGradient(ValueError):
@@ -61,6 +70,25 @@ def eta_v_of(v_vec: np.ndarray, t: int, h: HyperParams) -> np.ndarray:
     return eta_at(t, h) / (np.sqrt(v_vec) + h.mu)
 
 
+def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
+    """One update of a stacked (rows, d) state; returns the rates eta_v.
+
+    ``g2`` is ``g * g``, an input because the seed sweep also accumulates it.
+    ``b2`` and ``eta`` are the step's scalar schedule values.  The new state
+    is written into ``out = (w', m', v')``, or over ``w, m, v`` themselves
+    when ``out`` is None.  Gradients are not checked here: callers that take
+    them from outside check them first.
+    """
+    w_out, m_out, v_out = (w, m, v) if out is None else out
+    np.multiply(b2, v, out=v_out)
+    v_out += (1.0 - b2) * g2
+    np.multiply(h.beta1, m, out=m_out)
+    m_out += (1.0 - h.beta1) * g
+    eta_v = eta / (np.sqrt(v_out) + h.mu)
+    np.subtract(w, eta_v * m_out, out=w_out)
+    return eta_v
+
+
 def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     """One update; returns the new state, leaving ``s`` untouched."""
     g = np.asarray(g, dtype=np.float64)
@@ -69,12 +97,11 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient(f"non-finite gradient component at t={s.t + 1}")
     tau = s.t + 1
-    b2 = beta2_at(tau, h)
-    v_new = b2 * s.v_vec + (1.0 - b2) * (g * g)
-    m_new = h.beta1 * s.m + (1.0 - h.beta1) * g
-    eta_v = eta_at(tau, h) / (np.sqrt(v_new) + h.mu)
-    w_new = s.w - eta_v * m_new
-    return AdamState(t=tau, w=_ro(w_new), m=_ro(m_new), v_vec=_ro(v_new))
+    w, m, v = (np.empty_like(g) for _ in range(3))
+    adam_rows(s.w, s.m, s.v_vec, g, g * g, beta2_at(tau, h), eta_at(tau, h), h, out=(w, m, v))
+    for a in (w, m, v):
+        a.setflags(write=False)
+    return AdamState(t=tau, w=w, m=m, v_vec=v)
 
 
 def sgd_step(s: SgdState, g, eta_t: float) -> SgdState:
@@ -86,13 +113,14 @@ def sgd_step(s: SgdState, g, eta_t: float) -> SgdState:
     return SgdState(t=s.t + 1, w=_ro(s.w - eta_t * g))
 
 
-def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, hooks=None, w1=None):
+def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
     """Run T Adam steps on problem ``p`` and return the assembled TheoryTrace.
 
     The oracle stream is keyed by ("trajectory", seed, "oracle"), so identical
-    inputs give bitwise-identical traces.  Each hook in ``hooks`` is called
-    after every step with (previous state, gradient, new state, schedule
-    values); hooks observe only — they cannot perturb the run.
+    inputs give bitwise-identical traces.  This is the recording mode of the
+    stacked step: one row, oracle draws prefetched in blocks of ``BLOCK``, and
+    each step written in place into its row of the trace arrays.  A
+    non-finite gradient stops the run at its step with NonFiniteGradient.
 
     The trace stores w_1 .. w_{T+1}: the loop that performs T updates ends one
     iterate past the last gradient, and callers pick the convention they need.
@@ -100,33 +128,36 @@ def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, hooks=None, w1
     validate_hyperparams(h)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if w1 is None:
-        w1 = np.ones(h.dim)
-    state = adam_init(w1, h)
+    d = h.dim
+    s0 = adam_init(np.ones(d) if w1 is None else w1, h)
+    W = np.empty((T + 1, d))
+    G = np.empty((T, d))
+    M = np.empty((T, d))
+    V = np.empty((T, d))
+    W[0] = s0.w
     rng = rng_stream("trajectory", seed, "oracle")
-    hooks = tuple(hooks) if hooks else ()
 
-    W = np.empty((T + 1, h.dim))
-    G = np.empty((T, h.dim))
-    M = np.empty((T, h.dim))
-    V = np.empty((T, h.dim))
-    W[0] = state.w
-    for k in range(T):
-        tau = k + 1
-        try:
-            g = oracle_sample(p, state.w, rng)
-            new_state = adam_step(state, g, h)
-        except Exception as e:
-            raise _with_step(e, tau) from e
-        G[k] = g
-        M[k] = new_state.m
-        V[k] = new_state.v_vec
-        W[k + 1] = new_state.w
-        if hooks:
-            sched = ScheduleValue(t=tau, beta2_t=beta2_at(tau, h), eta_t=eta_at(tau, h))
-            for hook in hooks:
-                hook(state, g, new_state, sched)
-        state = new_state
+    # (1, d) row views: step k reads W[k] and the previous moments and
+    # writes G[k], W[k + 1], M[k], V[k]
+    Wr, Gr, Mr, Vr = (a.reshape(len(a), 1, d) for a in (W, G, M, V))
+    m, v = s0.m[None], s0.v_vec[None]
+    tau = 0
+    try:
+        for k in range(T):
+            tau = k + 1
+            j = k % BLOCK
+            if j == 0:
+                draws = oracle_draws(p, min(BLOCK, T - k), rng)
+            g = oracle_rows(p, Wr[k], None if draws is None else draws[j : j + 1])
+            # Python floats: cheaper than a numpy reduction over one short row
+            if not all(map(math.isfinite, g[0].tolist())):
+                raise NonFiniteGradient(f"non-finite gradient component at t={tau}")
+            Gr[k] = g
+            b2, eta = beta2_at(tau, h), eta_at(tau, h)
+            adam_rows(Wr[k], m, v, g, g * g, b2, eta, h, out=(Wr[k + 1], Mr[k], Vr[k]))
+            m, v = Mr[k], Vr[k]
+    except Exception as e:
+        raise _with_step(e, tau) from e
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 

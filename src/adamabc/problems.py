@@ -216,12 +216,13 @@ def make_least_squares(n: int, d: int, seed: int) -> LeastSquares:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise.
+
+    exp(-|x|) is the exponential each branch needs and never overflows, so
+    both branches are evaluated elementwise without masked gathers.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_loss_raw(rows, labels, reg, w):
@@ -391,6 +392,41 @@ def grad_batch(p: Problem, W: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
+def oracle_draws(p: Problem, K: int, rng: np.random.Generator):
+    """The randomness of K oracle draws, taken from ``rng`` in stream order.
+
+    The additive noise sigma * N(0, I) of shape (K, dim) for the noisy
+    quadratic (None when it is noiseless: no entropy is consumed), row
+    indices of shape (K,) for the data problems.  Drawing a block of K
+    consumes the stream exactly as K single draws do, so callers may prefetch
+    draws for many steps at once.
+    """
+    if isinstance(p, NoisyQuadratic):
+        return p.sigma * rng.standard_normal((K, p.dim)) if p.sigma != 0.0 else None
+    if isinstance(p, (LeastSquares, Logistic)):
+        return rng.integers(0, p.rows.shape[0], size=K)
+    raise TypeError(f"unknown problem type {type(p).__name__}")
+
+
+def oracle_rows(p: Problem, W: np.ndarray, draws) -> np.ndarray:
+    """Stochastic gradients at the rows of W (shape (K, dim)) from ``draws``.
+
+    ``draws`` holds one ``oracle_draws`` row per row of W; for the noisy
+    quadratic W may also be a single row shared by all draws.  Rowwise dots
+    go through one einsum kernel on contiguous (K, dim) operands, so a row
+    rounds the same whether it is evaluated alone or stacked with others.
+    """
+    if isinstance(p, NoisyQuadratic):
+        g = p.eigenvalues * W
+        return g if draws is None else g + draws
+    a = p.rows[draws]
+    z = np.einsum("kd,kd->k", a, W)
+    if isinstance(p, LeastSquares):
+        return a * (z - p.targets[draws])[:, None]
+    y = p.labels[draws]
+    return -(y * _sigmoid(-y * z))[:, None] * a + p.reg * W
+
+
 def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarray:
     """K independent oracle draws at fixed w, stacked as (K, dim).
 
@@ -400,27 +436,11 @@ def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarra
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     w = _check_dim(p, w)
-    if isinstance(p, NoisyQuadratic):
-        g = p.eigenvalues * w
-        if p.sigma == 0.0:
-            return np.broadcast_to(g, (K, p.dim)).copy()
-        return g + p.sigma * rng.standard_normal((K, p.dim))
-    # rowwise dots go through one einsum kernel on contiguous arrays so that
-    # batched draws and the stacked seed-sweep runner round identically
-    if isinstance(p, LeastSquares):
-        idx = rng.integers(0, p.rows.shape[0], size=K)
-        a = p.rows[idx]
-        W = np.tile(w, (K, 1))
-        r = np.einsum("kd,kd->k", a, W) - p.targets[idx]
-        return a * r[:, None]
-    if isinstance(p, Logistic):
-        idx = rng.integers(0, p.rows.shape[0], size=K)
-        a = p.rows[idx]
-        y = p.labels[idx]
-        W = np.tile(w, (K, 1))
-        s = _sigmoid(-y * np.einsum("kd,kd->k", a, W))
-        return -(y * s)[:, None] * a + p.reg * W
-    raise TypeError(f"unknown problem type {type(p).__name__}")
+    draws = oracle_draws(p, K, rng)
+    if isinstance(p, NoisyQuadratic) and draws is not None:
+        # additive noise: one gradient row broadcasts over the K draws
+        return oracle_rows(p, w[None], draws)
+    return oracle_rows(p, np.tile(w, (K, 1)), draws)
 
 
 def oracle_sample(p: Problem, w, rng: np.random.Generator) -> np.ndarray:

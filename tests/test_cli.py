@@ -352,6 +352,32 @@ def test_verify_passes_and_emits_json_verdict(tmp_path, capsys):
     assert disk == verdict
 
 
+def test_verify_builds_each_trajectory_once(tmp_path, monkeypatch, capsys):
+    import adamabc.cli as C
+
+    cfg = "T = 64\nseeds = 2,0\nsuite = noisy_quadratic,logistic"
+    real_run, real_descent = C.run_trajectory, C.check_descent_expectation
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(C, "run_trajectory", counting)
+    main(["verify", "--config", cfg, "--out", str(tmp_path / "reused")])
+    assert len(calls) == 2 * 2  # len(suite) x len(seeds)
+
+    # the descent check on a freshly built first-seed trajectory writes the same bytes
+    def on_fresh_trace(p, trace, *args):
+        return real_descent(p, real_run(p, trace.h, trace.T, trace.seed), *args)
+
+    monkeypatch.setattr(C, "check_descent_expectation", on_fresh_trace)
+    main(["verify", "--config", cfg, "--out", str(tmp_path / "fresh")])
+    capsys.readouterr()
+    reused = (tmp_path / "reused" / "verify.json").read_bytes()
+    assert reused == (tmp_path / "fresh" / "verify.json").read_bytes()
+
+
 def test_verify_fault_fixture_exercises_the_failure_path(capsys):
     cfg = VERIFY_CFG + "\ninject_fault = lipschitz_tenth"
     rc = main(["verify", "--config", cfg])

@@ -13,6 +13,7 @@ from adamabc.problems import (
     EmptySpectrum,
     SingularSystem,
     _least_squares_from_data,
+    _sigmoid,
     branch_samples,
     default_suite,
     grad,
@@ -180,6 +181,24 @@ def test_batch_evaluators_match_single_point(suite):
         for k in range(6):
             assert fb[k] == pytest.approx(loss(p, W[k]), rel=1e-13)
             np.testing.assert_allclose(gb[k], grad(p, W[k]), rtol=1e-13, atol=1e-15)
+
+
+def test_sigmoid_matches_branchwise_reference():
+    def reference(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.standard_normal(4989) * 10.0 ** rng.integers(-3, 4, 4989),
+        [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan],
+    ])
+    assert np.array_equal(_sigmoid(x), reference(x), equal_nan=True)
+    assert np.array_equal(_sigmoid(x.reshape(50, 100)), reference(x).reshape(50, 100), equal_nan=True)
 
 
 def test_oracle_sample_equals_first_branch_draw(suite):
