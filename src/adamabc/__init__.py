@@ -9,13 +9,9 @@ from .core import (
     ConstraintViolation,
     DimensionMismatch,
     HyperParams,
-    ScheduleValue,
     alpha1,
     beta2_at,
-    beta2_schedule,
     eta_at,
-    eta_schedule,
-    schedule_at,
     validate_hyperparams,
     with_dim,
 )
@@ -43,12 +39,9 @@ from .problems import (
 from .optimizer import (
     AdamState,
     NonFiniteGradient,
-    SgdState,
     adam_init,
     adam_step,
-    eta_v_of,
     run_trajectory,
-    sgd_step,
 )
 from .instrumentation import (
     BranchEstimate,
@@ -58,7 +51,6 @@ from .instrumentation import (
     branch_conditional,
     build_trace,
     pi_hat,
-    u_aux,
 )
 from .verify import (
     CheckResult,
@@ -87,9 +79,8 @@ from .experiments import (
 __all__ = [
     "__version__",
     # core
-    "ConstraintViolation", "DimensionMismatch", "HyperParams", "ScheduleValue",
-    "alpha1", "beta2_at", "beta2_schedule", "eta_at", "eta_schedule",
-    "schedule_at", "validate_hyperparams", "with_dim",
+    "ConstraintViolation", "DimensionMismatch", "HyperParams", "alpha1",
+    "beta2_at", "eta_at", "validate_hyperparams", "with_dim",
     # problems
     "RNG_ALGORITHM", "EmptySpectrum", "LeastSquares", "Logistic",
     "NoisyQuadratic", "Problem", "ProblemCertificate", "SingularSystem",
@@ -97,11 +88,11 @@ __all__ = [
     "loss_batch", "make_least_squares", "make_logistic",
     "make_noisy_quadratic", "oracle_sample", "rng_stream",
     # optimizer
-    "AdamState", "NonFiniteGradient", "SgdState", "adam_init", "adam_step",
-    "eta_v_of", "run_trajectory", "sgd_step",
+    "AdamState", "NonFiniteGradient", "adam_init", "adam_step",
+    "run_trajectory",
     # instrumentation
     "BranchEstimate", "NegativeGap", "PiHatSeries", "TheoryTrace",
-    "branch_conditional", "build_trace", "pi_hat", "u_aux",
+    "branch_conditional", "build_trace", "pi_hat",
     # verify
     "CheckResult", "IncompleteTrace", "check_descent_expectation",
     "check_exchange", "check_oracle_soundness", "gradcheck", "merge_results",

@@ -292,9 +292,21 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _write_text(out_dir: str, name: str, text: str) -> dict:
+    """Write ``out_dir/name`` atomically: a temp file beside it, then os.replace.
+
+    A failed write leaves any previous file of that name as it was and
+    removes the temp file.
+    """
     data = text.encode("utf-8")
-    with open(os.path.join(out_dir, name), "wb") as fh:
-        fh.write(data)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
@@ -596,20 +608,25 @@ def main(argv=None) -> int:
     except (ParseError, ConstraintViolation, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(cfg, out_dir=args.out)
-    if args.command == "experiment":
-        return cmd_experiment(cfg, out_dir=args.out)
-    if args.command == "trace":
-        if len(cfg.seeds) != 1:
-            print(
-                f"config error: trace needs exactly one seed, got {len(cfg.seeds)} "
-                "(pass --seeds N)",
-                file=sys.stderr,
-            )
-            return 2
-        rows = list(cfg.checkpoints) if args.checkpoints is not None else None
-        return cmd_trace(cfg, int(cfg.seeds[0]), out_dir=args.out, checkpoints=rows)
+    try:
+        if args.command == "verify":
+            return cmd_verify(cfg, out_dir=args.out)
+        if args.command == "experiment":
+            return cmd_experiment(cfg, out_dir=args.out)
+        if args.command == "trace":
+            if len(cfg.seeds) != 1:
+                print(
+                    f"config error: trace needs exactly one seed, got {len(cfg.seeds)} "
+                    "(pass --seeds N)",
+                    file=sys.stderr,
+                )
+                return 2
+            rows = list(cfg.checkpoints) if args.checkpoints is not None else None
+            return cmd_trace(cfg, int(cfg.seeds[0]), out_dir=args.out, checkpoints=rows)
+    except ConstraintViolation as e:
+        # a problem build or a probe's hypothesis gate rejects the config mid-run
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

@@ -49,15 +49,6 @@ class HyperParams:
     dim: int = 1
 
 
-@dataclass(frozen=True)
-class ScheduleValue:
-    """Schedule sample at one step: beta2_t in (0,1), eta_t > 0."""
-
-    t: int
-    beta2_t: float
-    eta_t: float
-
-
 def validate_hyperparams(h: HyperParams) -> HyperParams:
     """Return ``h`` unchanged iff every constraint holds.
 
@@ -111,28 +102,6 @@ def eta_at(t: int, h: HyperParams) -> float:
 def alpha1(h: HyperParams) -> float:
     """min(1 − alpha0, alpha0) — positive for alpha0 in (0,1)."""
     return min(1.0 - h.alpha0, h.alpha0)
-
-
-def schedule_at(t: int, h: HyperParams) -> ScheduleValue:
-    return ScheduleValue(t=t, beta2_t=beta2_at(t, h), eta_t=eta_at(t, h))
-
-
-def beta2_schedule(h: HyperParams, T: int):
-    """Vector of beta2_t for t = 1..T (numpy array, index k holds t = k+1)."""
-    import numpy as np
-
-    t = np.arange(1, T + 1, dtype=np.float64)
-    out = 1.0 - t ** (-h.gamma)
-    out[0] = 1.0 - h.alpha0
-    return out
-
-
-def eta_schedule(h: HyperParams, T: int):
-    """Vector of eta_t for t = 1..T."""
-    import numpy as np
-
-    t = np.arange(1, T + 1, dtype=np.float64)
-    return t ** (-(0.5 + h.delta))
 
 
 def with_dim(h: HyperParams, dim: int) -> HyperParams:

@@ -26,11 +26,8 @@ import numpy as np
 
 from .core import ConstraintViolation, HyperParams, alpha1, beta2_at, eta_at, validate_hyperparams
 from .problems import (
-    Logistic,
-    LeastSquares,
-    NoisyQuadratic,
     Problem,
-    _sigmoid,
+    grad_batch,
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
@@ -39,6 +36,7 @@ from .problems import (
     rng_stream,
 )
 from .optimizer import BLOCK, adam_rows
+from .instrumentation import log_pi_series
 
 
 class InsufficientSeeds(ValueError):
@@ -183,6 +181,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.threads < 1:
         raise ConstraintViolation(f"threads must be >= 1, got {cfg.threads}")
+    for key in ("epsilon_last", "epsilon_l1"):
+        eps = getattr(cfg, key)
+        if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+            raise ConstraintViolation(f"{key} must be finite and > 0, got {eps}")
     for kind in cfg.suite:
         if kind not in SUITE_KINDS:
             raise ConstraintViolation(f"unknown problem kind {kind!r} (known: {SUITE_KINDS})")
@@ -217,9 +219,6 @@ def _sweep_seeds(
     cps = list(checkpoints)
     n_cp = len(cps)
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-
-    quad = isinstance(p, NoisyQuadratic)
-    data_n = 0 if quad else p.rows.shape[0]
 
     W = np.ones((S, d))
     M = np.zeros((S, d))
@@ -263,14 +262,7 @@ def _sweep_seeds(
                 block[:take, s] = r
 
         # exact gradient at the pre-update iterate w_t
-        if quad:
-            grad_now = W * p.eigenvalues
-        elif isinstance(p, LeastSquares):
-            grad_now = W @ p.hess.T - p.lin
-        else:
-            Z = W @ p.rows.T
-            Pm = _sigmoid(-p.labels * Z)
-            grad_now = -(Pm * p.labels) @ p.rows / data_n + p.reg * W
+        grad_now = grad_batch(p, W)
         gn2 = np.einsum("sd,sd->s", grad_now, grad_now)
         run_gsq += gn2
         eta_t = eta_at(t, h)
@@ -381,37 +373,6 @@ def _stats(per_seed: np.ndarray) -> dict:
         "q10": np.quantile(per_seed, 0.10, axis=0).tolist(),
         "q90": np.quantile(per_seed, 0.90, axis=0).tolist(),
     }
-
-
-def geometric_tail_rowsums(rows: np.ndarray, q: float, tail_cut: float = 1e-12) -> np.ndarray:
-    """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
-    tail_cut and at the row end.  q = 0 returns the rows unchanged."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    S, T = rows.shape
-    if q == 0.0:
-        return rows.copy()
-    tau = min(int(math.floor(math.log(tail_cut) / math.log(q))), T - 1)
-    kernel = q ** np.arange(tau + 1, dtype=np.float64)
-    if T * (tau + 1) <= 1 << 22:  # small: direct sliding dot
-        padded = np.concatenate([rows, np.zeros((S, tau))], axis=1)
-        out = np.empty((S, T))
-        for s in range(S):
-            out[s] = np.correlate(padded[s], kernel, mode="valid")
-        return out
-    nfft = 1 << (T + tau + 1).bit_length()
-    Kf = np.fft.rfft(kernel[::-1], nfft)
-    Rf = np.fft.rfft(rows, nfft, axis=1)
-    conv = np.fft.irfft(Rf * Kf, nfft, axis=1)
-    return np.maximum(conv[:, tau : tau + T], 0.0)
-
-
-def _log_pi_series(dsum: np.ndarray, h: HyperParams, cert) -> np.ndarray:
-    """ln PiHat_t per seed per step, computed in the log domain."""
-    q = math.sqrt(h.beta1)
-    dbar = geometric_tail_rowsums(dsum, q)
-    D1 = 2.0 / (1.0 - q) * (cert.A + 2.0 * cert.L_f * cert.B) * (cert.L_f + 1.0)
-    weight = D1 / (1.0 - q) + 1.0
-    return -np.cumsum(np.log1p(weight * dbar), axis=1)
 
 
 def _logmeanexp(x: np.ndarray) -> float:
@@ -608,7 +569,9 @@ def last_iterate_experiment(
         )
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "last_iterate", res, ["last_grad"])
-    eps = cfg.epsilon_last or FROZEN_THRESHOLDS["last_iterate_eps"]["value"]
+    eps = cfg.epsilon_last
+    if eps is None:
+        eps = FROZEN_THRESHOLDS["last_iterate_eps"]["value"]
     last3 = res["last_grad"][:, -3:] if res["last_grad"].shape[1] >= 3 else res["last_grad"]
     worst = float(last3.max())
     rep.verdicts["last_iterate_below_eps"] = {
@@ -648,7 +611,9 @@ def l1_experiment(
     )
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "l1", res, ["last_grad", "sup_grad"])
-    eps = cfg.epsilon_l1 or FROZEN_THRESHOLDS["l1_eps"]["value"]
+    eps = cfg.epsilon_l1
+    if eps is None:
+        eps = FROZEN_THRESHOLDS["l1_eps"]["value"]
     mean_last = res["last_grad"].mean(axis=0)
     tail = mean_last[-4:]
     strictly_dec = bool(np.all(np.diff(tail) < 0))
@@ -733,7 +698,7 @@ def moment_probe(
     in_dec = (cps >= lo) & (cps <= hi)
 
     # E[PiHat_T^-p] drift over the final decade, p = 1, 2, 3 (log domain)
-    log_pi = _log_pi_series(res["dsum"], cfg.h, p_obj.certificate)
+    log_pi = log_pi_series(res["dsum"], cfg.h, p_obj.certificate)
     log_pi_cp = log_pi[:, cps - 1]
     rep.per_seed["log_pi_hat"] = log_pi_cp.tolist()
     rep.stats["log_pi_hat"] = _stats(log_pi_cp)

@@ -35,7 +35,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, eta_v_of
+from .optimizer import AdamState
 
 
 class NegativeGap(ValueError):
@@ -43,83 +43,12 @@ class NegativeGap(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# pointwise operations
-
-
-def u_aux(w_t, w_prev, beta1: float) -> np.ndarray:
-    """Momentum-corrected auxiliary iterate (w_t - beta1*w_prev)/(1 - beta1).
-
-    At t = 1 there is no previous iterate and u_1 = w_1 by definition (m_0 = 0);
-    callers handle that base case.
-    """
-    if not 0.0 <= beta1 < 1.0:
-        raise ValueError(f"beta1 must be in [0, 1), got {beta1}")
-    w_t = np.asarray(w_t, dtype=np.float64)
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    return (w_t - beta1 * w_prev) / (1.0 - beta1)
+# the synthetic pre-run rate
 
 
 def synthetic_eta_v0(h: HyperParams) -> np.ndarray:
     """The defined pre-run rate vector eta_{v_0} = (v / alpha1) * ones."""
     return np.full(h.dim, h.v / alpha1(h))
-
-
-def delta_gap(eta_v_prev, eta_v_cur, h: HyperParams) -> np.ndarray:
-    """Componentwise rate gap Delta_t = eta_{v_{t-1}} - eta_{v_t}, >= 0.
-
-    At t = 1 the caller passes the synthetic eta_{v_0} (see synthetic_eta_v0).
-    A component below -1e-12 * max|eta_v_prev| means the monotone-rate
-    guarantee was violated and raises NegativeGap.
-    """
-    prev = np.asarray(eta_v_prev, dtype=np.float64)
-    cur = np.asarray(eta_v_cur, dtype=np.float64)
-    if prev.shape != cur.shape:
-        raise ValueError(f"shape mismatch {prev.shape} vs {cur.shape}")
-    d = prev - cur
-    scale = float(np.max(np.abs(prev))) if prev.size else 0.0
-    if np.any(d < -1e-12 * scale):
-        i = int(np.argmin(d))
-        raise NegativeGap(f"gap component {i} = {d[i]:.6e} < -1e-12*scale (scale={scale:.6e})")
-    return d
-
-
-def accumulate_S(S_prev, g) -> np.ndarray:
-    """S_t = S_{t-1} + g*g (componentwise cumulative gradient energy)."""
-    S_prev = np.asarray(S_prev, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    return S_prev + g * g
-
-
-def zeta_sum(eta_v_prev, grad_w) -> float:
-    """sum_i eta_{v_{t-1},i} * (grad_i f(w_t))^2 — the descent-direction energy."""
-    eta = np.asarray(eta_v_prev, dtype=np.float64)
-    gw = np.asarray(grad_w, dtype=np.float64)
-    if eta.shape != gw.shape:
-        raise ValueError(f"shape mismatch {eta.shape} vs {gw.shape}")
-    return float(np.sum(eta * gw * gw))
-
-
-def lyapunov_fhat(f_u: float, f_star: float, eta_v_prev, C: float) -> float:
-    """fhat(u_t) = f(u_t) - f* + C * sum_i eta_{v_{t-1},i}."""
-    return float(f_u) - float(f_star) + float(C) * float(np.sum(eta_v_prev))
-
-
-def lambda_phi(g, S_prev_total: float, t: int, phi: float) -> float:
-    """Lambda_{phi,t} = |g_t|^2 / ((t+1)^phi * sqrt(S_{t-1}))."""
-    if S_prev_total <= 0:
-        raise ValueError(f"S_prev_total must be > 0, got {S_prev_total}")
-    g = np.asarray(g, dtype=np.float64)
-    return float(g @ g) / ((t + 1.0) ** phi * math.sqrt(S_prev_total))
-
-
-def m_term1(eta_v_prev, grad_w, g) -> float:
-    """M_{t,1} = sum_i eta_{v_{t-1},i} * grad_i f(w_t) * (grad_i f(w_t) - g_{t,i})."""
-    eta = np.asarray(eta_v_prev, dtype=np.float64)
-    gw = np.asarray(grad_w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if not (eta.shape == gw.shape == g.shape):
-        raise ValueError(f"shape mismatch {eta.shape}/{gw.shape}/{g.shape}")
-    return float(np.sum(eta * gw * (gw - g)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +73,63 @@ class PiHatSeries:
     dbar_realized: np.ndarray  # (horizon,)
 
 
+def geometric_tail_rowsums(rows: np.ndarray, q: float, tail_cut: float = 1e-12) -> np.ndarray:
+    """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
+    tail_cut and at the row end.  q = 0 returns the rows unchanged."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    S, T = rows.shape
+    if q == 0.0:
+        return rows.copy()
+    tau = min(int(math.floor(math.log(tail_cut) / math.log(q))), T - 1)
+    kernel = q ** np.arange(tau + 1, dtype=np.float64)
+    if T * (tau + 1) <= 1 << 22:  # small: direct sliding dot
+        padded = np.concatenate([rows, np.zeros((S, tau))], axis=1)
+        out = np.empty((S, T))
+        for s in range(S):
+            out[s] = np.correlate(padded[s], kernel, mode="valid")
+        return out
+    nfft = 1 << (T + tau + 1).bit_length()
+    Kf = np.fft.rfft(kernel[::-1], nfft)
+    Rf = np.fft.rfft(rows, nfft, axis=1)
+    conv = np.fft.irfft(Rf * Kf, nfft, axis=1)
+    return np.maximum(conv[:, tau : tau + T], 0.0)
+
+
+def _factor_weight(L_f: float, A: float, B: float, q: float) -> float:
+    """D1/(1-q) + 1 with D1 = 2/(1-q) * (A + 2*L_f*B) * (L_f+1), q = sqrt(beta1)."""
+    D1 = 2.0 / (1.0 - q) * (A + 2.0 * L_f * B) * (L_f + 1.0)
+    return D1 / (1.0 - q) + 1.0
+
+
 def pi_hat(deltas, h: HyperParams, constants, tail_cut: float = 1e-12) -> PiHatSeries:
     """Build the PiHat series from the per-step gap vectors.
 
-    ``constants`` is the tuple (L_f, A, B, C); the factor weight is
-    D1/(1-sqrt(beta1)) + 1 with D1 = 2/(1-sqrt(beta1)) * (A + 2*L_f*B) * (L_f+1).
+    ``constants`` is the tuple (L_f, A, B, C); see ``_factor_weight``.
     Geometric weights sqrt(beta1)^(t-k) are dropped once below tail_cut (and
     the tail always stops at the end of the trace).  With beta1 = 0 the tail
-    collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.
+    collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.  Traces with
+    T * (tail length) > 2^22 get their tail sums from the FFT path of
+    ``geometric_tail_rowsums``.  The running product stays a plain cumprod:
+    the trace CSV's pi_hat column holds its bytes.
     """
     D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
-    T = D.shape[0]
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
-    row = D.sum(axis=1)  # sum_i Delta_{t,i}, one entry per step
-    if q == 0.0:
-        dbar = row.copy()
-    else:
-        tau_max = int(math.floor(math.log(tail_cut) / math.log(q)))
-        tau_max = min(tau_max, T - 1)
-        kernel = q ** np.arange(tau_max + 1, dtype=np.float64)
-        padded = np.concatenate([row, np.zeros(tau_max)])
-        dbar = np.correlate(padded, kernel, mode="valid")
-    D1 = 2.0 / (1.0 - q) * (A + 2.0 * L_f * B) * (L_f + 1.0)
-    weight = D1 / (1.0 - q) + 1.0
-    factors = 1.0 / (1.0 + weight * dbar)
+    # the tail sums of the per-step gap totals sum_i Delta_{t,i}
+    dbar = geometric_tail_rowsums(D.sum(axis=1), q, tail_cut)[0]
+    factors = 1.0 / (1.0 + _factor_weight(L_f, A, B, q) * dbar)
     values = np.concatenate([[1.0], np.cumprod(factors)])
-    return PiHatSeries(horizon=T, tail_cut=tail_cut, values=values, dbar_realized=dbar)
+    return PiHatSeries(horizon=D.shape[0], tail_cut=tail_cut, values=values, dbar_realized=dbar)
+
+
+def log_pi_series(dsum: np.ndarray, h: HyperParams, cert: ProblemCertificate) -> np.ndarray:
+    """ln PiHat_t per row per step, computed in the log domain.
+
+    ``dsum`` holds one row of per-step gap sums sum_i Delta_{t,i} per seed.
+    """
+    q = math.sqrt(h.beta1)
+    dbar = geometric_tail_rowsums(dsum, q)
+    return -np.cumsum(np.log1p(_factor_weight(cert.L_f, cert.A, cert.B, q) * dbar), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +154,7 @@ def eta_v_at_state(s: AdamState, h: HyperParams) -> np.ndarray:
     """eta_{v_t} for the state's own t (synthetic value at t = 0)."""
     if s.t == 0:
         return synthetic_eta_v0(h)
-    return eta_v_of(s.v_vec, s.t, h)
+    return eta_at(s.t, h) / (np.sqrt(s.v_vec) + h.mu)
 
 
 def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dict:
@@ -232,10 +191,7 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
 
 def _mean_se(x: np.ndarray, axis=0):
     K = x.shape[axis]
-    mean = x.mean(axis=axis)
-    if K < 2:
-        return mean, np.zeros_like(mean)
-    return mean, x.std(axis=axis, ddof=1) / math.sqrt(K)
+    return x.mean(axis=axis), x.std(axis=axis, ddof=1) / math.sqrt(K)
 
 
 def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> BranchEstimate:
@@ -273,23 +229,6 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
 
 
 @dataclass(frozen=True)
-class StepDiagnostics:
-    """Everything the analysis attaches to one step t (see module docstring)."""
-
-    t: int
-    eta_v: np.ndarray
-    delta: np.ndarray
-    S_row: np.ndarray
-    S_total: float
-    sigma_v: float
-    u: np.ndarray
-    zeta_sum: float
-    fhat: float
-    lambda_phi: float  # the phi = 4 instance
-    m1: float
-
-
-@dataclass(frozen=True)
 class TheoryTrace:
     """A finished run plus every derived series, ready for checking/export."""
 
@@ -321,30 +260,8 @@ class TheoryTrace:
     seed: int | None = None
 
     @property
-    def problem_name(self) -> str:
-        return self.problem.name
-
-    @property
     def dim(self) -> int:
         return self.W.shape[1]
-
-    def step(self, t: int) -> StepDiagnostics:
-        """Diagnostics for step t in 1..T."""
-        if not 1 <= t <= self.T:
-            raise IndexError(f"step {t} outside 1..{self.T}")
-        return StepDiagnostics(
-            t=t,
-            eta_v=self.eta_v[t],
-            delta=self.delta[t - 1],
-            S_row=self.S[t],
-            S_total=float(self.S_total[t]),
-            sigma_v=float(self.sigma_v[t]),
-            u=self.u[t - 1],
-            zeta_sum=float(self.zeta[t - 1]),
-            fhat=float(self.fhat[t - 1]),
-            lambda_phi=float(self.lambda4[t - 1]),
-            m1=float(self.m1[t - 1]),
-        )
 
     def state_before(self, t: int) -> AdamState:
         """Reconstruct the AdamState holding w_t, i.e. just before step t."""
@@ -390,8 +307,8 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None) -> TheoryTrac
             f"Delta_{{t={t_bad + 1},i={i_bad}}} = {delta[t_bad, i_bad]:.6e} materially negative"
         )
 
-    # cumulative sum seeded with the v row reproduces accumulate_S's
-    # left-to-right addition order exactly
+    # cumulative sum seeded with the v row: S_t = S_{t-1} + g_t^2, added left
+    # to right per coordinate, the order the seed sweep's running sum uses
     S = np.cumsum(np.vstack([np.full((1, d), h.v), G * G]), axis=0)
     S_total = S.sum(axis=1)
     sigma_v = np.concatenate([[d * h.v], V.sum(axis=1)])

@@ -1,4 +1,4 @@
-"""Adam with time-varying second-moment averaging, plus an SGD baseline.
+"""Adam with time-varying second-moment averaging.
 
 The update, per step tau = completed-steps + 1:
 
@@ -51,23 +51,12 @@ class AdamState:
     v_vec: np.ndarray
 
 
-@dataclass(frozen=True)
-class SgdState:
-    t: int
-    w: np.ndarray
-
-
 def adam_init(w1, h: HyperParams) -> AdamState:
     """State at t = 0: m = 0 and v_vec = h.v * ones, iterate at w1."""
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape != (h.dim,):
         raise DimensionMismatch(f"w1 shape {w1.shape} != ({h.dim},)")
     return AdamState(t=0, w=_ro(w1), m=_ro(np.zeros(h.dim)), v_vec=_ro(np.full(h.dim, h.v)))
-
-
-def eta_v_of(v_vec: np.ndarray, t: int, h: HyperParams) -> np.ndarray:
-    """Adaptive per-coordinate rate eta_t / (sqrt(v_t) + mu)."""
-    return eta_at(t, h) / (np.sqrt(v_vec) + h.mu)
 
 
 def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
@@ -104,15 +93,6 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     return AdamState(t=tau, w=w, m=m, v_vec=v)
 
 
-def sgd_step(s: SgdState, g, eta_t: float) -> SgdState:
-    if eta_t <= 0:
-        raise ValueError(f"eta_t must be > 0, got {eta_t}")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != s.w.shape:
-        raise DimensionMismatch(f"gradient shape {g.shape} != state shape {s.w.shape}")
-    return SgdState(t=s.t + 1, w=_ro(s.w - eta_t * g))
-
-
 def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
     """Run T Adam steps on problem ``p`` and return the assembled TheoryTrace.
 
@@ -141,32 +121,20 @@ def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
     # writes G[k], W[k + 1], M[k], V[k]
     Wr, Gr, Mr, Vr = (a.reshape(len(a), 1, d) for a in (W, G, M, V))
     m, v = s0.m[None], s0.v_vec[None]
-    tau = 0
-    try:
-        for k in range(T):
-            tau = k + 1
-            j = k % BLOCK
-            if j == 0:
-                draws = oracle_draws(p, min(BLOCK, T - k), rng)
-            g = oracle_rows(p, Wr[k], None if draws is None else draws[j : j + 1])
-            # Python floats: cheaper than a numpy reduction over one short row
-            if not all(map(math.isfinite, g[0].tolist())):
-                raise NonFiniteGradient(f"non-finite gradient component at t={tau}")
-            Gr[k] = g
-            b2, eta = beta2_at(tau, h), eta_at(tau, h)
-            adam_rows(Wr[k], m, v, g, g * g, b2, eta, h, out=(Wr[k + 1], Mr[k], Vr[k]))
-            m, v = Mr[k], Vr[k]
-    except Exception as e:
-        raise _with_step(e, tau) from e
+    for k in range(T):
+        tau = k + 1
+        j = k % BLOCK
+        if j == 0:
+            draws = oracle_draws(p, min(BLOCK, T - k), rng)
+        g = oracle_rows(p, Wr[k], None if draws is None else draws[j : j + 1])
+        # Python floats: cheaper than a numpy reduction over one short row
+        if not all(map(math.isfinite, g[0].tolist())):
+            raise NonFiniteGradient(f"step {tau}: non-finite gradient component at t={tau}")
+        Gr[k] = g
+        b2, eta = beta2_at(tau, h), eta_at(tau, h)
+        adam_rows(Wr[k], m, v, g, g * g, b2, eta, h, out=(Wr[k + 1], Mr[k], Vr[k]))
+        m, v = Mr[k], Vr[k]
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 
     return build_trace(p, h, W, G, M, V, seed=seed)
-
-
-def _with_step(e: Exception, tau: int) -> Exception:
-    try:
-        out = type(e)(f"step {tau}: {e}")
-    except Exception:
-        return e
-    return out

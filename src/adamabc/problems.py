@@ -20,6 +20,7 @@ generation, and trajectory noise never share or perturb each other's state.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,9 @@ def make_noisy_quadratic(eigenvalues, sigma: float, seed: int = 0) -> NoisyQuadr
     if sigma < 0:
         raise ConstraintViolation(f"sigma must be >= 0, got {sigma}")
     d = eigs.size
+    # a float product, not sigma ** 2, which raises OverflowError
+    if not math.isfinite(float(sigma) * float(sigma) * d):
+        raise ConstraintViolation(f"sigma^2 * d must be finite, got sigma = {sigma}, d = {d}")
     cert = ProblemCertificate(
         L_f=float(eigs.max()),
         f_star=0.0,
@@ -231,6 +235,7 @@ def _logistic_loss_raw(rows, labels, reg, w):
 
 
 def _logistic_grad_raw(rows, labels, reg, w):
+    # the Newton solver's gradient; every other caller goes through grad_batch
     z = rows @ w
     p = _sigmoid(-labels * z)
     return -(rows.T @ (labels * p)) / rows.shape[0] + reg * w
@@ -348,15 +353,8 @@ def loss(p: Problem, w) -> float:
 
 
 def grad(p: Problem, w) -> np.ndarray:
-    """Exact analytic gradient of ``loss``."""
-    w = _check_dim(p, w)
-    if isinstance(p, NoisyQuadratic):
-        return p.eigenvalues * w
-    if isinstance(p, LeastSquares):
-        return p.hess @ w - p.lin
-    if isinstance(p, Logistic):
-        return _logistic_grad_raw(p.rows, p.labels, p.reg, w)
-    raise TypeError(f"unknown problem type {type(p).__name__}")
+    """Exact analytic gradient of ``loss``: one row of ``grad_batch``."""
+    return grad_batch(p, _check_dim(p, w)[None])[0]
 
 
 def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:

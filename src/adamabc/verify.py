@@ -186,16 +186,12 @@ def check_momentum_bound(trace: TheoryTrace, h: HyperParams) -> CheckResult:
     return _result("momentum-energy-bound", float(rel[k]), 1e-9, (trace.seed, k + 1, None))
 
 
-def check_vital1_pathwise(trace: TheoryTrace, phi: float) -> CheckResult:
-    """Normalized energy growth at every prefix T':
+def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
+    """Normalized energy growth at every prefix T', for phi = 1 or 4:
     sqrt(S_{T'})/(T'+1)^phi <= sqrt(d*v) + sum_{t<=T'} Lambda_{phi,t}."""
     _require_complete(trace)
     steps = np.arange(1, trace.T + 1, dtype=np.float64)
-    lam = trace.lambda1 if phi == 1 else (
-        trace.lambda4 if phi == 4 else
-        np.einsum("ij,ij->i", trace.G, trace.G)
-        / ((steps + 1.0) ** phi * np.sqrt(trace.S_total[:-1]))
-    )
+    lam = {1: trace.lambda1, 4: trace.lambda4}[phi]
     lhs = np.sqrt(trace.S_total[1:]) / (steps + 1.0) ** phi
     rhs = math.sqrt(trace.dim * trace.h.v) + np.cumsum(lam)
     rel = (rhs - lhs) / (1.0 + rhs)

@@ -16,6 +16,7 @@ from adamabc.cli import (
     _fmt,
     _resolve,
     _SCHEMA,
+    _write_text,
     main,
     parse_config,
     serialize_config,
@@ -169,6 +170,34 @@ def test_main_rejects_bad_usage_and_bad_config(capsys):
     assert "expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # raised by the problem build inside the sweep
+        ("problem = least_squares\nd = 10\nn = 3", "need n >= d"),
+        ("sigma = 1e200", "sigma^2 * d must be finite"),
+        # raised by the probe's hypothesis gate after the sweep has run
+        ("probes = rate,last_iterate\ngamma = 1.0", "gamma > 1 and delta > 0"),
+        # rejected by validate_config
+        ("probes = last_iterate\nepsilon_last = 0", "epsilon_last must be finite and > 0"),
+        ("probes = l1\nepsilon_l1 = -1", "epsilon_l1 must be finite and > 0"),
+    ],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, fragment):
+    argv = ["experiment", "--config", f"T = 64\n{text}", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
+    argv = ["trace", "--config", "sigma = 1e200", "--seeds", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------- trace command
 
 
@@ -248,6 +277,22 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv[0]
         assert "config error" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_previous_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    import adamabc.cli as C
+
+    info = _write_text(str(tmp_path), "report.json", "old\n")
+    assert info["bytes"] == 4 and (tmp_path / "report.json").read_bytes() == b"old\n"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(C.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        _write_text(str(tmp_path), "report.json", "new\n")
+    assert (tmp_path / "report.json").read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 # ---------------------------------------------------------------- experiment command

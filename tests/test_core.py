@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +10,9 @@ from hypothesis import strategies as st
 from adamabc.core import (
     ConstraintViolation,
     HyperParams,
-    ScheduleValue,
     alpha1,
     beta2_at,
-    beta2_schedule,
     eta_at,
-    eta_schedule,
-    schedule_at,
     validate_hyperparams,
     with_dim,
 )
@@ -128,30 +123,10 @@ def test_step_index_below_one_rejected(t):
         eta_at(t, h())
 
 
-def test_schedule_at_bundles_both_values():
-    sv = schedule_at(7, h())
-    assert isinstance(sv, ScheduleValue)
-    assert sv.t == 7
-    assert sv.beta2_t == beta2_at(7, h())
-    assert sv.eta_t == eta_at(7, h())
-
-
 def test_alpha1_is_min_of_alpha0_and_complement():
     assert alpha1(h(alpha0=0.5)) == 0.5
     assert alpha1(h(alpha0=0.2)) == 0.2
     assert alpha1(h(alpha0=0.8)) == pytest.approx(0.2, abs=1e-16)
-
-
-def test_vectorized_schedules_match_scalar_defs_to_one_ulp():
-    hp = h(gamma=1.25, delta=0.25, alpha0=0.3)
-    T = 500
-    b = beta2_schedule(hp, T)
-    e = eta_schedule(hp, T)
-    assert b.shape == (T,) and e.shape == (T,)
-    b_ref = np.array([beta2_at(t, hp) for t in range(1, T + 1)])
-    e_ref = np.array([eta_at(t, hp) for t in range(1, T + 1)])
-    np.testing.assert_array_max_ulp(b, b_ref, maxulp=1)
-    np.testing.assert_array_max_ulp(e, e_ref, maxulp=1)
 
 
 # ---------------------------------------------------------------- properties

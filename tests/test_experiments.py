@@ -18,7 +18,6 @@ from adamabc.experiments import (
     ProblemSpec,
     default_checkpoints,
     fit_loglog_slope,
-    geometric_tail_rowsums,
     last_iterate_experiment,
     moment_probe,
     rate_experiment,
@@ -26,7 +25,9 @@ from adamabc.experiments import (
     run_sweep,
     summability_probe,
 )
+from adamabc.instrumentation import geometric_tail_rowsums
 from adamabc.optimizer import run_trajectory
+from adamabc.problems import oracle_sample, rng_stream
 
 SPECS = {
     "noisy_quadratic": ProblemSpec(kind="noisy_quadratic", d=10),
@@ -103,6 +104,22 @@ def test_sweep_sorts_seeds_and_thread_split_is_equivalent():
                 np.testing.assert_allclose(a[k], b[k], rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_sweep_sgd_rule_matches_sequential_reference(kind):
+    # T = 4100 crosses the oracle prefetch block boundary at 4096
+    T, seeds = 4100, (3, 11)
+    cfg = cfg_for(kind, T, seeds)
+    res = run_sweep(cfg, rule="sgd")
+    p = cfg.problem.build()
+    for si, seed in enumerate(seeds):
+        rng = rng_stream("trajectory", seed, "oracle")
+        w = np.ones(p.dim)
+        for t in range(1, T + 1):
+            w = w - t**-0.5 * oracle_sample(p, w, rng)
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(res["final_W"][si], w)
+
+
 def test_sweep_rejects_unknown_rule():
     with pytest.raises(ValueError, match="unknown update rule"):
         run_sweep(cfg_for("noisy_quadratic", 4, (0,)), rule="bogus")
@@ -137,6 +154,11 @@ def test_default_checkpoints():
         (dict(h=HyperParams(dim=3)), "dimension"),
         (dict(suite=("noisy_quadratic", "mystery")), "unknown problem kind"),
         (dict(inject_fault="chaos_monkey"), "unknown fault fixture"),
+        (dict(epsilon_last=0.0), "epsilon_last must be finite and > 0"),
+        (dict(epsilon_last=-1.0), "epsilon_last must be finite and > 0"),
+        (dict(epsilon_last=float("inf")), "epsilon_last must be finite and > 0"),
+        (dict(epsilon_l1=0.0), "epsilon_l1 must be finite and > 0"),
+        (dict(epsilon_l1=float("nan")), "epsilon_l1 must be finite and > 0"),
     ],
 )
 def test_validate_config_rejections(kw, fragment):

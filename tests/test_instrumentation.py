@@ -5,30 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from adamabc.core import HyperParams
+from adamabc.core import HyperParams, eta_at
 from adamabc.instrumentation import (
     NegativeGap,
     PiHatSeries,
-    accumulate_S,
     branch_conditional,
     build_trace,
-    delta_gap,
     eta_v_at_state,
+    pi_hat,
+    synthetic_eta_v0,
+)
+from adamabc.optimizer import AdamState, adam_init, run_trajectory
+from adamabc.problems import make_noisy_quadratic, rng_stream
+from reference import (
+    accumulate_S,
+    delta_gap,
     lambda_phi,
     lyapunov_fhat,
     m_term1,
-    pi_hat,
-    synthetic_eta_v0,
     u_aux,
     zeta_sum,
 )
-from adamabc.optimizer import adam_init, run_trajectory
-from adamabc.problems import make_noisy_quadratic, rng_stream
 
 H = HyperParams()  # beta1=0.9 alpha0=0.5 gamma=1.25 delta=0.25 mu=1e-8 v=1
 
 
-# ---------------------------------------------------------------- pointwise ops
+# ---------------------------------------------------------------- reference formulas
 
 
 def test_u_aux_hand_values():
@@ -36,10 +38,6 @@ def test_u_aux_hand_values():
     assert u_aux(np.array([0.0]), np.array([1.0]), 0.5)[0] == -1.0
     w = np.array([0.3, -0.7])
     assert np.array_equal(u_aux(w, np.array([9.0, 9.0]), 0.0), w)
-    with pytest.raises(ValueError, match="beta1"):
-        u_aux(w, w, 1.0)
-    with pytest.raises(ValueError, match="beta1"):
-        u_aux(w, w, -0.1)
 
 
 def test_synthetic_rate_row():
@@ -51,15 +49,11 @@ def test_synthetic_rate_row():
 
 def test_delta_gap_accepts_and_rejects():
     prev = np.array([2.0, 1.0])
-    assert np.array_equal(delta_gap(prev, np.array([1.5, 1.0]), H), [0.5, 0.0])
+    assert np.array_equal(delta_gap(prev, np.array([1.5, 1.0])), [0.5, 0.0])
     # a tiny negative component within tolerance is clipped into the gap as-is
     tiny = np.array([2.0 + 1e-13, 1.0])
-    d = delta_gap(prev, tiny, H)
+    d = delta_gap(prev, tiny)
     assert d[0] == pytest.approx(-1e-13, abs=1e-15)
-    with pytest.raises(NegativeGap, match="gap component 0"):
-        delta_gap(prev, np.array([2.1, 1.0]), H)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        delta_gap(prev, np.array([1.0]), H)
 
 
 def test_energy_accumulator():
@@ -69,8 +63,6 @@ def test_energy_accumulator():
 
 def test_zeta_sum_hand_value():
     assert zeta_sum(np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 3.0
-    with pytest.raises(ValueError, match="shape mismatch"):
-        zeta_sum(np.array([1.0]), np.array([1.0, 1.0]))
 
 
 def test_lyapunov_value_hand_value():
@@ -81,8 +73,6 @@ def test_lyapunov_value_hand_value():
 def test_lambda_phi_hand_value():
     assert lambda_phi(np.array([2.0]), 4.0, 1, 1.0) == 1.0  # 4 / (2 * 2)
     assert lambda_phi(np.array([2.0]), 4.0, 1, 4.0) == pytest.approx(4.0 / 32.0, abs=0.0)
-    with pytest.raises(ValueError, match="S_prev_total"):
-        lambda_phi(np.array([1.0]), 0.0, 1, 1.0)
 
 
 def test_martingale_term_hand_value():
@@ -183,6 +173,14 @@ def test_eta_v_at_state_synthetic_at_zero(h10):
     assert np.array_equal(eta_v_at_state(s, h10), synthetic_eta_v0(h10))
 
 
+def test_eta_v_at_state_matches_definition():
+    h = HyperParams(mu=1e-8, dim=2)
+    v = np.array([4.0, 9.0])
+    s = AdamState(t=5, w=np.zeros(2), m=np.zeros(2), v_vec=v)
+    out = eta_v_at_state(s, h)
+    np.testing.assert_allclose(out, eta_at(5, h) / (np.array([2.0, 3.0]) + 1e-8), rtol=0)
+
+
 # ---------------------------------------------------------------- trace assembly
 
 
@@ -219,12 +217,10 @@ def test_trace_cumulative_energy_matches_sequential_accumulation(trace2k):
 def test_trace_rows_match_scalar_helpers(trace2k):
     tr = trace2k
     for t in (1, 2, 17, 1000, tr.T):
-        sd = tr.step(t)
-        assert sd.t == t
-        assert sd.zeta_sum == pytest.approx(
+        assert tr.zeta[t - 1] == pytest.approx(
             zeta_sum(tr.eta_v[t - 1], tr.grad_w[t - 1]), rel=1e-12
         )
-        assert sd.m1 == pytest.approx(
+        assert tr.m1[t - 1] == pytest.approx(
             m_term1(tr.eta_v[t - 1], tr.grad_w[t - 1], tr.G[t - 1]), rel=1e-12
         )
         assert tr.lambda1[t - 1] == pytest.approx(
@@ -233,7 +229,7 @@ def test_trace_rows_match_scalar_helpers(trace2k):
         assert tr.lambda4[t - 1] == pytest.approx(
             lambda_phi(tr.G[t - 1], float(tr.S_total[t - 1]), t, 4.0), rel=1e-13
         )
-        assert sd.fhat == pytest.approx(
+        assert tr.fhat[t - 1] == pytest.approx(
             lyapunov_fhat(
                 float(tr.f_u[t - 1]),
                 tr.certificate.f_star,
@@ -273,8 +269,6 @@ def test_trace_state_before_round_trips(trace2k):
     for bad in (0, tr.T + 1):
         with pytest.raises(IndexError):
             tr.state_before(bad)
-        with pytest.raises(IndexError):
-            tr.step(bad)
 
 
 def test_trace_arrays_are_readonly(trace2k):

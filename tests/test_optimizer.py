@@ -1,20 +1,17 @@
-"""The uncorrected-Adam step, the SGD baseline, and trajectory assembly."""
+"""The uncorrected-Adam step and trajectory assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams, eta_at
+from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams
 from adamabc.optimizer import (
-    AdamState,
     NonFiniteGradient,
-    SgdState,
     adam_init,
     adam_step,
-    eta_v_of,
     run_trajectory,
-    sgd_step,
 )
 from adamabc.problems import make_noisy_quadratic
 
@@ -89,33 +86,6 @@ def test_step_rejects_bad_gradients():
         adam_step(s0, np.array([1.0, float("inf")]), HyperParams(dim=2))
 
 
-def test_eta_v_of_matches_definition():
-    h = HyperParams(mu=1e-8, dim=2)
-    v = np.array([4.0, 9.0])
-    out = eta_v_of(v, 5, h)
-    np.testing.assert_allclose(out, eta_at(5, h) / (np.array([2.0, 3.0]) + 1e-8), rtol=0)
-
-
-# ---------------------------------------------------------------- sgd baseline
-
-
-def test_sgd_step_exact():
-    s = SgdState(t=0, w=np.array([1.0, 1.0]))
-    s = sgd_step(s, np.array([1.0, -1.0]), 0.5)
-    assert s.t == 1
-    assert np.array_equal(s.w, [0.5, 1.5])
-    with pytest.raises(ValueError):
-        sgd_step(s, np.array([1.0, 1.0]), 0.0)
-
-
-def test_sgd_geometric_contraction_on_unit_quadratic():
-    # gradient = w on a unit eigenvalue, eta = 1/2  =>  w_t = 2^-t exactly
-    s = SgdState(t=0, w=np.array([1.0]))
-    for t in range(1, 30):
-        s = sgd_step(s, s.w.copy(), 0.5)
-        assert s.w[0] == 0.5**t
-
-
 # ---------------------------------------------------------------- trajectories
 
 
@@ -179,7 +149,8 @@ def test_trajectory_input_validation(quad10):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_oracle_reports_failing_step():
-    p = make_noisy_quadratic([1.0, 2.0], sigma=float("inf"))
+    # the factory rejects an infinite sigma, so the oracle is built around it
+    p = dataclasses.replace(make_noisy_quadratic([1.0, 2.0], sigma=1.0), sigma=float("inf"))
     with pytest.raises(NonFiniteGradient, match="step 1:"):
         run_trajectory(p, HyperParams(dim=2), T=3, seed=0)
 

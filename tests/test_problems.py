@@ -82,6 +82,13 @@ def test_quadratic_rejects_bad_spectrum():
         make_noisy_quadratic([1.0], sigma=-0.5)
 
 
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan"), 1e200, 1e154])
+def test_quadratic_rejects_non_finite_noise(sigma):
+    # 1e154: sigma^2 is finite but sigma^2 * d is not, so C would be inf
+    with pytest.raises(ConstraintViolation, match="must be finite"):
+        make_noisy_quadratic(np.ones(10), sigma=sigma)
+
+
 def test_quadratic_noiseless_oracle_is_exact_gradient_without_rng_draws():
     p = make_noisy_quadratic([1.0, 2.0], sigma=0.0)
     w = np.array([1.0, 1.0])
