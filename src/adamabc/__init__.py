@@ -41,6 +41,7 @@ from .optimizer import (
     NonFiniteGradient,
     adam_init,
     adam_step,
+    run_trajectories,
     run_trajectory,
 )
 from .instrumentation import (
@@ -89,7 +90,7 @@ __all__ = [
     "make_noisy_quadratic", "oracle_sample", "rng_stream",
     # optimizer
     "AdamState", "NonFiniteGradient", "adam_init", "adam_step",
-    "run_trajectory",
+    "run_trajectories", "run_trajectory",
     # instrumentation
     "BranchEstimate", "NegativeGap", "PiHatSeries", "TheoryTrace",
     "branch_conditional", "build_trace", "pi_hat",

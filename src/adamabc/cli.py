@@ -11,8 +11,8 @@ list-problems  print the standard problem suite with certified constants.
 
 Config is flat ``key = value`` text (diff-friendly; '#' comments allowed) or a
 JSON object with the same keys.  Every key has a default, so the empty config
-is valid.  Exit codes: 0 all checks pass, 1 checks failed, 2 usage or config
-error.
+is valid.  Exit codes: 0 all checks pass, 1 checks failed (or a sweep went
+non-finite), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import __version__
 from .core import ConstraintViolation, HyperParams, beta2_at, eta_at, with_dim
 from .experiments import (
     ExperimentConfig,
+    NonFiniteSweep,
     PROBE_NAMES,
     ProblemSpec,
     SUITE_KINDS,
@@ -39,7 +40,7 @@ from .experiments import (
     validate_config,
 )
 from .instrumentation import TheoryTrace
-from .optimizer import run_trajectory
+from .optimizer import run_trajectories, run_trajectory
 from .problems import RNG_ALGORITHM, default_suite, rng_stream
 from .verify import (
     check_descent_expectation,
@@ -423,24 +424,27 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     for p in problems:
         h_p = with_dim(cfg.h, p.dim)
         results = []
-        first_trace = None  # the first seed's path, which the descent check reuses
-        for seed in cfg.seeds:
-            trace = run_trajectory(p, h_p, cfg.T, seed)
-            if first_trace is None:
-                first_trace = trace
+        # Every seed of the problem is recorded in one lockstep loop, and each
+        # trace is freed before the next is built.  The descent check runs on
+        # the first seed's trace right away (it has its own rng stream, so no
+        # byte depends on when) and its result is listed last.
+        descent = []
+        for trace in run_trajectories(p, h_p, cfg.T, cfg.seeds):
+            if p.name == "noisy_quadratic" and not descent:
+                cps = [c for c in default_checkpoints(cfg.T) if c < cfg.T][:8]
+                branch_rng = rng_stream(f"verify-branch:{p.name}", cfg.seeds[0], "branch")
+                descent.append(check_descent_expectation(p, trace, cps, 2_000, branch_rng))
             results.extend(run_trace_checks(trace))
             if cfg.inject_fault == "lipschitz_tenth":
                 bad_cert = replace(p.certificate, L_f=p.certificate.L_f / 10.0)
                 results.append(check_taylor_step(trace, bad_cert))
+            del trace
         point_rng = rng_stream(f"verify-points:{p.name}", cfg.seeds[0], "points")
         results.append(gradcheck(p, 100, point_rng))
         results.append(check_grad_bound(p, 200, point_rng))
         oracle_rng = rng_stream(f"verify-oracle:{p.name}", cfg.seeds[0], "branch")
         results.extend(check_oracle_soundness(p, 5, 20_000, oracle_rng))
-        if p.name == "noisy_quadratic":
-            cps = [c for c in default_checkpoints(cfg.T) if c < cfg.T][:8]
-            branch_rng = rng_stream(f"verify-branch:{p.name}", cfg.seeds[0], "branch")
-            results.append(check_descent_expectation(p, first_trace, cps, 2_000, branch_rng))
+        results.extend(descent)
         merged = merge_results(results)
         verdict["checks"][p.name] = [r.as_dict() for r in merged]
         for r in merged:
@@ -627,6 +631,10 @@ def main(argv=None) -> int:
         # a problem build or a probe's hypothesis gate rejects the config mid-run
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except NonFiniteSweep as e:
+        # the run itself went non-finite: a failed outcome, reported before any artifact
+        print(e, file=sys.stderr)
+        return 1
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

@@ -31,11 +31,10 @@ from .problems import (
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
-    oracle_draws,
     oracle_rows,
     rng_stream,
 )
-from .optimizer import BLOCK, adam_rows
+from .optimizer import BLOCK, adam_rows, prefetch_draws
 from .instrumentation import log_pi_series
 
 
@@ -49,6 +48,10 @@ class HorizonTooShort(ValueError):
 
 class DegenerateFit(ValueError):
     """Log-log fit impossible: duplicate abscissae or too few points."""
+
+
+class NonFiniteSweep(ValueError):
+    """A sweep statistic or final iterate came out NaN or +/-inf."""
 
 
 # thresholds frozen from pilot sweeps; see each probe's report for usage
@@ -85,6 +88,15 @@ FROZEN_THRESHOLDS = {
 }
 
 PROBE_NAMES = ("rate", "last_iterate", "l1", "summability", "moment", "sgd_anchor")
+
+#: probes whose claim assumes gamma > 1 and delta > 0 (outside it they are
+#: config errors), with the name their error message gives them
+HYPOTHESIS_GATED = {"last_iterate": "last-iterate", "l1": "L1"}
+
+#: the per-checkpoint statistics of a sweep, each of shape (seeds, checkpoints)
+SWEEP_SERIES = (
+    "avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +210,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # the lockstep seed-sweep engine
 
 
+# overflow is reported once per sweep by _require_finite, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep_seeds(
     p: Problem,
     h: HyperParams,
@@ -233,18 +247,7 @@ def _sweep_seeds(
     eta_prev = np.full((S, d), h.v / alpha1(h)) if collect_dsum else None
     dsum = np.empty((S, T)) if collect_dsum else None
 
-    out = {
-        name: np.empty((S, n_cp))
-        for name in (
-            "avg_gsq",
-            "last_grad",
-            "eta_gsq_sum",
-            "S_total",
-            "sigma_v",
-            "sup_sigma_v",
-            "sup_grad",
-        )
-    }
+    out = {name: np.empty((S, n_cp)) for name in SWEEP_SERIES}
 
     block = None  # prefetched draws, block[j] holding step j's draw for every seed
 
@@ -252,14 +255,7 @@ def _sweep_seeds(
     for t in range(1, T + 1):
         j = (t - 1) % BLOCK
         if j == 0:
-            take = min(BLOCK, T - (t - 1))
-            for s, rng in enumerate(rngs):
-                r = oracle_draws(p, take, rng)
-                if r is None:  # noiseless: the oracle draws nothing
-                    break
-                if block is None:
-                    block = np.empty((take, S) + r.shape[1:], dtype=r.dtype)
-                block[:take, s] = r
+            block = prefetch_draws(p, min(BLOCK, T - (t - 1)), rngs, out=block)
 
         # exact gradient at the pre-update iterate w_t
         grad_now = grad_batch(p, W)
@@ -329,7 +325,26 @@ def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = Fa
             k: np.concatenate([part[k] for part in parts], axis=0) for k in parts[0]
         }
     res["seeds"] = np.asarray(seeds)
+    _require_finite(res, cfg)
     return res
+
+
+def _require_finite(res: dict, cfg: ExperimentConfig) -> None:
+    """Raise NonFiniteSweep at the first checkpoint where a statistic of some
+    seed is not finite, or else at a seed whose final iterate is not."""
+    bad = ~np.isfinite(np.stack([res[name] for name in SWEEP_SERIES]))  # (series, seed, cp)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=(0, 1))))
+        r, k = np.argwhere(bad[:, :, i].T)[0]
+        t, series = cfg.checkpoints[i], SWEEP_SERIES[k]
+    else:
+        rows = ~np.isfinite(res["final_W"]).all(axis=1)
+        if not rows.any():
+            return
+        r, t, series = int(np.argmax(rows)), cfg.T, "final_W"
+    raise NonFiniteSweep(
+        f"non-finite sweep: seed {res['seeds'][r]}, checkpoint t={t}, series {series}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +468,17 @@ def _scale_gate(cond: bool, exc: type, msg: str, enforce: bool, below: list) -> 
     below.append(msg)
 
 
+def _hypothesis_gate(cfg: ExperimentConfig, probe: str) -> None:
+    """Config error when ``probe`` is hypothesis-gated and cfg lies outside
+    gamma > 1, delta > 0; a no-op for every other probe."""
+    label = HYPOTHESIS_GATED.get(probe)
+    if label and not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
+        raise ConstraintViolation(
+            f"{label} probe requires gamma > 1 and delta > 0 "
+            f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
+        )
+
+
 def _mark_below_scale(rep: ExperimentReport, msgs) -> None:
     """Keep every verdict's numbers but downgrade them to informational."""
     for v in rep.verdicts.values():
@@ -562,11 +588,7 @@ def last_iterate_experiment(
     No size gates; the gamma/delta requirement is a hypothesis of the claim
     under test, so it stays a hard error regardless of ``enforce_scale``.
     """
-    if not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
-        raise ConstraintViolation(
-            f"last-iterate probe requires gamma > 1 and delta > 0 "
-            f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
-        )
+    _hypothesis_gate(cfg, "last_iterate")
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "last_iterate", res, ["last_grad"])
     eps = cfg.epsilon_last
@@ -599,11 +621,7 @@ def l1_experiment(
     cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Seed-mean last-iterate gradient norm: decreasing tail, finite sup."""
-    if not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
-        raise ConstraintViolation(
-            f"L1 probe requires gamma > 1 and delta > 0 "
-            f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
-        )
+    _hypothesis_gate(cfg, "l1")
     below: list = []
     _scale_gate(
         len(cfg.seeds) >= 100, InsufficientSeeds,
@@ -809,6 +827,8 @@ PROBES = {
 def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
     """Run every probe named in cfg.probes, sharing one sweep where possible."""
     validate_config(cfg)
+    for probe in cfg.probes:  # before any sweep starts
+        _hypothesis_gate(cfg, probe)
     need_dsum = "moment" in cfg.probes
     shared = None
     reports = {}

@@ -35,7 +35,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState
+from .optimizer import AdamState, rates
 
 
 class NegativeGap(ValueError):
@@ -49,6 +49,11 @@ class NegativeGap(ValueError):
 def synthetic_eta_v0(h: HyperParams) -> np.ndarray:
     """The defined pre-run rate vector eta_{v_0} = (v / alpha1) * ones."""
     return np.full(h.dim, h.v / alpha1(h))
+
+
+def aux_iterate(w_next, w, h: HyperParams):
+    """The momentum-corrected iterate u_{t+1} = (w_{t+1} - beta1 * w_t) / (1 - beta1)."""
+    return (w_next - h.beta1 * w) / (1.0 - h.beta1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +159,7 @@ def eta_v_at_state(s: AdamState, h: HyperParams) -> np.ndarray:
     """eta_{v_t} for the state's own t (synthetic value at t = 0)."""
     if s.t == 0:
         return synthetic_eta_v0(h)
-    return eta_at(s.t, h) / (np.sqrt(s.v_vec) + h.mu)
+    return rates(eta_at(s.t, h), s.v_vec, h)
 
 
 def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dict:
@@ -173,7 +178,7 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     # branch-based verdicts in verify.json.
     Vb = b2 * s.v_vec + (1.0 - b2) * Gb * Gb
     Mb = h.beta1 * s.m + (1.0 - h.beta1) * Gb
-    eta_vb = eta_at(tau, h) / (np.sqrt(Vb) + h.mu)
+    eta_vb = rates(eta_at(tau, h), Vb, h)
     Wb = s.w - eta_vb * Mb
     eta_v_prev = eta_v_at_state(s, h)
     return {
@@ -207,8 +212,7 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
     ba = _branch_arrays(p, s, h, K, rng)
     gw = ba["grad_w"]
     m1_b = (ba["eta_v_prev"] * gw * (gw - ba["G"])).sum(axis=1)
-    u_next = (ba["W"] - h.beta1 * s.w) / (1.0 - h.beta1)
-    f_u_b = loss_batch(p, u_next)
+    f_u_b = loss_batch(p, aux_iterate(ba["W"], s.w, h))
     m1_mean, m1_se = _mean_se(m1_b)
     d_mean, d_se = _mean_se(ba["delta"])
     f_mean, f_se = _mean_se(f_u_b)
@@ -296,7 +300,7 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None) -> TheoryTrac
 
     eta_v = np.empty((T + 1, d))
     eta_v[0] = synthetic_eta_v0(h)
-    eta_v[1:] = eta_sched[:, None] / (np.sqrt(V) + h.mu)
+    eta_v[1:] = rates(eta_sched[:, None], V, h)
 
     delta = eta_v[:-1] - eta_v[1:]
     scale = np.max(np.abs(eta_v[:-1]), axis=1)
@@ -320,7 +324,7 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None) -> TheoryTrac
 
     u = np.empty_like(W)
     u[0] = W[0]
-    u[1:] = (W[1:] - h.beta1 * W[:-1]) / (1.0 - h.beta1)
+    u[1:] = aux_iterate(W[1:], W[:-1], h)
 
     f_w = loss_batch(p, W)
     grad_w = grad_batch(p, W)

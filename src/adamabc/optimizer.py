@@ -10,10 +10,10 @@ The update, per step tau = completed-steps + 1:
 No bias correction anywhere; mu sits outside the square root.  ``adam_rows``
 is the only implementation: it updates a stacked (rows, d) state in place and
 serves the lockstep seed sweep (one row per seed), the recording loop of
-``run_trajectory`` (one row, written straight into the trace arrays) and
-``adam_step``.  ``adam_step`` keeps states immutable: it never mutates its
-inputs, so replaying a step from a saved state reproduces the original output
-bitwise.
+``run_trajectories`` (one row per seed, written straight into the trace
+arrays; ``run_trajectory`` is its one-seed case) and ``adam_step``.
+``adam_step`` keeps states immutable: it never mutates its inputs, so
+replaying a step from a saved state reproduces the original output bitwise.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def adam_init(w1, h: HyperParams) -> AdamState:
     return AdamState(t=0, w=_ro(w1), m=_ro(np.zeros(h.dim)), v_vec=_ro(np.full(h.dim, h.v)))
 
 
+def rates(eta, v, h: HyperParams):
+    """The per-coordinate rates eta_v = eta / (sqrt(v) + mu)."""
+    return eta / (np.sqrt(v) + h.mu)
+
+
 def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
     """One update of a stacked (rows, d) state; returns the rates eta_v.
 
@@ -73,7 +78,7 @@ def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -
     v_out += (1.0 - b2) * g2
     np.multiply(h.beta1, m, out=m_out)
     m_out += (1.0 - h.beta1) * g
-    eta_v = eta / (np.sqrt(v_out) + h.mu)
+    eta_v = rates(eta, v_out, h)
     np.subtract(w, eta_v * m_out, out=w_out)
     return eta_v
 
@@ -93,14 +98,38 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     return AdamState(t=tau, w=w, m=m, v_vec=v)
 
 
-def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
-    """Run T Adam steps on problem ``p`` and return the assembled TheoryTrace.
+def prefetch_draws(p: Problem, take: int, rngs, out=None):
+    """The next ``take`` oracle draws of every row: ``block[j, r]`` is row r's
+    draw for the j-th step, taken from ``rngs[r]`` in stream order.
 
-    The oracle stream is keyed by ("trajectory", seed, "oracle"), so identical
-    inputs give bitwise-identical traces.  This is the recording mode of the
-    stacked step: one row, oracle draws prefetched in blocks of ``BLOCK``, and
-    each step written in place into its row of the trace arrays.  A
-    non-finite gradient stops the run at its step with NonFiniteGradient.
+    Written into ``out[:take]`` when given, so a loop reuses one buffer for
+    all its blocks.  None when the oracle draws nothing (noiseless quadratic).
+    """
+    block = None
+    for r, rng in enumerate(rngs):
+        draws = oracle_draws(p, take, rng)
+        if draws is None:
+            return None
+        if block is None:
+            shape = (take, len(rngs)) + draws.shape[1:]
+            block = np.empty(shape, draws.dtype) if out is None else out[:take]
+        block[:, r] = draws
+    return block
+
+
+def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
+    """Run T Adam steps from w1 for every seed at once; yield one TheoryTrace
+    per seed, in the order of ``seeds``.
+
+    Seed s's oracle stream is keyed by ("trajectory", s, "oracle"), so
+    identical inputs give bitwise-identical traces.  This is the recording
+    mode of the stacked step: the seeds advance in lockstep as the rows of
+    step-major (T+1, S, d) / (T, S, d) arrays, oracle draws are prefetched in
+    blocks of ``BLOCK``, and each step is written in place into the trace
+    arrays.  Every row only meets its own data, so each trace is bitwise the
+    one a lone run gives.  A non-finite gradient stops the run at its step
+    with NonFiniteGradient.  Traces are built one at a time as they are
+    consumed, each on a contiguous copy of its seed's rows.
 
     The trace stores w_1 .. w_{T+1}: the loop that performs T updates ends one
     iterate past the last gradient, and callers pick the convention they need.
@@ -108,33 +137,50 @@ def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
     validate_hyperparams(h)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    d = h.dim
+    seeds = list(seeds)
+    S, d = len(seeds), h.dim
     s0 = adam_init(np.ones(d) if w1 is None else w1, h)
-    W = np.empty((T + 1, d))
-    G = np.empty((T, d))
-    M = np.empty((T, d))
-    V = np.empty((T, d))
+    W = np.empty((T + 1, S, d))
+    G = np.empty((T, S, d))
+    M = np.empty((T, S, d))
+    V = np.empty((T, S, d))
     W[0] = s0.w
-    rng = rng_stream("trajectory", seed, "oracle")
+    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
 
-    # (1, d) row views: step k reads W[k] and the previous moments and
-    # writes G[k], W[k + 1], M[k], V[k]
-    Wr, Gr, Mr, Vr = (a.reshape(len(a), 1, d) for a in (W, G, M, V))
+    # step k reads W[k] and the previous moments and writes G[k], W[k + 1],
+    # M[k], V[k]; the initial moments are one row broadcast over the seeds
     m, v = s0.m[None], s0.v_vec[None]
+    block = None
     for k in range(T):
         tau = k + 1
         j = k % BLOCK
         if j == 0:
-            draws = oracle_draws(p, min(BLOCK, T - k), rng)
-        g = oracle_rows(p, Wr[k], None if draws is None else draws[j : j + 1])
-        # Python floats: cheaper than a numpy reduction over one short row
-        if not all(map(math.isfinite, g[0].tolist())):
-            raise NonFiniteGradient(f"step {tau}: non-finite gradient component at t={tau}")
-        Gr[k] = g
+            block = prefetch_draws(p, min(BLOCK, T - k), rngs, out=block)
+        g = oracle_rows(p, W[k], None if block is None else block[j])
+        # Python floats: cheaper than a numpy reduction over a few short rows
+        if not all(map(math.isfinite, g.ravel().tolist())):
+            raise NonFiniteGradient(_non_finite_message(g, seeds, tau))
+        G[k] = g
         b2, eta = beta2_at(tau, h), eta_at(tau, h)
-        adam_rows(Wr[k], m, v, g, g * g, b2, eta, h, out=(Wr[k + 1], Mr[k], Vr[k]))
-        m, v = Mr[k], Vr[k]
+        adam_rows(W[k], m, v, g, g * g, b2, eta, h, out=(W[k + 1], M[k], V[k]))
+        m, v = M[k], V[k]
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 
-    return build_trace(p, h, W, G, M, V, seed=seed)
+    for r, seed in enumerate(seeds):
+        rows = (np.ascontiguousarray(a[:, r]) for a in (W, G, M, V))
+        yield build_trace(p, h, *rows, seed=seed)
+
+
+def _non_finite_message(g, seeds, tau: int) -> str:
+    where = f"step {tau}: non-finite gradient component at t={tau}"
+    if len(seeds) == 1:
+        return where
+    r = int(np.argmin(np.isfinite(g).all(axis=1)))
+    return f"seed {seeds[r]}, {where}"
+
+
+def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
+    """Run T Adam steps on problem ``p`` and return the assembled TheoryTrace:
+    the one-seed case of ``run_trajectories``."""
+    return next(run_trajectories(p, h, T, [seed], w1))

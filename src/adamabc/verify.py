@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import HyperParams, alpha1
-from .instrumentation import TheoryTrace, _branch_arrays
+from .instrumentation import TheoryTrace, _branch_arrays, aux_iterate
 from .problems import (
     Problem,
     ProblemCertificate,
@@ -410,7 +410,7 @@ def check_descent_expectation(
 
         delta_row = ba["delta"].sum(axis=1)  # (K,)
         fhat_next = (
-            loss_batch(p, (ba["W"] - h.beta1 * s.w) / (1.0 - h.beta1))
+            loss_batch(p, aux_iterate(ba["W"], s.w, h))
             - cert.f_star
             + cert.C * ba["eta_v"].sum(axis=1)
         )

@@ -23,7 +23,8 @@ PUBLIC = (
     "loss_batch", "make_least_squares", "make_logistic",
     "make_noisy_quadratic", "oracle_sample", "rng_stream",
     # optimizer
-    "AdamState", "NonFiniteGradient", "adam_init", "adam_step", "run_trajectory",
+    "AdamState", "NonFiniteGradient", "adam_init", "adam_step", "run_trajectories",
+    "run_trajectory",
     # instrumentation
     "BranchEstimate", "NegativeGap", "PiHatSeries", "TheoryTrace",
     "branch_conditional", "build_trace", "pi_hat",

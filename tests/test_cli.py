@@ -176,7 +176,7 @@ def test_main_rejects_bad_usage_and_bad_config(capsys):
         # raised by the problem build inside the sweep
         ("problem = least_squares\nd = 10\nn = 3", "need n >= d"),
         ("sigma = 1e200", "sigma^2 * d must be finite"),
-        # raised by the probe's hypothesis gate after the sweep has run
+        # raised by the probe's hypothesis gate before the sweep runs
         ("probes = rate,last_iterate\ngamma = 1.0", "gamma > 1 and delta > 0"),
         # rejected by validate_config
         ("probes = last_iterate\nepsilon_last = 0", "epsilon_last must be finite and > 0"),
@@ -189,6 +189,32 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+@pytest.mark.parametrize("probes", ["rate,last_iterate", "summability,l1"])
+def test_hypothesis_gate_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys, probes):
+    import adamabc.experiments as E
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the hypothesis gate")
+
+    monkeypatch.setattr(E, "run_sweep", no_sweep)
+    argv = ["experiment", "--config", f"T = 64\nprobes = {probes}\ngamma = 1.0",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "probe requires gamma > 1 and delta > 0 (got gamma=1.0, delta=0.25)" in err
+
+
+def test_non_finite_sweep_exits_1_with_one_line_and_no_report(tmp_path, capsys):
+    # sigma^2 * d is finite, but the running S_total overflows within 32 steps
+    cfg = "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment"
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "non-finite sweep: seed 0, checkpoint t=32, series S_total\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
@@ -402,20 +428,28 @@ def test_verify_builds_each_trajectory_once(tmp_path, monkeypatch, capsys):
 
     cfg = "T = 64\nseeds = 2,0\nsuite = noisy_quadratic,logistic"
     real_run, real_descent = C.run_trajectory, C.check_descent_expectation
+    real_stacked = C.run_trajectories
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real_run(*args, **kwargs)
+    def counting(p, h, T, seeds, *args):
+        calls.append((p.name, tuple(seeds)))
+        return real_stacked(p, h, T, seeds, *args)
 
-    monkeypatch.setattr(C, "run_trajectory", counting)
+    monkeypatch.setattr(C, "run_trajectories", counting)
+    monkeypatch.setattr(C, "run_trajectory", None)  # verify records no lone run
     main(["verify", "--config", cfg, "--out", str(tmp_path / "reused")])
-    assert len(calls) == 2 * 2  # len(suite) x len(seeds)
+    # one stacked recording of every seed per suite problem
+    assert calls == [("noisy_quadratic", (2, 0)), ("logistic", (2, 0))]
 
-    # the descent check on a freshly built first-seed trajectory writes the same bytes
+    # lone runs of every seed, with the descent check on a freshly built
+    # first-seed trajectory, write the same bytes
+    def lone_runs(p, h, T, seeds):
+        return (real_run(p, h, T, seed) for seed in seeds)
+
     def on_fresh_trace(p, trace, *args):
         return real_descent(p, real_run(p, trace.h, trace.T, trace.seed), *args)
 
+    monkeypatch.setattr(C, "run_trajectories", lone_runs)
     monkeypatch.setattr(C, "check_descent_expectation", on_fresh_trace)
     main(["verify", "--config", cfg, "--out", str(tmp_path / "fresh")])
     capsys.readouterr()

@@ -365,6 +365,33 @@ def test_run_probes_shares_one_sweep_and_keys_reports_by_probe(monkeypatch):
     assert any("anchor" in n for n in reports["sgd_anchor"].notes)
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        # the first checkpoint with a non-finite statistic wins, then the first seed
+        ({"avg_gsq": (0, 6), "sup_grad": (1, 5), "S_total": (0, 5)},
+         "seed 4, checkpoint t=32, series S_total"),
+        ({"final_W": (1, 3)}, "seed 9, checkpoint t=64, series final_W"),
+    ],
+)
+def test_sweep_guard_names_the_first_non_finite_value(monkeypatch, spoil, message):
+    import adamabc.experiments as E
+
+    real = E._sweep_seeds
+
+    def spoiled(*args):
+        out = real(*args)
+        for name, at in spoil.items():
+            out[name][at] = np.nan
+        return out
+
+    cfg = cfg_for("noisy_quadratic", 64, (9, 4))  # checkpoints 1, 2, 4, ..., 64
+    run_sweep(cfg)  # finite: the guard lets it through
+    monkeypatch.setattr(E, "_sweep_seeds", spoiled)
+    with pytest.raises(E.NonFiniteSweep, match=f"^non-finite sweep: {message}$"):
+        run_sweep(cfg)
+
+
 def test_report_status_aggregation():
     rep = ExperimentReport(probe="x", config={}, checkpoints=[1])
     rep.verdicts["a"] = {"status": "pass"}

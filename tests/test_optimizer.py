@@ -11,6 +11,7 @@ from adamabc.optimizer import (
     NonFiniteGradient,
     adam_init,
     adam_step,
+    run_trajectories,
     run_trajectory,
 )
 from adamabc.problems import make_noisy_quadratic
@@ -112,6 +113,25 @@ def test_trajectory_matches_manual_composition(suite, kind, w1):
         assert np.array_equal(tr.V[k], s.v_vec)
 
 
+@pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
+def test_stacked_recording_matches_lone_runs(suite, kind):
+    # T = 4100 crosses the 4096-draw prefetch block of the recording loop
+    p = next(q for q in suite if q.name == kind)
+    h = HyperParams(dim=p.dim)
+    seeds = (3, 11, 12)
+    stacked = list(run_trajectories(p, h, 4100, seeds))
+    assert [tr.seed for tr in stacked] == list(seeds)
+    for tr in stacked:
+        lone = run_trajectory(p, h, 4100, tr.seed)
+        for f in dataclasses.fields(tr):
+            a, b = getattr(tr, f.name), getattr(lone, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.flags.c_contiguous, f.name
+                assert np.array_equal(a, b), f.name
+        assert np.array_equal(tr.pi.values, lone.pi.values)
+        assert np.array_equal(tr.pi.dbar_realized, lone.pi.dbar_realized)
+
+
 def test_trajectory_replay_is_bitwise(quad10, h10):
     a = run_trajectory(quad10, h10, T=300, seed=7)
     b = run_trajectory(quad10, h10, T=300, seed=7)
@@ -172,4 +192,25 @@ def test_nonfinite_gradient_mid_block_stops_at_its_step(monkeypatch, quad10, h10
     monkeypatch.setattr(O, "oracle_rows", faulty)
     with pytest.raises(NonFiniteGradient, match=r"^step 4100: non-finite gradient component at t=4100$"):
         run_trajectory(quad10, h10, T=5000, seed=0)
+    assert len(calls) == 4100
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_nonfinite_gradient_names_its_seed(monkeypatch, quad10, h10):
+    import adamabc.optimizer as O
+
+    real = O.oracle_rows
+    calls = []
+
+    def faulty(p, W, draws):
+        calls.append(None)
+        g = real(p, W, draws)
+        if len(calls) == 4100:
+            g[1, 3] = np.inf
+        return g
+
+    monkeypatch.setattr(O, "oracle_rows", faulty)
+    match = r"^seed 11, step 4100: non-finite gradient component at t=4100$"
+    with pytest.raises(NonFiniteGradient, match=match):
+        next(run_trajectories(quad10, h10, 5000, (3, 11, 12)))
     assert len(calls) == 4100
