@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Acceptance-scale pilot sweeps: prints the raw numbers behind every frozen
+"""Acceptance-scale pilot sweeps: records the raw numbers behind every frozen
 threshold (last-iterate epsilon, seed-mean epsilon, rate-slope landing zone,
 ratio per-step noise) so they can be recalibrated and re-frozen deliberately.
 
-Runs the exact configurations the acceptance gate uses, with the same seeds
-and checkpoint grids.  Expect a few minutes of wall time at the defaults.
+Runs every sweep of ``ACCEPTANCE_PLAN``, the configurations the acceptance
+gate runs, with the same seeds and checkpoint grids.  For each plan entry it
+records the config's shape, the seconds taken and, per probe, the status,
+every verdict's status and observed value, and the fits.  Expect about five
+minutes of wall time on two cores with one BLAS thread.
 
 Usage:
-    python3 scripts/run_convergence_pilot.py --out pilot.json [--threads N]
+    OPENBLAS_NUM_THREADS=1 python3 scripts/run_convergence_pilot.py --out pilot.json [--threads N]
 """
 
 from __future__ import annotations
@@ -16,28 +19,21 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
-import numpy as np
-
-from adamabc.core import HyperParams
-from adamabc.experiments import (
-    ExperimentConfig,
-    ProblemSpec,
-    default_checkpoints,
-    run_probes,
-)
+from adamabc.experiments import ACCEPTANCE_PLAN, run_probes
 
 
-def _cfg(delta, gamma, T, n_seeds, probes, threads=1):
-    return ExperimentConfig(
-        problem=ProblemSpec(kind="noisy_quadratic", d=10),
-        h=HyperParams(dim=10, delta=delta, gamma=gamma),
-        T=T,
-        seeds=tuple(range(n_seeds)),
-        checkpoints=default_checkpoints(T),
-        probes=probes,
-        threads=threads,
-    )
+def _probe_summary(rep) -> dict:
+    doc = rep.as_dict()  # strict JSON: non-finite values become null
+    return {
+        "status": doc["status"],
+        "verdicts": {
+            name: {"status": v["status"], "observed": v["observed"]}
+            for name, v in doc["verdicts"].items()
+        },
+        "fits": doc["fits"],
+    }
 
 
 def main(argv=None) -> int:
@@ -47,127 +43,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     out: dict = {}
-
-    def record(key, started, payload):
-        payload["seconds"] = round(time.perf_counter() - started, 1)
-        out[key] = payload
-        print(f"[{key}] {json.dumps(payload)[:400]}", flush=True)
-
-    # --- running-average decay, power band: fitted slope vs -(1/2 - delta)
-    for delta, gamma in ((0.1, 1.2), (0.25, 1.25)):
-        t0 = time.perf_counter()
-        rep = run_probes(_cfg(delta, gamma, 1 << 20, 20, ("rate",), args.threads))["rate"]
-        v = rep.verdicts["rate_slope"]
-        record(
-            f"rate_slope_delta{delta}",
-            t0,
-            {
-                "status": v["status"],
-                "slope": v["observed"],
-                "target": v["target"],
-                "fit": rep.fits["avg_gsq_slope"],
+    for name, cfg in ACCEPTANCE_PLAN.items():
+        started = time.perf_counter()
+        reports = run_probes(replace(cfg, threads=args.threads))
+        out[name] = {
+            "config": {
+                "kind": cfg.problem.kind,
+                "T": cfg.T,
+                "seeds": len(cfg.seeds),
+                "delta": cfg.h.delta,
+                "gamma": cfg.h.gamma,
+                "probes": list(cfg.probes),
             },
-        )
-
-    # --- running-average decay, slow-step band: ratio to the log-corrected rate
-    for gamma in (1.5, 1.0):
-        t0 = time.perf_counter()
-        rep = run_probes(_cfg(0.0, gamma, 1 << 20, 20, ("rate",), args.threads))["rate"]
-        v = rep.verdicts["log_rate_ratio"]
-        r = v["observed"]
-        steps = [b / a for a, b in zip(r, r[1:])]
-        record(
-            f"rate_ratio_gamma{gamma}",
-            t0,
-            {
-                "status": v["status"],
-                "ratio_final_decade": r,
-                "max_step_up": max(steps),
-                "last_over_first": r[-1] / r[0],
-            },
-        )
-
-    # --- last-iterate gradient norms at the long horizon (epsilon freezing)
-    t0 = time.perf_counter()
-    rep = run_probes(_cfg(0.25, 1.25, 10**6, 20, ("last_iterate",), args.threads))[
-        "last_iterate"
-    ]
-    last = np.asarray(rep.per_seed["last_grad"])
-    record(
-        "last_iterate_T1e6",
-        t0,
-        {
-            "max_final3": float(last[:, -3:].max()),
-            "per_seed_final": last[:, -1].tolist(),
-            "peak_verdict": rep.verdicts["peak_before_final_decade"]["status"],
-        },
-    )
-
-    # --- seed-mean tail + sup stability at 100 seeds (epsilon freezing)
-    t0 = time.perf_counter()
-    reps = run_probes(
-        _cfg(0.25, 1.25, 1 << 18, 100, ("l1", "summability", "moment"), args.threads)
-    )
-    l1 = reps["l1"]
-    last = np.asarray(l1.per_seed["last_grad"])
-    mean_last = last.mean(axis=0)
-    record(
-        "l1_100seeds",
-        t0,
-        {
-            "final_mean": float(mean_last[-1]),
-            "tail4": mean_last[-4:].tolist(),
-            "sup_stability": l1.verdicts["sup_grad_seed_stability"]["observed"],
-            "summability_worst_increment": reps["summability"]
-            .verdicts["final_increment_below_1pct"]["observed"],
-            "S34_slope": reps["moment"].verdicts["S34_growth"]["observed"],
-            "pi_drift": {
-                p: reps["moment"].verdicts[f"pi_inv_moment_p{p}_stable"]["observed"]
-                for p in (1, 2, 3)
-            },
-        },
-    )
-
-    # --- second-moment-mass sup constancy at gamma = 1.5 (50 seeds)
-    t0 = time.perf_counter()
-    rep = run_probes(_cfg(0.25, 1.5, 1 << 18, 50, ("moment",), args.threads))["moment"]
-    record(
-        "moment_gamma1.5",
-        t0,
-        {
-            "sup_sigma_v": rep.verdicts["sup_sigma_v_constant"],
-            "S34_slope": rep.verdicts["S34_growth"]["observed"],
-        },
-    )
-
-    # --- reciprocal-product moments on the weight-1 certificate (logistic has
-    # A = B = 0, so the surrogate weight is exactly 1); delta = 0.5 anneals the
-    # step fast enough that the product has converged by T = 2^18
-    t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        problem=ProblemSpec(kind="logistic", d=10),
-        h=HyperParams(dim=10, delta=0.5, gamma=1.5),
-        T=1 << 18,
-        seeds=tuple(range(50)),
-        checkpoints=default_checkpoints(1 << 18),
-        probes=("moment", "summability"),
-        threads=args.threads,
-    )
-    reps = run_probes(cfg)
-    record(
-        "moment_logistic",
-        t0,
-        {
-            "pi_drift": {
-                p: reps["moment"].verdicts[f"pi_inv_moment_p{p}_stable"]["observed"]
-                for p in (1, 2, 3)
-            },
-            "S34_slope": reps["moment"].verdicts["S34_growth"]["observed"],
-            "sup_sigma_v": reps["moment"].verdicts["sup_sigma_v_constant"],
-            "summability_worst_increment": reps["summability"]
-            .verdicts["final_increment_below_1pct"]["observed"],
-        },
-    )
+            "seconds": round(time.perf_counter() - started, 1),
+            "probes": {probe: _probe_summary(rep) for probe, rep in reports.items()},
+        }
+        print(f"[{name}] {json.dumps(out[name])[:400]}", flush=True)
 
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)

@@ -58,6 +58,10 @@ class ParseError(ValueError):
     """Config text could not be parsed; the message names the line and key."""
 
 
+class NonFiniteTrace(ValueError):
+    """A trace CSV cell would be NaN or +/-inf."""
+
+
 # ---------------------------------------------------------------------------
 # config schema: key -> (kind, default-as-text)
 
@@ -352,7 +356,8 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
     zeta_sum/lambda_phi4/m1 are the step-t quantities (evaluated at w_t, u_t),
     while min_margin_prop2/sum_eta_v/S_total/sigma_v/pi_hat describe the state
     reached after step t.  ``rows`` restricts output to those t (checkpoint
-    subsampling); default is every step 1..T.
+    subsampling); default is every step 1..T.  A non-finite cell raises
+    NonFiniteTrace naming the seed, the first such step and its column.
     """
     h, T = trace.h, trace.T
     ts = list(range(1, T + 1)) if rows is None else [int(t) for t in rows]
@@ -379,6 +384,11 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
     if rows is not None:
         sel = np.asarray(ts, dtype=np.intp) - 1
         cols = [c[sel] for c in cols]
+    if not all(np.isfinite(c).all() for c in cols):
+        bad = ~np.isfinite(np.stack(cols))  # (column, row)
+        r = int(np.argmax(bad.any(axis=0)))
+        name = (TRACE_COLUMNS[1:4] + TRACE_COLUMNS[6:])[int(np.argmax(bad[:, r]))]
+        raise NonFiniteTrace(f"non-finite trace: seed {trace.seed}, step t={ts[r]}, column {name}")
     cols = [c.tolist() for c in cols]
     cols[3:3] = [[eta_at(t, h) for t in ts], [beta2_at(t, h) for t in ts]]
     row = ",".join(["{}"] + ["{:.17g}"] * len(cols)).format
@@ -401,11 +411,13 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
     Prints a JSON verdict listing every check result; exit 0 iff all pass.
     The ``inject_fault`` config key activates a documented fault fixture so
-    the failure path itself can be exercised (see FAULT_FIXTURES).
+    the failure path itself can be exercised (see FAULT_FIXTURES).  Artifacts
+    go to ``out_dir``, else the config's ``out_dir``, else nowhere.
     """
     if not cfg.suite:
         print("config error: empty problem suite", file=sys.stderr)
         return 2
+    out_dir = out_dir or cfg.out_dir
     if out_dir is not None:
         try:
             out_dir = _ensure_outdir(out_dir)
@@ -532,8 +544,10 @@ def cmd_trace(cfg: ExperimentConfig, seed: int, out_dir: str | None = None, chec
         print(f"config error: {e}", file=sys.stderr)
         return 2
     p = cfg.problem.build()
-    trace = run_trajectory(p, cfg.h, cfg.T, seed)
-    text = trace_csv(trace, rows=checkpoints)
+    # overflow is reported once, by trace_csv's non-finite guard, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_trajectory(p, cfg.h, cfg.T, seed)
+        text = trace_csv(trace, rows=checkpoints)
     info = _write_text(out_dir, f"trace_seed{seed}.csv", text)
     print(os.path.join(out_dir, info["path"]))
     return 0
@@ -631,7 +645,7 @@ def main(argv=None) -> int:
         # a problem build or a probe's hypothesis gate rejects the config mid-run
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except NonFiniteSweep as e:
+    except (NonFiniteSweep, NonFiniteTrace) as e:
         # the run itself went non-finite: a failed outcome, reported before any artifact
         print(e, file=sys.stderr)
         return 1

@@ -93,6 +93,10 @@ PROBE_NAMES = ("rate", "last_iterate", "l1", "summability", "moment", "sgd_ancho
 #: config errors), with the name their error message gives them
 HYPOTHESIS_GATED = {"last_iterate": "last-iterate", "l1": "L1"}
 
+#: the acceptance scale of the size-gated probes: the name their messages
+#: give them, the minimum seed count and the minimum log2 T
+SCALE_GATED = {"rate": ("rate", 20, 14), "l1": ("L1", 100, 0), "moment": ("moment", 50, 0)}
+
 #: the per-checkpoint statistics of a sweep, each of shape (seeds, checkpoints)
 SWEEP_SERIES = (
     "avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad",
@@ -171,6 +175,30 @@ def default_checkpoints(T: int) -> tuple:
     if cps[-1] != T:
         cps.append(T)
     return tuple(cps)
+
+
+def _gate_config(T: int, n_seeds: int, delta: float, gamma: float, probes, kind="noisy_quadratic"):
+    return ExperimentConfig(
+        problem=ProblemSpec(kind=kind, d=10),
+        h=HyperParams(dim=10, delta=delta, gamma=gamma),
+        T=T,
+        seeds=tuple(range(n_seeds)),
+        checkpoints=default_checkpoints(T),
+        probes=probes,
+    )
+
+
+#: the acceptance gate's sweeps, keyed as in pilot.json.  The FROZEN_THRESHOLDS
+#: were calibrated on these runs; scripts/run_convergence_pilot.py reruns them.
+ACCEPTANCE_PLAN = {
+    "rate_slope_delta0.1": _gate_config(1 << 20, 20, 0.1, 1.2, ("rate",)),
+    "rate_slope_delta0.25": _gate_config(1 << 20, 20, 0.25, 1.25, ("rate",)),
+    "rate_ratio_gamma1.5": _gate_config(1 << 20, 20, 0.0, 1.5, ("rate",)),
+    "rate_ratio_gamma1.0": _gate_config(1 << 20, 20, 0.0, 1.0, ("rate",)),
+    "last_iterate_T1e6": _gate_config(10**6, 20, 0.25, 1.25, ("last_iterate",)),
+    "l1_100seeds": _gate_config(1 << 18, 100, 0.25, 1.25, ("l1", "summability", "moment")),
+    "moment_logistic": _gate_config(1 << 18, 50, 0.5, 1.5, ("moment",), kind="logistic"),
+}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -459,13 +487,21 @@ def _final_decade(cfg: ExperimentConfig):
     return (cfg.T / 10.0, float(cfg.T))
 
 
-def _scale_gate(cond: bool, exc: type, msg: str, enforce: bool, below: list) -> None:
-    """Probe size gates: raise when enforced, collect the message otherwise."""
-    if cond:
-        return
-    if enforce:
+def _scale_gate(cfg: ExperimentConfig, probe: str, enforce: bool) -> list:
+    """Messages for the acceptance-scale requirements of ``probe`` that cfg
+    misses; the first one is raised instead when ``enforce`` is set."""
+    label, min_seeds, log2_T = SCALE_GATED.get(probe, ("", 0, 0))
+    misses = []
+    if len(cfg.seeds) < min_seeds:
+        misses.append(
+            (InsufficientSeeds, f"{label} probe needs >= {min_seeds} seeds, got {len(cfg.seeds)}")
+        )
+    if cfg.T < 1 << log2_T:
+        misses.append((HorizonTooShort, f"{label} probe needs T >= 2^{log2_T}, got {cfg.T}"))
+    if misses and enforce:
+        exc, msg = misses[0]
         raise exc(msg)
-    below.append(msg)
+    return [msg for _, msg in misses]
 
 
 def _hypothesis_gate(cfg: ExperimentConfig, probe: str) -> None:
@@ -505,15 +541,7 @@ def rate_experiment(
     ``enforce_scale=False`` lets undersized runs complete; their verdicts are
     downgraded to informational and the report notes the missing scale.
     """
-    below: list = []
-    _scale_gate(
-        len(cfg.seeds) >= 20, InsufficientSeeds,
-        f"rate probe needs >= 20 seeds, got {len(cfg.seeds)}", enforce_scale, below,
-    )
-    _scale_gate(
-        cfg.T >= 1 << 14, HorizonTooShort,
-        f"rate probe needs T >= 2^14, got {cfg.T}", enforce_scale, below,
-    )
+    below = _scale_gate(cfg, "rate", enforce_scale)
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "rate", res, ["avg_gsq", "last_grad"])
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
@@ -622,11 +650,7 @@ def l1_experiment(
 ) -> ExperimentReport:
     """Seed-mean last-iterate gradient norm: decreasing tail, finite sup."""
     _hypothesis_gate(cfg, "l1")
-    below: list = []
-    _scale_gate(
-        len(cfg.seeds) >= 100, InsufficientSeeds,
-        f"L1 probe needs >= 100 seeds, got {len(cfg.seeds)}", enforce_scale, below,
-    )
+    below = _scale_gate(cfg, "l1", enforce_scale)
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "l1", res, ["last_grad", "sup_grad"])
     eps = cfg.epsilon_l1
@@ -701,11 +725,7 @@ def moment_probe(
     cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Reciprocal-product moments, S_T^(3/4) growth, second-moment-mass sup."""
-    below: list = []
-    _scale_gate(
-        len(cfg.seeds) >= 50, InsufficientSeeds,
-        f"moment probe needs >= 50 seeds, got {len(cfg.seeds)}", enforce_scale, below,
-    )
+    below = _scale_gate(cfg, "moment", enforce_scale)
     res = _shared if _shared is not None else run_sweep(cfg, collect_dsum=True)
     if "dsum" not in res:
         raise ValueError("moment probe needs a sweep with collect_dsum=True")
@@ -827,8 +847,11 @@ PROBES = {
 def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
     """Run every probe named in cfg.probes, sharing one sweep where possible."""
     validate_config(cfg)
-    for probe in cfg.probes:  # before any sweep starts
+    # every gate before any sweep starts
+    for probe in cfg.probes:
         _hypothesis_gate(cfg, probe)
+    for probe in cfg.probes:
+        _scale_gate(cfg, probe, enforce_scale)
     need_dsum = "moment" in cfg.probes
     shared = None
     reports = {}

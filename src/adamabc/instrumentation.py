@@ -59,6 +59,9 @@ def aux_iterate(w_next, w, h: HyperParams):
 # ---------------------------------------------------------------------------
 # the product surrogate
 
+#: geometric weights sqrt(beta1)^(t-k) below this are dropped from tail sums
+TAIL_CUT = 1e-12
+
 
 @dataclass(frozen=True)
 class PiHatSeries:
@@ -73,19 +76,18 @@ class PiHatSeries:
     """
 
     horizon: int
-    tail_cut: float
     values: np.ndarray  # (horizon+1,)
     dbar_realized: np.ndarray  # (horizon,)
 
 
-def geometric_tail_rowsums(rows: np.ndarray, q: float, tail_cut: float = 1e-12) -> np.ndarray:
+def geometric_tail_rowsums(rows: np.ndarray, q: float) -> np.ndarray:
     """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
-    tail_cut and at the row end.  q = 0 returns the rows unchanged."""
+    TAIL_CUT and at the row end.  q = 0 returns the rows unchanged."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     S, T = rows.shape
     if q == 0.0:
         return rows.copy()
-    tau = min(int(math.floor(math.log(tail_cut) / math.log(q))), T - 1)
+    tau = min(int(math.floor(math.log(TAIL_CUT) / math.log(q))), T - 1)
     kernel = q ** np.arange(tau + 1, dtype=np.float64)
     if T * (tau + 1) <= 1 << 22:  # small: direct sliding dot
         padded = np.concatenate([rows, np.zeros((S, tau))], axis=1)
@@ -106,11 +108,11 @@ def _factor_weight(L_f: float, A: float, B: float, q: float) -> float:
     return D1 / (1.0 - q) + 1.0
 
 
-def pi_hat(deltas, h: HyperParams, constants, tail_cut: float = 1e-12) -> PiHatSeries:
+def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     """Build the PiHat series from the per-step gap vectors.
 
     ``constants`` is the tuple (L_f, A, B, C); see ``_factor_weight``.
-    Geometric weights sqrt(beta1)^(t-k) are dropped once below tail_cut (and
+    Geometric weights sqrt(beta1)^(t-k) are dropped once below TAIL_CUT (and
     the tail always stops at the end of the trace).  With beta1 = 0 the tail
     collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.  Traces with
     T * (tail length) > 2^22 get their tail sums from the FFT path of
@@ -121,10 +123,10 @@ def pi_hat(deltas, h: HyperParams, constants, tail_cut: float = 1e-12) -> PiHatS
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
     # the tail sums of the per-step gap totals sum_i Delta_{t,i}
-    dbar = geometric_tail_rowsums(D.sum(axis=1), q, tail_cut)[0]
+    dbar = geometric_tail_rowsums(D.sum(axis=1), q)[0]
     factors = 1.0 / (1.0 + _factor_weight(L_f, A, B, q) * dbar)
     values = np.concatenate([[1.0], np.cumprod(factors)])
-    return PiHatSeries(horizon=D.shape[0], tail_cut=tail_cut, values=values, dbar_realized=dbar)
+    return PiHatSeries(horizon=D.shape[0], values=values, dbar_realized=dbar)
 
 
 def log_pi_series(dsum: np.ndarray, h: HyperParams, cert: ProblemCertificate) -> np.ndarray:

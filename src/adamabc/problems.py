@@ -127,7 +127,7 @@ class Logistic(Problem):
 # factories
 
 
-def make_noisy_quadratic(eigenvalues, sigma: float, seed: int = 0) -> NoisyQuadratic:
+def make_noisy_quadratic(eigenvalues, sigma: float) -> NoisyQuadratic:
     """f(w) = 1/2 * sum_i lam_i w_i^2, oracle g = grad + N(0, sigma^2 I).
 
     Certificate: L_f = max lam, f* = 0, A = 0, B = 1, C = sigma^2 * d.  The
@@ -446,10 +446,10 @@ def oracle_sample(p: Problem, w, rng: np.random.Generator) -> np.ndarray:
     return branch_samples(p, w, 1, rng)[0]
 
 
-def default_suite(data_seed: int = 7) -> list[Problem]:
+def default_suite() -> list[Problem]:
     """The three-problem verification suite at its standard sizes."""
     return [
         make_noisy_quadratic(np.linspace(1.0, 4.0, 10), sigma=1.0),
-        make_least_squares(50, 5, seed=data_seed),
+        make_least_squares(50, 5, seed=7),
         make_logistic(100, 10, seed=3),
     ]

@@ -1,7 +1,8 @@
 """Acceptance gate: ten numbered end-to-end criteria, one test line each.
 
 ``pytest tests/test_acceptance.py -v`` prints one PASSED/FAILED/XFAIL line
-per criterion.  The heavy seed sweeps are shared through module-scoped
+per criterion.  The heavy seed sweeps are the entries of
+``adamabc.experiments.ACCEPTANCE_PLAN``, shared through module-scoped
 fixtures; the whole gate runs in a few minutes on one core.  Every test here
 carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs
 the fast module tests alone.
@@ -19,12 +20,11 @@ a hard failure so the analysis gets revisited.
 
 import time
 
-import numpy as np
 import pytest
 
-from adamabc.cli import main, parse_config
+from adamabc.cli import main
 from adamabc.core import HyperParams, with_dim
-from adamabc.experiments import run_probes
+from adamabc.experiments import ACCEPTANCE_PLAN, run_probes
 from adamabc.optimizer import run_trajectories
 from adamabc.problems import rng_stream
 from adamabc.verify import (
@@ -38,61 +38,39 @@ from adamabc.verify import (
 pytestmark = pytest.mark.acceptance
 
 
-def _cfg(**kv):
-    return parse_config("\n".join(f"{k} = {v}" for k, v in kv.items()))
-
-
-def _seeds(n: int) -> str:
-    return ",".join(str(s) for s in range(n))
-
-
 INVARIANT_GRID = ((0.25, 1.25), (0.0, 1.0), (0.0, 1.5))
 
 
 @pytest.fixture(scope="module")
 def rate_slope_reports():
-    # quadratic d=10, 20 seeds, T = 2^20, one sweep per (delta, gamma)
-    return {
-        (delta, gamma): run_probes(
-            _cfg(T=1 << 20, seeds=_seeds(20), delta=delta, gamma=gamma, probes="rate")
-        )["rate"]
-        for delta, gamma in ((0.1, 1.2), (0.25, 1.25))
-    }
+    return [
+        run_probes(ACCEPTANCE_PLAN[name])["rate"]
+        for name in ("rate_slope_delta0.1", "rate_slope_delta0.25")
+    ]
 
 
 @pytest.fixture(scope="module")
 def rate_ratio_reports():
-    return {
-        gamma: run_probes(
-            _cfg(T=1 << 20, seeds=_seeds(20), delta=0.0, gamma=gamma, probes="rate")
-        )["rate"]
-        for gamma in (1.5, 1.0)
-    }
+    return [
+        run_probes(ACCEPTANCE_PLAN[name])["rate"]
+        for name in ("rate_ratio_gamma1.5", "rate_ratio_gamma1.0")
+    ]
 
 
 @pytest.fixture(scope="module")
 def last_iterate_report():
-    cfg = _cfg(T=1_000_000, seeds=_seeds(20), delta=0.25, gamma=1.25, probes="last_iterate")
-    return run_probes(cfg)["last_iterate"]
+    return run_probes(ACCEPTANCE_PLAN["last_iterate_T1e6"])["last_iterate"]
 
 
 @pytest.fixture(scope="module")
 def quad_hundred_reports():
     # one 100-seed sweep shared by the l1 / summability / moment probes
-    cfg = _cfg(
-        T=1 << 18, seeds=_seeds(100), delta=0.25, gamma=1.25,
-        probes="l1,summability,moment",
-    )
-    return run_probes(cfg)
+    return run_probes(ACCEPTANCE_PLAN["l1_100seeds"])
 
 
 @pytest.fixture(scope="module")
 def logistic_moment_report():
-    cfg = _cfg(
-        problem="logistic", d=10, T=1 << 18, seeds=_seeds(50),
-        delta=0.5, gamma=1.5, probes="moment",
-    )
-    return run_probes(cfg)["moment"]
+    return run_probes(ACCEPTANCE_PLAN["moment_logistic"])["moment"]
 
 
 def test_criterion_01_pathwise_invariant_suite(suite):
@@ -146,7 +124,8 @@ def test_criterion_03_finite_difference_gradients(suite):
     "slope_step_size_scaling reference verdict and the repository notes",
 )
 def test_criterion_04a_rate_slope_delta_positive(rate_slope_reports):
-    for (delta, gamma), rep in rate_slope_reports.items():
+    for rep in rate_slope_reports:
+        delta, gamma = rep.config["h"]["delta"], rep.config["h"]["gamma"]
         v = rep.verdicts["rate_slope"]
         ref = rep.verdicts["slope_step_size_scaling"]
         fit = rep.fits["avg_gsq_slope"]
@@ -156,13 +135,13 @@ def test_criterion_04a_rate_slope_delta_positive(rate_slope_reports):
             f"stationary reference {ref['target']:+.2f}"
         )
     assert all(
-        rep.verdicts["rate_slope"]["status"] == "pass"
-        for rep in rate_slope_reports.values()
+        rep.verdicts["rate_slope"]["status"] == "pass" for rep in rate_slope_reports
     )
 
 
 def test_criterion_04b_rate_ratio_delta_zero(rate_ratio_reports):
-    for gamma, rep in rate_ratio_reports.items():
+    for rep in rate_ratio_reports:
+        gamma = rep.config["h"]["gamma"]
         v = rep.verdicts["log_rate_ratio"]
         ratios = v["observed"]
         print(

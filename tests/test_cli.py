@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -224,6 +225,19 @@ def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+def test_non_finite_trace_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
+    # S_total and fhat overflow from t = 1; warnings are errors here, so an
+    # overflow warning escaping the guard would fail the run
+    argv = ["trace", "--config", "sigma = 1e153\nT = 64", "--seeds", "0", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "non-finite trace: seed 0, step t=1, column fhat\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- trace command
 
 
@@ -421,6 +435,16 @@ def test_verify_passes_and_emits_json_verdict(tmp_path, capsys):
     assert verdict["checks"]["global"][0]["name"] == "sum-exchange-bounds"
     disk = json.loads((out / "verify.json").read_text())
     assert disk == verdict
+
+
+def test_verify_writes_to_the_config_out_dir_unless_out_is_given(tmp_path, capsys):
+    cfg_dir, out_dir = tmp_path / "cfg", tmp_path / "out"
+    cfg = f"{VERIFY_CFG}\nout_dir = {cfg_dir}"
+    assert main(["verify", "--config", cfg]) == 0
+    assert sorted(os.listdir(cfg_dir)) == ["manifest.json", "verify.json"]
+    assert main(["verify", "--config", cfg, "--out", str(out_dir)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["manifest.json", "verify.json"]
+    assert (out_dir / "verify.json").read_bytes() == (cfg_dir / "verify.json").read_bytes()
 
 
 def test_verify_builds_each_trajectory_once(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,17 @@
 """The lockstep seed-sweep engine, fitting helpers, and the probe reports."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adamabc.cli import parse_config
 from adamabc.core import ConstraintViolation, HyperParams, eta_at
 from adamabc.experiments import (
+    ACCEPTANCE_PLAN,
     DegenerateFit,
     ExperimentConfig,
     ExperimentReport,
@@ -29,6 +33,7 @@ from adamabc.instrumentation import geometric_tail_rowsums
 from adamabc.optimizer import run_trajectory
 from adamabc.problems import oracle_sample, rng_stream
 
+ROOT = Path(__file__).resolve().parents[1]
 SPECS = {
     "noisy_quadratic": ProblemSpec(kind="noisy_quadratic", d=10),
     "least_squares": ProblemSpec(kind="least_squares", d=5, data_seed=7),
@@ -390,6 +395,101 @@ def test_sweep_guard_names_the_first_non_finite_value(monkeypatch, spoil, messag
     monkeypatch.setattr(E, "_sweep_seeds", spoiled)
     with pytest.raises(E.NonFiniteSweep, match=f"^non-finite sweep: {message}$"):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize(
+    "probes, T, n_seeds, exc",
+    [
+        (("rate",), 64, 2, InsufficientSeeds),
+        (("summability", "rate"), 64, 20, HorizonTooShort),
+        (("l1",), 1 << 14, 50, InsufficientSeeds),
+        (("moment",), 64, 2, InsufficientSeeds),
+    ],
+)
+def test_run_probes_checks_scale_gates_before_any_sweep(monkeypatch, probes, T, n_seeds, exc):
+    import adamabc.experiments as E
+
+    calls = []
+    monkeypatch.setattr(E, "run_sweep", lambda *a, **kw: calls.append(a))
+    with pytest.raises(exc):
+        E.run_probes(cfg_for("noisy_quadratic", T, range(n_seeds), probes=probes))
+    assert calls == []
+
+
+class _SweepReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", list(ACCEPTANCE_PLAN))
+def test_acceptance_plan_passes_every_gate(monkeypatch, name):
+    import adamabc.experiments as E
+
+    def sentinel(*args, **kwargs):
+        raise _SweepReached
+
+    monkeypatch.setattr(E, "run_sweep", sentinel)
+    with pytest.raises(_SweepReached):
+        E.run_probes(ACCEPTANCE_PLAN[name])
+
+
+# ---------------------------------------------------------------- acceptance plan
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("rate_ratio_gamma1.0", "T = 1048576\nseeds = {}\ndelta = 0.0\ngamma = 1.0\nprobes = rate"),
+        ("moment_logistic",
+         "problem = logistic\nT = 262144\nseeds = {}\ndelta = 0.5\ngamma = 1.5\nprobes = moment"),
+    ],
+)
+def test_plan_entries_equal_their_flat_text_configs(name, text):
+    cfg = ACCEPTANCE_PLAN[name]
+    seeds = ",".join(str(s) for s in range(len(cfg.seeds)))
+    assert parse_config(text.format(seeds)) == cfg
+
+
+def _pilot_shape(cfg) -> dict:
+    return {
+        "kind": cfg.problem.kind, "T": cfg.T, "seeds": len(cfg.seeds),
+        "delta": cfg.h.delta, "gamma": cfg.h.gamma, "probes": list(cfg.probes),
+    }
+
+
+def test_pilot_json_records_the_acceptance_plan():
+    pilot = json.loads((ROOT / "pilot.json").read_text())
+    assert list(pilot) == list(ACCEPTANCE_PLAN)
+    for name, cfg in ACCEPTANCE_PLAN.items():
+        assert pilot[name]["config"] == _pilot_shape(cfg), name
+        assert list(pilot[name]["probes"]) == list(cfg.probes), name
+
+
+def test_pilot_script_writes_one_entry_per_plan_name(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "convergence_pilot", ROOT / "scripts" / "run_convergence_pilot.py"
+    )
+    pilot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pilot)
+    seen = []
+
+    def stub(cfg):
+        seen.append(cfg)
+        rep = ExperimentReport(probe="stub", config=cfg.as_dict(), checkpoints=[1])
+        rep.verdicts["v"] = {"status": "pass", "observed": math.inf, "threshold": 1.0}
+        return {probe: rep for probe in cfg.probes}
+
+    monkeypatch.setattr(pilot, "run_probes", stub)
+    out = tmp_path / "pilot.json"
+    assert pilot.main(["--out", str(out), "--threads", "2"]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == list(ACCEPTANCE_PLAN)
+    assert all(cfg.threads == 2 for cfg in seen)
+    for name, cfg in ACCEPTANCE_PLAN.items():
+        assert doc[name]["config"] == _pilot_shape(cfg)
+        for probe in cfg.probes:
+            assert doc[name]["probes"][probe] == {
+                "status": "pass", "verdicts": {"v": {"status": "pass", "observed": None}}, "fits": {},
+            }
 
 
 def test_report_status_aggregation():
