@@ -5,9 +5,11 @@ last-iterate convergence, seed-mean (L1-style) convergence, summability of the
 weighted gradient series, and moment/growth probes (reciprocal product
 moments, S_T^(3/4) growth, boundedness of the second-moment mass).
 
-Engine: all seeds advance in lockstep as stacked (seeds x dim) arrays — one
-process, disjoint per-seed rng streams, bitwise-identical per seed to a lone
-run_trajectory call (each array row only ever meets its own row's data).
+Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
+— one process, disjoint per-seed rng streams, bitwise-identical per seed to a
+lone run_trajectory call (each array row only ever meets its own row's data).
+The sweep passes ring buffers of ``SUB`` steps and reduces its statistics
+once per sub-block; it reads running values only at checkpoints.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -24,17 +26,16 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import ConstraintViolation, HyperParams, alpha1, beta2_at, eta_at, validate_hyperparams
+from .core import ConstraintViolation, HyperParams, alpha1, validate_hyperparams
 from .problems import (
+    NoisyQuadratic,
     Problem,
     grad_batch,
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
-    oracle_rows,
-    rng_stream,
 )
-from .optimizer import BLOCK, adam_rows, prefetch_draws
+from .optimizer import rates, run_steps
 from .instrumentation import log_pi_series
 
 
@@ -238,120 +239,99 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # the lockstep seed-sweep engine
 
 
+#: steps per sub-block: the length of the sweep's ring buffers and reductions
+SUB = 32
+
+
+def _grad_sq(p: Problem, W: np.ndarray) -> np.ndarray:
+    """|grad f|^2 at (k, S, d) iterates, each slab bitwise grad_batch's."""
+    if isinstance(p, NoisyQuadratic):  # elementwise: one call for the block
+        g = grad_batch(p, W.reshape(-1, p.dim)).reshape(W.shape)
+    else:  # a BLAS matmul rounds by operand shape: one slab at a time
+        g = np.stack([grad_batch(p, w) for w in W])
+    return np.einsum("ksd,ksd->ks", g, g)
+
+
 # overflow is reported once per sweep by _require_finite, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep_seeds(
-    p: Problem,
-    h: HyperParams,
-    T: int,
-    seeds,
-    checkpoints,
-    rule: str = "adam",
-    collect_dsum: bool = False,
-):
+def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
+                 rule: str = "adam", collect_dsum: bool = False):
     """Advance all seeds together; return per-seed series at the checkpoints.
 
-    Oracle streams are the same ("trajectory", seed, "oracle") streams a lone
-    run_trajectory uses, consumed in the same order, and every arithmetic step
-    goes through the same oracle_rows and adam_rows kernels — so row s of the
-    stacked state matches the single-seed trajectory bitwise.
+    The steps are ``optimizer.run_steps`` on ring buffers of ``SUB`` steps, so
+    row s matches the single-seed trajectory bitwise.  Statistics are computed
+    a sub-block at a time and read only at checkpoints and sub-block ends.
     """
-    S = len(seeds)
-    d = p.dim
+    S, d = len(seeds), p.dim
     cps = list(checkpoints)
-    n_cp = len(cps)
-    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-
-    W = np.ones((S, d))
-    M = np.zeros((S, d))
-    V = np.full((S, d), h.v)
-    run_gsq = np.zeros(S)
-    eta_gsq = np.zeros(S)
-    # per-coordinate so the addition order matches the trace's running S:
-    # (v + g_1^2) + g_2^2 + ... per coordinate, summed over coordinates last
-    Svec = np.full((S, d), h.v)
-    sup_gsq = np.zeros(S)  # sqrt is monotone: the sup of the norms is sqrt(sup_gsq)
-    sup_sigv = np.full(S, d * h.v)
-    eta_prev = np.full((S, d), h.v / alpha1(h)) if collect_dsum else None
-    dsum = np.empty((S, T)) if collect_dsum else None
-
-    out = {name: np.empty((S, n_cp)) for name in SWEEP_SERIES}
-
-    block = None  # prefetched draws, block[j] holding step j's draw for every seed
-
-    cp_i = 0
-    for t in range(1, T + 1):
-        j = (t - 1) % BLOCK
-        if j == 0:
-            block = prefetch_draws(p, min(BLOCK, T - (t - 1)), rngs, out=block)
-
-        # exact gradient at the pre-update iterate w_t
-        grad_now = grad_batch(p, W)
-        gn2 = np.einsum("sd,sd->s", grad_now, grad_now)
-        run_gsq += gn2
-        eta_t = eta_at(t, h)
-        eta_gsq += eta_t * gn2
-        np.maximum(sup_gsq, gn2, out=sup_gsq)
-
-        # oracle draw, then one update of every row
-        G = oracle_rows(p, W, None if block is None else block[j])
-        G2 = G * G
-        if rule == "adam":
-            eta_v = adam_rows(W, M, V, G, G2, beta2_at(t, h), eta_t, h)
-            if collect_dsum:
-                dsum[:, t - 1] = (eta_prev - eta_v).sum(axis=1)
-                eta_prev = eta_v
-        elif rule == "sgd":
-            W = W - t**-0.5 * G
-        else:
-            raise ValueError(f"unknown update rule {rule!r}")
-
-        Svec += G2
-        sigv = V.sum(axis=1)
-        np.maximum(sup_sigv, sigv, out=sup_sigv)
-
-        if cp_i < n_cp and t == cps[cp_i]:
-            out["avg_gsq"][:, cp_i] = run_gsq / t
-            out["last_grad"][:, cp_i] = np.sqrt(gn2)
-            out["eta_gsq_sum"][:, cp_i] = eta_gsq
-            out["S_total"][:, cp_i] = Svec.sum(axis=1)
-            out["sigma_v"][:, cp_i] = sigv
-            out["sup_sigma_v"][:, cp_i] = sup_sigv
-            out["sup_grad"][:, cp_i] = np.sqrt(sup_gsq)
-            cp_i += 1
-
-    out["final_W"] = W
+    # outputs first, so the scratch buffers freed at return lie above them in the heap
+    out = {name: np.empty((S, len(cps))) for name in SWEEP_SERIES}
+    out["final_W"] = np.empty((S, d))
     if collect_dsum:
-        out["dsum"] = dsum
+        out["dsum"] = np.empty((S, T))
+    W, V = np.ones((SUB + 1, S, d)), np.full((SUB, S, d), h.v)  # sgd leaves V at v
+    # no statistic reads M, so every slot is one array, updated in place
+    G, M, eta = [None] * SUB, [np.empty((S, d))] * SUB, np.empty((SUB, 1))
+    # Running statistics: row 0 carries the value before the sub-block, row j + 1
+    # the term of its step j; the value after step i reduces rows 0 .. i.  The
+    # step axis is never the fast one (d + 2 columns), so numpy adds rows in step
+    # order, not pairwise: each sum is bitwise its step-by-step value (a max is
+    # exact in any order).  sums: the S vector in the trace's order (v + g_1^2) +
+    # g_2^2 + ..., |grad|^2, eta |grad|^2; sups: |grad|^2 (sqrt is monotone), sigma_v.
+    sums = np.empty((SUB + 1, S, d + 2))
+    sums[0, :, :d], sums[0, :, d:] = h.v, 0.0
+    sups = np.empty((SUB + 1, 2, S))
+    sups[0, 0], sups[0, 1] = 0.0, d * h.v
+    eta_v = np.full((SUB + 1, S, d), h.v / alpha1(h)) if collect_dsum else None
+
+    c = 0  # the next checkpoint
+    for t0, k in run_steps(p, h, T, seeds, W, G, M, V, eta, rule):
+        r = slice(1, k + 1)
+        gn2 = _grad_sq(p, W[:k])  # at the pre-update iterates
+        np.square(G[:k], out=sums[r, :, :d])
+        sums[r, :, d] = gn2
+        np.multiply(eta[:k], gn2, out=sums[r, :, d + 1])
+        sigv = V[:k].sum(axis=2)
+        sups[r, 0], sups[r, 1] = gn2, sigv
+        if collect_dsum:
+            eta_v[r] = rates(eta[:k, :, None], V[:k], h)
+            out["dsum"][:, t0 : t0 + k] = (eta_v[:k] - eta_v[r]).sum(axis=2).T
+            eta_v[0] = eta_v[k]
+        while c < len(cps) and cps[c] <= t0 + k:
+            t, i = cps[c], cps[c] - t0
+            run, sup = np.add.reduce(sums[: i + 1]), np.maximum.reduce(sups[: i + 1])
+            out["avg_gsq"][:, c] = run[:, d] / t
+            out["last_grad"][:, c] = np.sqrt(gn2[i - 1])
+            out["eta_gsq_sum"][:, c] = run[:, d + 1]
+            out["S_total"][:, c] = run[:, :d].sum(axis=1)
+            out["sigma_v"][:, c] = sigv[i - 1]
+            out["sup_sigma_v"][:, c] = sup[1]
+            out["sup_grad"][:, c] = np.sqrt(sup[0])
+            c += 1
+        sums[0], sups[0] = np.add.reduce(sums[: k + 1]), np.maximum.reduce(sups[: k + 1])
+
+    out["final_W"][:] = W[k]
     return out
 
 
-def _sweep_worker(args):
-    spec_dict, h, T, seeds, checkpoints, rule, collect_dsum = args
-    p = ProblemSpec(**spec_dict).build()
-    return _sweep_seeds(p, h, T, seeds, checkpoints, rule, collect_dsum)
+def _sweep_worker(job):
+    spec, h, T, seeds, checkpoints, rule, collect_dsum = job
+    return _sweep_seeds(spec.build(), h, T, seeds, checkpoints, rule, collect_dsum)
 
 
 def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = False) -> dict:
     """Run the sweep for cfg (splitting seeds across processes if threads>1)."""
     validate_config(cfg)
     seeds = sorted(cfg.seeds)
-    if cfg.threads <= 1 or len(seeds) < 2:
-        p = cfg.problem.build()
-        res = _sweep_seeds(p, cfg.h, cfg.T, seeds, cfg.checkpoints, rule, collect_dsum)
+    nw = min(cfg.threads, len(seeds))
+    jobs = [(cfg.problem, cfg.h, cfg.T, [int(s) for s in part], cfg.checkpoints, rule, collect_dsum)
+            for part in np.array_split(np.asarray(seeds), nw)]
+    if nw == 1:
+        res = _sweep_worker(jobs[0])
     else:
-        nw = min(cfg.threads, len(seeds))
-        bounds = np.array_split(np.asarray(seeds), nw)
-        jobs = [
-            (asdict(cfg.problem), cfg.h, cfg.T, [int(s) for s in b], cfg.checkpoints, rule, collect_dsum)
-            for b in bounds
-            if len(b)
-        ]
         with ProcessPoolExecutor(max_workers=nw) as ex:
             parts = list(ex.map(_sweep_worker, jobs))
-        res = {
-            k: np.concatenate([part[k] for part in parts], axis=0) for k in parts[0]
-        }
+        res = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
     res["seeds"] = np.asarray(seeds)
     _require_finite(res, cfg)
     return res

@@ -8,12 +8,11 @@ The update, per step tau = completed-steps + 1:
     w' = w - eta_v * m'
 
 No bias correction anywhere; mu sits outside the square root.  ``adam_rows``
-is the only implementation: it updates a stacked (rows, d) state in place and
-serves the lockstep seed sweep (one row per seed), the recording loop of
-``run_trajectories`` (one row per seed, written straight into the trace
-arrays; ``run_trajectory`` is its one-seed case) and ``adam_step``.
-``adam_step`` keeps states immutable: it never mutates its inputs, so
-replaying a step from a saved state reproduces the original output bitwise.
+is the only implementation, on a stacked (rows, d) state.  ``run_steps`` is
+the one stepping loop; its consumers are the recording of ``run_trajectories``
+(``run_trajectory`` is its one-seed case) and the seed sweep of
+``experiments``.  ``adam_step`` keeps states immutable: it never mutates its
+inputs, so replaying a step from a saved state reproduces the output bitwise.
 """
 
 from __future__ import annotations
@@ -64,10 +63,9 @@ def rates(eta, v, h: HyperParams):
     return eta / (np.sqrt(v) + h.mu)
 
 
-def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
+def adam_rows(w, m, v, g, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
     """One update of a stacked (rows, d) state; returns the rates eta_v.
 
-    ``g2`` is ``g * g``, an input because the seed sweep also accumulates it.
     ``b2`` and ``eta`` are the step's scalar schedule values.  The new state
     is written into ``out = (w', m', v')``, or over ``w, m, v`` themselves
     when ``out`` is None.  Gradients are not checked here: callers that take
@@ -75,7 +73,7 @@ def adam_rows(w, m, v, g, g2, b2: float, eta: float, h: HyperParams, out=None) -
     """
     w_out, m_out, v_out = (w, m, v) if out is None else out
     np.multiply(b2, v, out=v_out)
-    v_out += (1.0 - b2) * g2
+    v_out += (1.0 - b2) * (g * g)
     np.multiply(h.beta1, m, out=m_out)
     m_out += (1.0 - h.beta1) * g
     eta_v = rates(eta, v_out, h)
@@ -92,7 +90,7 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
         raise NonFiniteGradient(f"non-finite gradient component at t={s.t + 1}")
     tau = s.t + 1
     w, m, v = (np.empty_like(g) for _ in range(3))
-    adam_rows(s.w, s.m, s.v_vec, g, g * g, beta2_at(tau, h), eta_at(tau, h), h, out=(w, m, v))
+    adam_rows(s.w, s.m, s.v_vec, g, beta2_at(tau, h), eta_at(tau, h), h, out=(w, m, v))
     for a in (w, m, v):
         a.setflags(write=False)
     return AdamState(t=tau, w=w, m=m, v_vec=v)
@@ -117,19 +115,59 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
     return block
 
 
+def run_steps(p: Problem, h: HyperParams, T: int, seeds, W, G, M, V, eta,
+              rule: str = "adam", check: bool = False):
+    """Advance one row per seed T steps in lockstep: the one stepping loop.
+
+    The caller supplies step-major buffers: W (n + 1, S, d) with the start
+    iterates in W[0], G, M, V (n, S, d) and eta (n, ...).  Step j of a block
+    reads W[j] and writes G[j], W[j + 1], M[j], V[j] and its scalar rate
+    eta[j]; a list G keeps each sample array itself, and a list M may repeat
+    one array.  When the buffers fill, and after step T, the loop yields
+    ``(t0, k)``: the block holds steps t0 + 1 .. t0 + k.  The next block
+    starts from W[n], so buffers of n < T steps are a ring.  Row r draws from
+    the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a time,
+    and only meets its own data, so it is bitwise a lone run.  ``rule="sgd"``
+    steps w - t^(-1/2) g and leaves M and V alone.  With ``check``, a
+    non-finite gradient stops the loop at its step with NonFiniteGradient.
+    """
+    if rule not in ("adam", "sgd"):
+        raise ValueError(f"unknown update rule {rule!r}")
+    n = len(G)
+    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
+    # the initial moments are one row broadcast over the seeds
+    m, v = np.zeros((1, h.dim)), np.full((1, h.dim), h.v)
+    block = None
+    for k in range(T):
+        tau, j = k + 1, k % n
+        if j == 0 and k:
+            W[0] = W[n]
+        if k % BLOCK == 0:
+            block = prefetch_draws(p, min(BLOCK, T - k), rngs, out=block)
+        g = oracle_rows(p, W[j], None if block is None else block[k % BLOCK])
+        # Python floats: cheaper than a numpy reduction over a few short rows
+        if check and not all(map(math.isfinite, g.ravel().tolist())):
+            raise NonFiniteGradient(_non_finite_message(g, seeds, tau))
+        G[j] = g
+        eta[j] = eta_t = eta_at(tau, h)
+        if rule == "adam":
+            adam_rows(W[j], m, v, g, beta2_at(tau, h), eta_t, h, out=(W[j + 1], M[j], V[j]))
+            m, v = M[j], V[j]
+        else:
+            np.subtract(W[j], tau**-0.5 * g, out=W[j + 1])
+        if j == n - 1 or tau == T:
+            yield tau - j - 1, j + 1
+
+
 def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
     """Run T Adam steps from w1 for every seed at once; yield one TheoryTrace
     per seed, in the order of ``seeds``.
 
-    Seed s's oracle stream is keyed by ("trajectory", s, "oracle"), so
-    identical inputs give bitwise-identical traces.  This is the recording
-    mode of the stacked step: the seeds advance in lockstep as the rows of
-    step-major (T+1, S, d) / (T, S, d) arrays, oracle draws are prefetched in
-    blocks of ``BLOCK``, and each step is written in place into the trace
-    arrays.  Every row only meets its own data, so each trace is bitwise the
-    one a lone run gives.  A non-finite gradient stops the run at its step
-    with NonFiniteGradient.  Traces are built one at a time as they are
-    consumed, each on a contiguous copy of its seed's rows.
+    The recording mode of ``run_steps``: its buffers are the whole step-major
+    (T+1, S, d) / (T, S, d) trace arrays, and a non-finite gradient stops the
+    run at its step with NonFiniteGradient.  Each trace is bitwise the one a
+    lone run gives, and is built as it is consumed, on a contiguous copy of
+    its seed's rows.
 
     The trace stores w_1 .. w_{T+1}: the loop that performs T updates ends one
     iterate past the last gradient, and callers pick the convention they need.
@@ -139,31 +177,11 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
         raise ValueError(f"T must be >= 1, got {T}")
     seeds = list(seeds)
     S, d = len(seeds), h.dim
-    s0 = adam_init(np.ones(d) if w1 is None else w1, h)
     W = np.empty((T + 1, S, d))
-    G = np.empty((T, S, d))
-    M = np.empty((T, S, d))
-    V = np.empty((T, S, d))
-    W[0] = s0.w
-    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-
-    # step k reads W[k] and the previous moments and writes G[k], W[k + 1],
-    # M[k], V[k]; the initial moments are one row broadcast over the seeds
-    m, v = s0.m[None], s0.v_vec[None]
-    block = None
-    for k in range(T):
-        tau = k + 1
-        j = k % BLOCK
-        if j == 0:
-            block = prefetch_draws(p, min(BLOCK, T - k), rngs, out=block)
-        g = oracle_rows(p, W[k], None if block is None else block[j])
-        # Python floats: cheaper than a numpy reduction over a few short rows
-        if not all(map(math.isfinite, g.ravel().tolist())):
-            raise NonFiniteGradient(_non_finite_message(g, seeds, tau))
-        G[k] = g
-        b2, eta = beta2_at(tau, h), eta_at(tau, h)
-        adam_rows(W[k], m, v, g, g * g, b2, eta, h, out=(W[k + 1], M[k], V[k]))
-        m, v = M[k], V[k]
+    W[0] = adam_init(np.ones(d) if w1 is None else w1, h).w
+    G, M, V = (np.empty((T, S, d)) for _ in range(3))
+    for _ in run_steps(p, h, T, seeds, W, G, M, V, np.empty(T), check=True):
+        pass
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 

@@ -138,7 +138,8 @@ def make_noisy_quadratic(eigenvalues, sigma: float) -> NoisyQuadratic:
     if eigs.size == 0:
         raise EmptySpectrum("need at least one eigenvalue")
     if np.any(eigs <= 0):
-        raise ConstraintViolation(f"eigenvalues must be positive, got {eigs}")
+        raise ConstraintViolation(f"eigenvalues must be positive, got {np.sum(eigs <= 0)} of "
+                                  f"{eigs.size} <= 0 (smallest {float(eigs.min())!r})")
     if sigma < 0:
         raise ConstraintViolation(f"sigma must be >= 0, got {sigma}")
     d = eigs.size

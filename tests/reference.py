@@ -47,3 +47,58 @@ def m_term1(eta_v_prev, grad_w, g):
     """M_{t,1} = sum_i eta_{v_{t-1},i} * grad_i f(w_t) * (grad_i f(w_t) - g_{t,i})."""
     gw = np.asarray(grad_w)
     return float(np.sum(np.asarray(eta_v_prev) * gw * (gw - np.asarray(g))))
+
+
+def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False):
+    """The seed sweep one step at a time: every running statistic is updated
+    in place after each step and copied out at the checkpoints.  The blocked
+    sweep of ``experiments.run_sweep`` must match it bitwise."""
+    from adamabc.core import alpha1, beta2_at, eta_at
+    from adamabc.optimizer import BLOCK, adam_rows, prefetch_draws
+    from adamabc.problems import grad_batch, oracle_rows, rng_stream
+
+    S, d = len(seeds), p.dim
+    cps = list(checkpoints)
+    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
+    W, M, V = np.ones((S, d)), np.zeros((S, d)), np.full((S, d), h.v)
+    run_gsq, eta_gsq, sup_gsq = np.zeros(S), np.zeros(S), np.zeros(S)
+    Svec = np.full((S, d), h.v)
+    sup_sigv = np.full(S, d * h.v)
+    eta_prev = np.full((S, d), h.v / alpha1(h))
+    dsum = np.empty((S, T))
+    names = ("avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad")
+    out = {name: np.empty((S, len(cps))) for name in names}
+    block, c = None, 0
+    for t in range(1, T + 1):
+        j = (t - 1) % BLOCK
+        if j == 0:
+            block = prefetch_draws(p, min(BLOCK, T - t + 1), rngs, out=block)
+        grad_now = grad_batch(p, W)
+        gn2 = np.einsum("sd,sd->s", grad_now, grad_now)
+        eta_t = eta_at(t, h)
+        run_gsq += gn2
+        eta_gsq += eta_t * gn2
+        np.maximum(sup_gsq, gn2, out=sup_gsq)
+        G = oracle_rows(p, W, None if block is None else block[j])
+        if rule == "adam":
+            eta_v = adam_rows(W, M, V, G, beta2_at(t, h), eta_t, h)
+            dsum[:, t - 1] = (eta_prev - eta_v).sum(axis=1)
+            eta_prev = eta_v
+        else:
+            W = W - t**-0.5 * G
+        Svec += G * G
+        sigv = V.sum(axis=1)
+        np.maximum(sup_sigv, sigv, out=sup_sigv)
+        if c < len(cps) and t == cps[c]:
+            out["avg_gsq"][:, c] = run_gsq / t
+            out["last_grad"][:, c] = np.sqrt(gn2)
+            out["eta_gsq_sum"][:, c] = eta_gsq
+            out["S_total"][:, c] = Svec.sum(axis=1)
+            out["sigma_v"][:, c] = sigv
+            out["sup_sigma_v"][:, c] = sup_sigv
+            out["sup_grad"][:, c] = np.sqrt(sup_gsq)
+            c += 1
+    out["final_W"] = W
+    if collect_dsum:
+        out["dsum"] = dsum
+    return out

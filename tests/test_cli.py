@@ -177,6 +177,8 @@ def test_main_rejects_bad_usage_and_bad_config(capsys):
         # raised by the problem build inside the sweep
         ("problem = least_squares\nd = 10\nn = 3", "need n >= d"),
         ("sigma = 1e200", "sigma^2 * d must be finite"),
+        ("eig_min = 0", "eigenvalues must be positive, got 1 of 10 <= 0 (smallest 0.0)"),
+        ("eig_min = -1\neig_max = -0.5\nd = 30", "got 30 of 30 <= 0 (smallest -1.0)"),
         # raised by the probe's hypothesis gate before the sweep runs
         ("probes = rate,last_iterate\ngamma = 1.0", "gamma > 1 and delta > 0"),
         # rejected by validate_config
@@ -206,6 +208,30 @@ def test_hypothesis_gate_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "probe requires gamma > 1 and delta > 0 (got gamma=1.0, delta=0.25)" in err
+
+
+# logistic is left out: its exact gradient is a BLAS matmul whose rounding
+# depends on the row count, so its bytes move with the seed split
+@pytest.mark.parametrize(
+    "problem", ["problem = noisy_quadratic", "problem = least_squares\nd = 5\nn = 50\ndata_seed = 7"]
+)
+def test_experiment_bytes_do_not_depend_on_threads(tmp_path, problem):
+    cfg = f"{problem}\nT = 700\nseeds = 0,1,2,3,4,5,6\nprobes = rate,summability,moment,l1"
+    runs = {}
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        code = main(["experiment", "--config", cfg, "--threads", str(threads), "--out", str(out)])
+        runs[threads] = code, out
+    (code1, out1), (code3, out3) = runs[1], runs[3]
+    assert code1 == code3
+    series = sorted(f.name for f in out1.glob("series_*.csv"))
+    assert series == sorted(f.name for f in out3.glob("series_*.csv")) and len(series) == 4
+    for name in series:
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+    # the config echoes (the run's and each probe's) are the only difference
+    text1, text3 = ((o / "report.json").read_text() for o in (out1, out3))
+    assert text1.count('"threads": 1,') == text3.count('"threads": 3,') == 5
+    assert text3.replace('"threads": 3,', '"threads": 1,') == text1
 
 
 def test_non_finite_sweep_exits_1_with_one_line_and_no_report(tmp_path, capsys):

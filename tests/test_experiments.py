@@ -20,6 +20,7 @@ from adamabc.experiments import (
     InsufficientSeeds,
     PROBE_NAMES,
     ProblemSpec,
+    SUB,
     default_checkpoints,
     fit_loglog_slope,
     last_iterate_experiment,
@@ -32,6 +33,7 @@ from adamabc.experiments import (
 from adamabc.instrumentation import geometric_tail_rowsums
 from adamabc.optimizer import run_trajectory
 from adamabc.problems import oracle_sample, rng_stream
+from reference import sweep_per_step
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = {
@@ -95,6 +97,24 @@ def test_stacked_sweep_matches_single_runs(kind):
                 assert np.array_equal(got, ref)
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+@pytest.mark.parametrize("rows", [1, 3, 20])
+@pytest.mark.parametrize("rule", ["adam", "sgd"])
+def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
+    # checkpoints on both sides of the first sub-block edges and of the
+    # 4096-draw prefetch block
+    T, seeds = 4100, tuple(range(rows))
+    cps = (1, SUB - 1, SUB, SUB + 1, 2 * SUB, 4095, 4096, 4097, 4100)
+    cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
+                           seeds=seeds, checkpoints=cps)
+    dsum = rule == "adam"
+    got = run_sweep(cfg, rule=rule, collect_dsum=dsum)
+    ref = sweep_per_step(cfg.problem.build(), cfg.h, T, seeds, cps, rule, dsum)
+    assert set(got) == set(ref) | {"seeds"}
+    for name, value in ref.items():
+        assert got[name].tobytes() == value.tobytes(), name
 
 
 def test_sweep_sorts_seeds_and_thread_split_is_equivalent():
