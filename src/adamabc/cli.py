@@ -417,6 +417,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     if not cfg.suite:
         print("config error: empty problem suite", file=sys.stderr)
         return 2
+    if "noisy_quadratic" in cfg.suite and cfg.T < 2:
+        # the quadratic's descent check branches at checkpoints below T
+        print(f"config error: the descent check needs T >= 2, got T = {cfg.T}", file=sys.stderr)
+        return 2
     out_dir = out_dir or cfg.out_dir
     if out_dir is not None:
         try:

@@ -9,7 +9,8 @@ Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
 — one process, disjoint per-seed rng streams, bitwise-identical per seed to a
 lone run_trajectory call (each array row only ever meets its own row's data).
 The sweep passes ring buffers of ``SUB`` steps and reduces its statistics
-once per sub-block; it reads running values only at checkpoints.
+once per sub-block, the exact gradient included (one stacked ``grad_batch``
+call, bitwise per step); it reads running values only at checkpoints.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -28,7 +29,6 @@ import numpy as np
 
 from .core import ConstraintViolation, HyperParams, alpha1, validate_hyperparams
 from .problems import (
-    NoisyQuadratic,
     Problem,
     grad_batch,
     make_least_squares,
@@ -243,15 +243,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 SUB = 32
 
 
-def _grad_sq(p: Problem, W: np.ndarray) -> np.ndarray:
-    """|grad f|^2 at (k, S, d) iterates, each slab bitwise grad_batch's."""
-    if isinstance(p, NoisyQuadratic):  # elementwise: one call for the block
-        g = grad_batch(p, W.reshape(-1, p.dim)).reshape(W.shape)
-    else:  # a BLAS matmul rounds by operand shape: one slab at a time
-        g = np.stack([grad_batch(p, w) for w in W])
-    return np.einsum("ksd,ksd->ks", g, g)
-
-
 # overflow is reported once per sweep by _require_finite, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
@@ -260,7 +251,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
 
     The steps are ``optimizer.run_steps`` on ring buffers of ``SUB`` steps, so
     row s matches the single-seed trajectory bitwise.  Statistics are computed
-    a sub-block at a time and read only at checkpoints and sub-block ends.
+    a sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
+    stack, and read only at checkpoints and sub-block ends.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
@@ -287,7 +279,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     c = 0  # the next checkpoint
     for t0, k in run_steps(p, h, T, seeds, W, G, M, V, eta, rule):
         r = slice(1, k + 1)
-        gn2 = _grad_sq(p, W[:k])  # at the pre-update iterates
+        g = grad_batch(p, W[:k])  # at the pre-update iterates
+        gn2 = np.einsum("ksd,ksd->ks", g, g)
         np.square(G[:k], out=sums[r, :, :d])
         sums[r, :, d] = gn2
         np.multiply(eta[:k], gn2, out=sums[r, :, d + 1])
@@ -495,6 +488,15 @@ def _hypothesis_gate(cfg: ExperimentConfig, probe: str) -> None:
         )
 
 
+def _checkpoint_gate(cfg: ExperimentConfig, probe: str) -> None:
+    """Config error when ``probe`` is summability, which compares the last two
+    checkpoints, and cfg declares only one; a no-op for every other probe."""
+    if probe == "summability" and len(cfg.checkpoints) < 2:
+        raise ConstraintViolation(
+            f"summability probe needs >= 2 checkpoints, got {len(cfg.checkpoints)}"
+        )
+
+
 def _mark_below_scale(rep: ExperimentReport, msgs) -> None:
     """Keep every verdict's numbers but downgrade them to informational."""
     for v in rep.verdicts.values():
@@ -678,8 +680,10 @@ def summability_probe(
     """Partial sums of eta_t |grad f(w_t)|^2 must flatten: final increment < 1%.
 
     No size gates (``enforce_scale`` accepted for driver uniformity); runs
-    outside the gamma/delta hypotheses are reported informational.
+    outside the gamma/delta hypotheses are reported informational.  A single
+    checkpoint leaves no final increment: a config error.
     """
+    _checkpoint_gate(cfg, "summability")
     res = _shared if _shared is not None else run_sweep(cfg)
     rep = _base_report(cfg, "summability", res, ["eta_gsq_sum"])
     informational = not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0)
@@ -830,6 +834,7 @@ def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
     # every gate before any sweep starts
     for probe in cfg.probes:
         _hypothesis_gate(cfg, probe)
+        _checkpoint_gate(cfg, probe)
     for probe in cfg.probes:
         _scale_gate(cfg, probe, enforce_scale)
     need_dsum = "moment" in cfg.probes

@@ -283,8 +283,12 @@ class TheoryTrace:
         return AdamState(t=t - 1, w=self.W[t - 1], m=np.asarray(m), v_vec=np.asarray(v))
 
 
-def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None) -> TheoryTrace:
-    """Derive every auxiliary series from the raw arrays of a finished run."""
+def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None, eta=None) -> TheoryTrace:
+    """Derive every auxiliary series from the raw arrays of a finished run.
+
+    ``eta`` holds the step sizes eta_1 .. eta_T as the run used them (the
+    buffer ``run_steps`` fills); when None they are recomputed from h.
+    """
     W = np.asarray(W, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     M = np.asarray(M, dtype=np.float64)
@@ -298,7 +302,11 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None) -> TheoryTrac
 
     steps = np.arange(1, T + 1, dtype=np.float64)
     # scalar eta_at per step, so trace rates match the update arithmetic bitwise
-    eta_sched = np.array([eta_at(t, h) for t in range(1, T + 1)])
+    if eta is None:
+        eta = [eta_at(t, h) for t in range(1, T + 1)]
+    eta_sched = np.asarray(eta, dtype=np.float64)
+    if eta_sched.shape != (T,):
+        raise ValueError(f"eta shape {eta_sched.shape} != ({T},)")
 
     eta_v = np.empty((T + 1, d))
     eta_v[0] = synthetic_eta_v0(h)

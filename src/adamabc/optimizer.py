@@ -164,8 +164,9 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
     per seed, in the order of ``seeds``.
 
     The recording mode of ``run_steps``: its buffers are the whole step-major
-    (T+1, S, d) / (T, S, d) trace arrays, and a non-finite gradient stops the
-    run at its step with NonFiniteGradient.  Each trace is bitwise the one a
+    (T+1, S, d) / (T, S, d) trace arrays plus the (T,) step sizes, which
+    ``build_trace`` reuses, and a non-finite gradient stops the run at its
+    step with NonFiniteGradient.  Each trace is bitwise the one a
     lone run gives, and is built as it is consumed, on a contiguous copy of
     its seed's rows.
 
@@ -180,14 +181,15 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
     W = np.empty((T + 1, S, d))
     W[0] = adam_init(np.ones(d) if w1 is None else w1, h).w
     G, M, V = (np.empty((T, S, d)) for _ in range(3))
-    for _ in run_steps(p, h, T, seeds, W, G, M, V, np.empty(T), check=True):
+    eta = np.empty(T)
+    for _ in run_steps(p, h, T, seeds, W, G, M, V, eta, check=True):
         pass
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 
     for r, seed in enumerate(seeds):
         rows = (np.ascontiguousarray(a[:, r]) for a in (W, G, M, V))
-        yield build_trace(p, h, *rows, seed=seed)
+        yield build_trace(p, h, *rows, seed=seed, eta=eta)
 
 
 def _non_finite_message(g, seeds, tau: int) -> str:

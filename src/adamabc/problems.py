@@ -12,6 +12,11 @@ additive Gaussian noise, the tight case), subsampled least squares (A > 0,
 multiplicative noise), and regularized logistic regression on synthetic data
 (A = B = 0, almost-surely bounded gradients on a documented ball).
 
+Kernels: ``loss_batch``, ``grad_batch`` and ``oracle_rows`` evaluate many
+rows at once.  The logistic ones work on ``signed_rows = -y * a``: with
+y = +/-1 every sign flip is exact, so folding the labels in moves no bit.
+``grad_batch`` also takes (k, S, d) stacks, one gemm per (S, d) slab.
+
 Randomness: one documented, versioned algorithm (see RNG_ALGORITHM).  Streams
 are keyed by (experiment id, seed, purpose) so that branch sampling, data
 generation, and trajectory noise never share or perturb each other's state.
@@ -121,6 +126,7 @@ class Logistic(Problem):
     reg: float
     radius: float  # iterate-norm ball on which the certificate's C is valid
     w_star: np.ndarray
+    signed_rows: np.ndarray  # (n, d) = -labels[:, None] * rows: row i . w = -y_i * (a_i . w)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +230,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise.
 
     exp(-|x|) is the exponential each branch needs and never overflows, so
-    both branches are evaluated elementwise without masked gathers.
+    both branches are evaluated elementwise without masked gathers.  The
+    numerator max(e, x >= 0) is 1 where x >= 0 (there e <= 1) and e elsewhere
+    (NaN stays NaN); the denominator is formed in e's own buffer.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def _logistic_loss_raw(rows, labels, reg, w):
@@ -309,6 +322,7 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
         reg=float(reg),
         radius=float(radius),
         w_star=_frozen(w_star),
+        signed_rows=_frozen(-labels[:, None] * rows),
     )
 
 
@@ -369,25 +383,28 @@ def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:
         R = W @ p.rows.T - p.targets
         return 0.5 * np.einsum("ij,ij->i", R, R) / p.rows.shape[0]
     if isinstance(p, Logistic):
-        Z = W @ p.rows.T
-        data = np.mean(np.logaddexp(0.0, -p.labels * Z), axis=1)
+        data = np.mean(np.logaddexp(0.0, W @ p.signed_rows.T), axis=1)
         return data + 0.5 * p.reg * np.einsum("ij,ij->i", W, W)
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
 def grad_batch(p: Problem, W: np.ndarray) -> np.ndarray:
-    """Vectorized ``grad`` over the rows of W -> same shape as W."""
+    """Vectorized ``grad`` over the rows of W -> same shape as W.
+
+    W is (k, dim) or a stack (..., k, dim).  A stacked matmul issues the same
+    gemm per (k, dim) slab as a lone 2-D call, so every slab of a stack is
+    bitwise that slab's own ``grad_batch``.
+    """
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != p.dim:
-        raise DimensionMismatch(f"{p.name}: expected (k, {p.dim}), got {W.shape}")
+    if W.ndim < 2 or W.shape[-1] != p.dim:
+        raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
     if isinstance(p, NoisyQuadratic):
         return W * p.eigenvalues
     if isinstance(p, LeastSquares):
         return W @ p.hess.T - p.lin
     if isinstance(p, Logistic):
-        Z = W @ p.rows.T
-        P = _sigmoid(-p.labels * Z)
-        return -(P * p.labels) @ p.rows / p.rows.shape[0] + p.reg * W
+        P = _sigmoid(W @ p.signed_rows.T)
+        return P @ p.signed_rows / p.rows.shape[0] + p.reg * W
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
@@ -418,12 +435,11 @@ def oracle_rows(p: Problem, W: np.ndarray, draws) -> np.ndarray:
     if isinstance(p, NoisyQuadratic):
         g = p.eigenvalues * W
         return g if draws is None else g + draws
-    a = p.rows[draws]
-    z = np.einsum("kd,kd->k", a, W)
     if isinstance(p, LeastSquares):
-        return a * (z - p.targets[draws])[:, None]
-    y = p.labels[draws]
-    return -(y * _sigmoid(-y * z))[:, None] * a + p.reg * W
+        a = p.rows[draws]
+        return a * (np.einsum("kd,kd->k", a, W) - p.targets[draws])[:, None]
+    a = p.signed_rows[draws]
+    return _sigmoid(np.einsum("kd,kd->k", a, W))[:, None] * a + p.reg * W
 
 
 def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,6 +49,40 @@ def m_term1(eta_v_prev, grad_w, g):
     return float(np.sum(np.asarray(eta_v_prev) * gw * (gw - np.asarray(g))))
 
 
+def sigmoid_branchwise(x):
+    """1/(1 + exp(-x)) where x >= 0 and exp(x)/(1 + exp(x)) elsewhere, by masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# The logistic kernels on the unsigned rows and the labels, as written before
+# ``Logistic.signed_rows`` folded the labels in; the folded ones must match
+# them bitwise (y = +/-1, so every sign flip is exact).
+
+
+def logistic_loss_batch(p, W):
+    Z = W @ p.rows.T
+    data = np.mean(np.logaddexp(0.0, -p.labels * Z), axis=1)
+    return data + 0.5 * p.reg * np.einsum("ij,ij->i", W, W)
+
+
+def logistic_grad_batch(p, W):
+    Z = W @ p.rows.T
+    P = sigmoid_branchwise(-p.labels * Z)
+    return -(P * p.labels) @ p.rows / p.rows.shape[0] + p.reg * W
+
+
+def logistic_oracle_rows(p, W, draws):
+    a = p.rows[draws]
+    z = np.einsum("kd,kd->k", a, W)
+    y = p.labels[draws]
+    return -(y * sigmoid_branchwise(-y * z))[:, None] * a + p.reg * W
+
+
 def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False):
     """The seed sweep one step at a time: every running statistic is updated
     in place after each step and copied out at the checkpoints.  The blocked

@@ -210,6 +210,26 @@ def test_hypothesis_gate_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys,
     assert "probe requires gamma > 1 and delta > 0 (got gamma=1.0, delta=0.25)" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--config", "T = 1\nprobes = rate,summability"],
+    ["--config", "T = 100\nprobes = summability", "--checkpoints", "100"],
+])
+def test_single_checkpoint_summability_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys, args):
+    import adamabc.experiments as E
+
+    sweeps = []
+    real_sweep = E.run_sweep
+
+    def counting(*a, **k):
+        sweeps.append(a)
+        return real_sweep(*a, **k)
+
+    monkeypatch.setattr(E, "run_sweep", counting)
+    assert main(["experiment", *args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: summability probe needs >= 2 checkpoints, got 1\n"
+    assert sweeps == []
+
+
 # logistic is left out: its exact gradient is a BLAS matmul whose rounding
 # depends on the row count, so its bytes move with the seed split
 @pytest.mark.parametrize(
@@ -521,6 +541,17 @@ def test_verify_empty_suite_is_a_config_error(capsys):
     rc = main(["verify", "--config", "T = 8\nsuite ="])
     assert rc == 2
     assert "empty problem suite" in capsys.readouterr().err
+
+
+def test_verify_T1_is_a_config_error_before_any_recording(monkeypatch, capsys):
+    import adamabc.cli as C
+
+    def no_recording(*args, **kwargs):
+        raise AssertionError("recorded before the config check")
+
+    monkeypatch.setattr(C, "run_trajectories", no_recording)
+    assert main(["verify", "--config", "T = 1"]) == 2
+    assert capsys.readouterr().err == "config error: the descent check needs T >= 2, got T = 1\n"
 
 
 # ---------------------------------------------------------------- list-problems

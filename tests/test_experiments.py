@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,13 @@ def test_summability_probe_is_informational_outside_hypotheses():
     assert any("informational only" in n for n in rep.notes)
     rep2 = summability_probe(cfg_for("noisy_quadratic", 1024, (0, 1)))
     assert rep2.verdicts["final_increment_below_1pct"]["status"] in ("pass", "fail")
+
+
+def test_summability_probe_needs_two_checkpoints():
+    # a single checkpoint leaves no final increment: refused before the sweep
+    cfg = replace(cfg_for("noisy_quadratic", 64, (0, 1)), checkpoints=(64,))
+    with pytest.raises(ConstraintViolation, match="needs >= 2 checkpoints, got 1"):
+        summability_probe(cfg, _shared={})
 
 
 def test_moment_probe_needs_gap_sums():

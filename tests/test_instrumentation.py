@@ -295,6 +295,17 @@ def test_build_trace_rejects_inconsistent_shapes(quad10, h10):
         build_trace(quad10, h10, np.ones((T, d)), G, np.ones((T, d)), np.ones((T, d)))
 
 
+def test_recorded_step_sizes_give_the_recomputed_trace(quad10, h10):
+    # run_trajectories hands build_trace the step sizes run_steps filled
+    tr = run_trajectory(quad10, h10, T=300, seed=4)
+    fresh = build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, seed=4)
+    for name in ("eta_v", "delta", "fhat", "zeta", "m1"):
+        assert np.array_equal(getattr(tr, name), getattr(fresh, name)), name
+    assert np.array_equal(tr.pi.values, fresh.pi.values)
+    with pytest.raises(ValueError, match=r"eta shape \(299,\) != \(300,\)"):
+        build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, eta=np.ones(299))
+
+
 def test_build_trace_flags_rate_inversion():
     # v collapsing from 1.0 to 0.09 makes eta_v rise: a materially negative gap
     p = make_noisy_quadratic([1.0], sigma=0.0)

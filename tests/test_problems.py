@@ -23,8 +23,15 @@ from adamabc.problems import (
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
+    oracle_rows,
     oracle_sample,
     rng_stream,
+)
+from reference import (
+    logistic_grad_batch,
+    logistic_loss_batch,
+    logistic_oracle_rows,
+    sigmoid_branchwise,
 )
 
 # ---------------------------------------------------------------- rng streams
@@ -191,21 +198,56 @@ def test_batch_evaluators_match_single_point(suite):
 
 
 def test_sigmoid_matches_branchwise_reference():
-    def reference(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
     rng = np.random.default_rng(0)
     x = np.concatenate([
         rng.standard_normal(4989) * 10.0 ** rng.integers(-3, 4, 4989),
         [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan],
     ])
-    assert np.array_equal(_sigmoid(x), reference(x), equal_nan=True)
-    assert np.array_equal(_sigmoid(x.reshape(50, 100)), reference(x).reshape(50, 100), equal_nan=True)
+    got, want = _sigmoid(x), sigmoid_branchwise(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    num = ~np.isnan(want)  # a NaN's sign bit carries nothing
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+    assert np.array_equal(_sigmoid(x.reshape(50, 100)), want.reshape(50, 100), equal_nan=True)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
+def test_folded_logistic_kernels_match_the_labelled_formulas(suite, scale):
+    # scale 0 is w = 0 (every logit exactly 0); at 1e3 most |z| exceed 745,
+    # where exp underflows and the sigmoid saturates
+    p = suite[2]
+    rng = np.random.default_rng(3)
+    for S in (1, 2, 20, 100):
+        W = scale * rng.standard_normal((S, p.dim))
+        if scale == 1e3:
+            assert np.mean(np.abs(W @ p.rows.T) > 745.0) > 0.5
+        draws = rng.integers(0, p.rows.shape[0], size=S)
+        assert np.array_equal(loss_batch(p, W), logistic_loss_batch(p, W))
+        assert np.array_equal(grad_batch(p, W), logistic_grad_batch(p, W))
+        assert np.array_equal(oracle_rows(p, W, draws), logistic_oracle_rows(p, W, draws))
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
+def test_stacked_grad_batch_is_bitwise_per_slab(suite, kind):
+    p = suite[kind]
+    rng = np.random.default_rng(kind)
+    for S in (1, 2, 3, 20, 50, 100):
+        for k in (1, 7, 32):
+            # a leading slice of a ring buffer, as the sweep passes it
+            W = rng.standard_normal((k + 1, S, p.dim))[:k]
+            stacked = grad_batch(p, W)
+            assert stacked.shape == W.shape
+            for j in range(k):
+                assert np.array_equal(stacked[j], grad_batch(p, W[j])), (S, k, j)
+
+
+def test_grad_batch_rejects_vectors_and_wrong_widths(suite):
+    for p in suite:
+        with pytest.raises(DimensionMismatch):
+            grad_batch(p, np.zeros(p.dim))
+        with pytest.raises(DimensionMismatch):
+            grad_batch(p, np.zeros((3, p.dim + 1)))
+        with pytest.raises(DimensionMismatch):
+            grad_batch(p, np.zeros((2, 3, p.dim - 1)))
 
 
 def test_oracle_sample_equals_first_branch_draw(suite):
@@ -242,7 +284,7 @@ def test_dimension_mismatch_raised_everywhere(suite):
 
 def test_problem_arrays_are_readonly(suite):
     for p in suite:
-        for field in ("eigenvalues", "rows", "targets", "labels", "w_star"):
+        for field in ("eigenvalues", "rows", "targets", "labels", "w_star", "signed_rows"):
             a = getattr(p, field, None)
             if a is not None:
                 with pytest.raises(ValueError):
