@@ -35,6 +35,7 @@ from .experiments import (
     PROBE_NAMES,
     ProblemSpec,
     SUITE_KINDS,
+    check_gates,
     default_checkpoints,
     run_probes,
     validate_config,
@@ -504,6 +505,9 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     if not cfg.probes:
         print("config error: no probes enabled", file=sys.stderr)
         return 2
+    # config errors surface before the output directory is created
+    check_gates(cfg, enforce_scale=False)
+    cfg.problem.build()
     out_dir = out_dir or cfg.out_dir or "."
     try:
         out_dir = _ensure_outdir(out_dir)
@@ -541,13 +545,13 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 def cmd_trace(cfg: ExperimentConfig, seed: int, out_dir: str | None = None, checkpoints=None) -> int:
     """One trajectory -> per-step diagnostic CSV (byte-identical on rerun)."""
+    p = cfg.problem.build()  # a config error before the output directory is created
     out_dir = out_dir or cfg.out_dir or "."
     try:
         out_dir = _ensure_outdir(out_dir)
     except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    p = cfg.problem.build()
     # overflow is reported once, by trace_csv's non-finite guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         trace = run_trajectory(p, cfg.h, cfg.T, seed)

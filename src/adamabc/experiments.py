@@ -8,9 +8,9 @@ moments, S_T^(3/4) growth, boundedness of the second-moment mass).
 Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
 — one process, disjoint per-seed rng streams, bitwise-identical per seed to a
 lone run_trajectory call (each array row only ever meets its own row's data).
-The sweep passes ring buffers of ``SUB`` steps and reduces its statistics
-once per sub-block, the exact gradient included (one stacked ``grad_batch``
-call, bitwise per step); it reads running values only at checkpoints.
+The sweep reduces its statistics from the loop's ``SUB``-step ring once per
+sub-block, the exact gradient included (one stacked ``grad_batch`` call,
+bitwise per step); it reads running values only at checkpoints.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -35,7 +35,7 @@ from .problems import (
     make_logistic,
     make_noisy_quadratic,
 )
-from .optimizer import rates, run_steps
+from .optimizer import SUB, rates, run_steps
 from .instrumentation import log_pi_series
 
 
@@ -172,6 +172,8 @@ class ExperimentConfig:
 
 def default_checkpoints(T: int) -> tuple:
     """Powers of two up to T, with T itself always included."""
+    if T < 1:
+        raise ConstraintViolation(f"T must be >= 1, got {T}")
     cps = [1 << k for k in range(T.bit_length()) if (1 << k) <= T]
     if cps[-1] != T:
         cps.append(T)
@@ -239,19 +241,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # the lockstep seed-sweep engine
 
 
-#: steps per sub-block: the length of the sweep's ring buffers and reductions
-SUB = 32
-
-
 # overflow is reported once per sweep by _require_finite, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
                  rule: str = "adam", collect_dsum: bool = False):
     """Advance all seeds together; return per-seed series at the checkpoints.
 
-    The steps are ``optimizer.run_steps`` on ring buffers of ``SUB`` steps, so
-    row s matches the single-seed trajectory bitwise.  Statistics are computed
-    a sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
+    The steps are ``optimizer.run_steps``, so row s matches the single-seed
+    trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
+    sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
     stack, and read only at checkpoints and sub-block ends.
     """
     S, d = len(seeds), p.dim
@@ -261,9 +259,6 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     out["final_W"] = np.empty((S, d))
     if collect_dsum:
         out["dsum"] = np.empty((S, T))
-    W, V = np.ones((SUB + 1, S, d)), np.full((SUB, S, d), h.v)  # sgd leaves V at v
-    # no statistic reads M, so every slot is one array, updated in place
-    G, M, eta = [None] * SUB, [np.empty((S, d))] * SUB, np.empty((SUB, 1))
     # Running statistics: row 0 carries the value before the sub-block, row j + 1
     # the term of its step j; the value after step i reduces rows 0 .. i.  The
     # step axis is never the fast one (d + 2 columns), so numpy adds rows in step
@@ -277,7 +272,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     eta_v = np.full((SUB + 1, S, d), h.v / alpha1(h)) if collect_dsum else None
 
     c = 0  # the next checkpoint
-    for t0, k in run_steps(p, h, T, seeds, W, G, M, V, eta, rule):
+    for t0, k, ring in run_steps(p, h, T, seeds, rule=rule):
+        W, G, V, eta = ring.W, ring.G, ring.V, ring.eta[:, None]
         r = slice(1, k + 1)
         g = grad_batch(p, W[:k])  # at the pre-update iterates
         gn2 = np.einsum("ksd,ksd->ks", g, g)
@@ -287,7 +283,7 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
         sigv = V[:k].sum(axis=2)
         sups[r, 0], sups[r, 1] = gn2, sigv
         if collect_dsum:
-            eta_v[r] = rates(eta[:k, :, None], V[:k], h)
+            rates(eta[:k, :, None], V[:k], h.mu, out=eta_v[r])
             out["dsum"][:, t0 : t0 + k] = (eta_v[:k] - eta_v[r]).sum(axis=2).T
             eta_v[0] = eta_v[k]
         while c < len(cps) and cps[c] <= t0 + k:
@@ -828,15 +824,22 @@ PROBES = {
 }
 
 
-def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
-    """Run every probe named in cfg.probes, sharing one sweep where possible."""
+def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
+    """Every check ``run_probes`` makes before its sweep: the config, each
+    probe's hypothesis and checkpoint gates, then (with ``enforce_scale``)
+    its scale gates."""
     validate_config(cfg)
-    # every gate before any sweep starts
     for probe in cfg.probes:
         _hypothesis_gate(cfg, probe)
         _checkpoint_gate(cfg, probe)
-    for probe in cfg.probes:
-        _scale_gate(cfg, probe, enforce_scale)
+    if enforce_scale:
+        for probe in cfg.probes:
+            _scale_gate(cfg, probe, True)
+
+
+def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
+    """Run every probe named in cfg.probes, sharing one sweep where possible."""
+    check_gates(cfg, enforce_scale)  # every gate before any sweep starts
     need_dsum = "moment" in cfg.probes
     shared = None
     reports = {}

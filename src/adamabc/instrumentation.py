@@ -161,7 +161,7 @@ def eta_v_at_state(s: AdamState, h: HyperParams) -> np.ndarray:
     """eta_{v_t} for the state's own t (synthetic value at t = 0)."""
     if s.t == 0:
         return synthetic_eta_v0(h)
-    return rates(eta_at(s.t, h), s.v_vec, h)
+    return rates(eta_at(s.t, h), s.v_vec, h.mu)
 
 
 def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dict:
@@ -180,7 +180,7 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     # branch-based verdicts in verify.json.
     Vb = b2 * s.v_vec + (1.0 - b2) * Gb * Gb
     Mb = h.beta1 * s.m + (1.0 - h.beta1) * Gb
-    eta_vb = rates(eta_at(tau, h), Vb, h)
+    eta_vb = rates(eta_at(tau, h), Vb, h.mu)
     Wb = s.w - eta_vb * Mb
     eta_v_prev = eta_v_at_state(s, h)
     return {
@@ -196,9 +196,18 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     }
 
 
-def _mean_se(x: np.ndarray, axis=0):
+def _mean_sd(x: np.ndarray, axis=0):
+    """``x.mean(axis)`` and ``x.std(axis, ddof=1)``, bitwise, from one shared
+    sum pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2)."""
     K = x.shape[axis]
-    return x.mean(axis=axis), x.std(axis=axis, ddof=1) / math.sqrt(K)
+    mean = np.add.reduce(x, axis, keepdims=True)
+    np.true_divide(mean, K, mean)
+    dev = np.subtract(x, mean)
+    np.multiply(dev, dev, dev)
+    sd = np.add.reduce(dev, axis, keepdims=True)
+    np.true_divide(sd, K - 1, sd)
+    np.sqrt(sd, sd)
+    return mean.squeeze(axis), sd.squeeze(axis)
 
 
 def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> BranchEstimate:
@@ -215,18 +224,19 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
     gw = ba["grad_w"]
     m1_b = (ba["eta_v_prev"] * gw * (gw - ba["G"])).sum(axis=1)
     f_u_b = loss_batch(p, aux_iterate(ba["W"], s.w, h))
-    m1_mean, m1_se = _mean_se(m1_b)
-    d_mean, d_se = _mean_se(ba["delta"])
-    f_mean, f_se = _mean_se(f_u_b)
+    m1_mean, m1_sd = _mean_sd(m1_b)
+    d_mean, d_sd = _mean_sd(ba["delta"])
+    f_mean, f_sd = _mean_sd(f_u_b)
+    rk = math.sqrt(K)
     return BranchEstimate(
         t=ba["tau"],
         K=K,
         cond_mean_m1=float(m1_mean),
         cond_mean_delta=d_mean,
         cond_mean_f_u_next=float(f_mean),
-        se_m1=float(m1_se),
-        se_delta=d_se,
-        se_f_u_next=float(f_se),
+        se_m1=float(m1_sd / rk),
+        se_delta=d_sd / rk,
+        se_f_u_next=float(f_sd / rk),
     )
 
 
@@ -310,7 +320,7 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None, eta=None) -> 
 
     eta_v = np.empty((T + 1, d))
     eta_v[0] = synthetic_eta_v0(h)
-    eta_v[1:] = rates(eta_sched[:, None], V, h)
+    rates(eta_sched[:, None], V, h.mu, out=eta_v[1:])
 
     delta = eta_v[:-1] - eta_v[1:]
     scale = np.max(np.abs(eta_v[:-1]), axis=1)

@@ -8,17 +8,20 @@ The update, per step tau = completed-steps + 1:
     w' = w - eta_v * m'
 
 No bias correction anywhere; mu sits outside the square root.  ``adam_rows``
-is the only implementation, on a stacked (rows, d) state.  ``run_steps`` is
-the one stepping loop; its consumers are the recording of ``run_trajectories``
-(``run_trajectory`` is its one-seed case) and the seed sweep of
-``experiments``.  ``adam_step`` keeps states immutable: it never mutates its
-inputs, so replaying a step from a saved state reproduces the output bitwise.
+is the only implementation, on a stacked (rows, d) state; it allocates
+nothing.  ``run_steps`` is the one stepping loop, on a ring of ``SUB`` steps
+that it owns; its consumers are the recording of ``run_trajectories``
+(``run_trajectory`` is its one-seed case), which copies each sub-block out,
+and the seed sweep of ``experiments``, which reduces it.  ``adam_step`` keeps
+states immutable: it never mutates its inputs, so replaying a step from a
+saved state reproduces the output bitwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,9 @@ from .problems import Problem, oracle_draws, oracle_rows, rng_stream
 #: oracle draws prefetched per block, per row; blocked draws consume the
 #: stream exactly as single draws do
 BLOCK = 4096
+
+#: steps per sub-block: the length of the ring ``run_steps`` owns (divides BLOCK)
+SUB = 32
 
 
 class NonFiniteGradient(ValueError):
@@ -58,27 +64,39 @@ def adam_init(w1, h: HyperParams) -> AdamState:
     return AdamState(t=0, w=_ro(w1), m=_ro(np.zeros(h.dim)), v_vec=_ro(np.full(h.dim, h.v)))
 
 
-def rates(eta, v, h: HyperParams):
-    """The per-coordinate rates eta_v = eta / (sqrt(v) + mu)."""
-    return eta / (np.sqrt(v) + h.mu)
+def rates(eta, v, mu, out=None):
+    """The per-coordinate rates eta_v = eta / (sqrt(v) + mu), written into
+    ``out`` when given."""
+    r = np.sqrt(v, out)
+    np.add(r, mu, r)
+    return np.true_divide(eta, r, r)
 
 
-def adam_rows(w, m, v, g, b2: float, eta: float, h: HyperParams, out=None) -> np.ndarray:
-    """One update of a stacked (rows, d) state; returns the rates eta_v.
+def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
+    """One update of a stacked (rows, d) state, allocating nothing.
 
-    ``b2`` and ``eta`` are the step's scalar schedule values.  The new state
-    is written into ``out = (w', m', v')``, or over ``w, m, v`` themselves
-    when ``out`` is None.  Gradients are not checked here: callers that take
-    them from outside check them first.
+    ``sched = (b2, 1 - b2, eta)`` are the step's schedule values and
+    ``consts = (beta1, 1 - beta1, mu)`` the run's constants: scalars, or
+    arrays shaped like g that hold the same doubles (a product or quotient
+    with such an array is bitwise the scalar one).  The new state is written
+    into ``out = (w', m', v')``, which may be ``(w, m, v)`` themselves; every
+    intermediate goes through ``tmp``, one more array shaped like g.
+    Gradients are not checked here: callers that take them from outside
+    check them first.
     """
-    w_out, m_out, v_out = (w, m, v) if out is None else out
-    np.multiply(b2, v, out=v_out)
-    v_out += (1.0 - b2) * (g * g)
-    np.multiply(h.beta1, m, out=m_out)
-    m_out += (1.0 - h.beta1) * g
-    eta_v = rates(eta, v_out, h)
-    np.subtract(w, eta_v * m_out, out=w_out)
-    return eta_v
+    b2, c2, eta = sched
+    b1, c1, mu = consts
+    w_out, m_out, v_out = out
+    np.multiply(g, g, tmp)
+    np.multiply(c2, tmp, tmp)
+    np.multiply(b2, v, v_out)
+    np.add(v_out, tmp, v_out)
+    np.multiply(c1, g, tmp)
+    np.multiply(b1, m, m_out)
+    np.add(m_out, tmp, m_out)
+    rates(eta, v_out, mu, tmp)
+    np.multiply(tmp, m_out, tmp)
+    np.subtract(w, tmp, w_out)
 
 
 def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
@@ -89,8 +107,10 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient(f"non-finite gradient component at t={s.t + 1}")
     tau = s.t + 1
-    w, m, v = (np.empty_like(g) for _ in range(3))
-    adam_rows(s.w, s.m, s.v_vec, g, beta2_at(tau, h), eta_at(tau, h), h, out=(w, m, v))
+    b2 = beta2_at(tau, h)
+    w, m, v, tmp = (np.empty_like(g) for _ in range(4))
+    adam_rows(s.w, s.m, s.v_vec, g, (b2, 1.0 - b2, eta_at(tau, h)),
+              (h.beta1, 1.0 - h.beta1, h.mu), (w, m, v), tmp)
     for a in (w, m, v):
         a.setflags(write=False)
     return AdamState(t=tau, w=w, m=m, v_vec=v)
@@ -115,58 +135,88 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
     return block
 
 
-def run_steps(p: Problem, h: HyperParams, T: int, seeds, W, G, M, V, eta,
+class Ring(NamedTuple):
+    """The buffers ``run_steps`` owns, step-major: W (SUB + 1, S, d) with the
+    sub-block's start iterates in W[0], G, M, V (SUB, S, d) and eta (SUB,)."""
+
+    W: np.ndarray
+    G: np.ndarray
+    M: np.ndarray
+    V: np.ndarray
+    eta: np.ndarray
+
+
+def run_steps(p: Problem, h: HyperParams, T: int, seeds, w1=None,
               rule: str = "adam", check: bool = False):
     """Advance one row per seed T steps in lockstep: the one stepping loop.
 
-    The caller supplies step-major buffers: W (n + 1, S, d) with the start
-    iterates in W[0], G, M, V (n, S, d) and eta (n, ...).  Step j of a block
-    reads W[j] and writes G[j], W[j + 1], M[j], V[j] and its scalar rate
-    eta[j]; a list G keeps each sample array itself, and a list M may repeat
-    one array.  When the buffers fill, and after step T, the loop yields
-    ``(t0, k)``: the block holds steps t0 + 1 .. t0 + k.  The next block
-    starts from W[n], so buffers of n < T steps are a ring.  Row r draws from
-    the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a time,
-    and only meets its own data, so it is bitwise a lone run.  ``rule="sgd"``
-    steps w - t^(-1/2) g and leaves M and V alone.  With ``check``, a
-    non-finite gradient stops the loop at its step with NonFiniteGradient.
+    The loop owns a ``Ring`` of ``SUB`` steps and yields ``(t0, k, ring)``
+    after each sub-block: the ring then holds steps t0 + 1 .. t0 + k, step i
+    reading W[i] and writing G[i], W[i + 1], M[i], V[i] and its step size
+    eta[i].  The next sub-block overwrites it, starting from W[k], so a
+    consumer copies or reduces what it needs before it resumes the loop.
+    Every row starts at w1 (ones when None) with m = 0 and v = h.v, draws
+    from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
+    time, and only meets its own data, so it is bitwise a lone run.
+    ``rule="sgd"`` steps w - t^(-1/2) g and leaves M unset and V at h.v.
+    With ``check``, a non-finite gradient stops the loop at its step with
+    NonFiniteGradient.
     """
     if rule not in ("adam", "sgd"):
         raise ValueError(f"unknown update rule {rule!r}")
-    n = len(G)
+    adam = rule == "adam"
+    S, d = len(seeds), h.dim
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-    # the initial moments are one row broadcast over the seeds
-    m, v = np.zeros((1, h.dim)), np.full((1, h.dim), h.v)
+    G, M = np.empty((SUB, S, d)), np.empty((SUB, S, d))
+    ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB))
+    ring.W[0] = 1.0 if w1 is None else w1
+    # The schedule is broadcast into (SUB, S, d) columns once per sub-block and
+    # the constants into (S, d) arrays once per run, so every per-step ufunc
+    # runs array by array, into a ring slot or into tmp.  Slot views are bound
+    # once per run.
+    B2, C2, ETA = (np.empty((SUB, S, d)) for _ in range(3))
+    consts = tuple(np.full((S, d), c) for c in (h.beta1, 1.0 - h.beta1, h.mu))
+    tmp = np.empty((S, d))
+    outs = zip(ring.W[1:], ring.M, ring.V)
+    slots = list(zip(ring.W, ring.G, zip(B2, C2, ETA), outs))  # step i: w, g, sched, out
+    m, v = np.zeros((S, d)), np.full((S, d), h.v)
     block = None
-    for k in range(T):
-        tau, j = k + 1, k % n
-        if j == 0 and k:
-            W[0] = W[n]
-        if k % BLOCK == 0:
-            block = prefetch_draws(p, min(BLOCK, T - k), rngs, out=block)
-        g = oracle_rows(p, W[j], None if block is None else block[k % BLOCK])
-        # Python floats: cheaper than a numpy reduction over a few short rows
-        if check and not all(map(math.isfinite, g.ravel().tolist())):
-            raise NonFiniteGradient(_non_finite_message(g, seeds, tau))
-        G[j] = g
-        eta[j] = eta_t = eta_at(tau, h)
-        if rule == "adam":
-            adam_rows(W[j], m, v, g, beta2_at(tau, h), eta_t, h, out=(W[j + 1], M[j], V[j]))
-            m, v = M[j], V[j]
-        else:
-            np.subtract(W[j], tau**-0.5 * g, out=W[j + 1])
-        if j == n - 1 or tau == T:
-            yield tau - j - 1, j + 1
+    for t0 in range(0, T, SUB):
+        k = min(SUB, T - t0)
+        if t0:
+            ring.W[0] = ring.W[SUB]  # only the last sub-block is short
+        if t0 % BLOCK == 0:
+            block = prefetch_draws(p, min(BLOCK, T - t0), rngs, out=block)
+        draws = [None] * k if block is None else block[t0 % BLOCK : t0 % BLOCK + k]
+        taus = range(t0 + 1, t0 + k + 1)
+        ring.eta[:k] = [eta_at(t, h) for t in taus]
+        if adam:
+            b2 = np.array([beta2_at(t, h) for t in taus])
+            B2[:k] = b2[:, None, None]
+            np.subtract(1.0, B2[:k], out=C2[:k])
+            ETA[:k] = ring.eta[:k, None, None]
+        for i, ((w, g, sched, out), dr) in enumerate(zip(slots, draws)):
+            oracle_rows(p, w, dr, g)
+            # Python floats: cheaper than a numpy reduction over a few short rows
+            if check and not all(map(math.isfinite, g.ravel().tolist())):
+                raise NonFiniteGradient(_non_finite_message(g, seeds, t0 + i + 1))
+            if adam:
+                adam_rows(w, m, v, g, sched, consts, out, tmp)
+                _, m, v = out
+            else:
+                np.multiply((t0 + i + 1) ** -0.5, g, tmp)
+                np.subtract(w, tmp, out[0])
+        yield t0, k, ring
 
 
 def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
     """Run T Adam steps from w1 for every seed at once; yield one TheoryTrace
     per seed, in the order of ``seeds``.
 
-    The recording mode of ``run_steps``: its buffers are the whole step-major
-    (T+1, S, d) / (T, S, d) trace arrays plus the (T,) step sizes, which
-    ``build_trace`` reuses, and a non-finite gradient stops the run at its
-    step with NonFiniteGradient.  Each trace is bitwise the one a
+    The recording mode of ``run_steps``: each sub-block of its ring is copied
+    into the step-major (T+1, S, d) / (T, S, d) trace arrays and the (T,) step
+    sizes, which ``build_trace`` reuses, and a non-finite gradient stops the
+    run at its step with NonFiniteGradient.  Each trace is bitwise the one a
     lone run gives, and is built as it is consumed, on a contiguous copy of
     its seed's rows.
 
@@ -178,12 +228,15 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
         raise ValueError(f"T must be >= 1, got {T}")
     seeds = list(seeds)
     S, d = len(seeds), h.dim
+    w1 = adam_init(np.ones(d) if w1 is None else w1, h).w
     W = np.empty((T + 1, S, d))
-    W[0] = adam_init(np.ones(d) if w1 is None else w1, h).w
+    W[0] = w1
     G, M, V = (np.empty((T, S, d)) for _ in range(3))
     eta = np.empty(T)
-    for _ in run_steps(p, h, T, seeds, W, G, M, V, eta, check=True):
-        pass
+    for t0, k, ring in run_steps(p, h, T, seeds, w1, check=True):
+        steps = slice(t0, t0 + k)
+        W[t0 + 1 : t0 + k + 1] = ring.W[1 : k + 1]
+        G[steps], M[steps], V[steps], eta[steps] = ring.G[:k], ring.M[:k], ring.V[:k], ring.eta[:k]
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer
 

@@ -16,6 +16,8 @@ Kernels: ``loss_batch``, ``grad_batch`` and ``oracle_rows`` evaluate many
 rows at once.  The logistic ones work on ``signed_rows = -y * a``: with
 y = +/-1 every sign flip is exact, so folding the labels in moves no bit.
 ``grad_batch`` also takes (k, S, d) stacks, one gemm per (S, d) slab.
+``oracle_rows`` writes into a caller's slot when given one, as the stepping
+loop's ring does.
 
 Randomness: one documented, versioned algorithm (see RNG_ALGORITHM).  Streams
 are keyed by (experiment id, seed, purpose) so that branch sampling, data
@@ -418,28 +420,35 @@ def oracle_draws(p: Problem, K: int, rng: np.random.Generator):
     draws for many steps at once.
     """
     if isinstance(p, NoisyQuadratic):
-        return p.sigma * rng.standard_normal((K, p.dim)) if p.sigma != 0.0 else None
+        if p.sigma == 0.0:
+            return None
+        noise = rng.standard_normal((K, p.dim))
+        return np.multiply(p.sigma, noise, noise)
     if isinstance(p, (LeastSquares, Logistic)):
         return rng.integers(0, p.rows.shape[0], size=K)
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
-def oracle_rows(p: Problem, W: np.ndarray, draws) -> np.ndarray:
+def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
     """Stochastic gradients at the rows of W (shape (K, dim)) from ``draws``.
 
     ``draws`` holds one ``oracle_draws`` row per row of W; for the noisy
-    quadratic W may also be a single row shared by all draws.  Rowwise dots
-    go through one einsum kernel on contiguous (K, dim) operands, so a row
-    rounds the same whether it is evaluated alone or stacked with others.
+    quadratic W may also be a single row shared by all draws.  The gradients
+    are written into ``out`` (shaped like W) when given; the quadratic's
+    ``eig * W + draws`` then allocates nothing.  Rowwise dots go through one
+    einsum kernel on contiguous (K, dim) operands, so a row rounds the same
+    whether it is evaluated alone or stacked with others.
     """
     if isinstance(p, NoisyQuadratic):
-        g = p.eigenvalues * W
-        return g if draws is None else g + draws
+        g = np.multiply(p.eigenvalues, W, out)
+        return g if draws is None else np.add(g, draws, out)
     if isinstance(p, LeastSquares):
         a = p.rows[draws]
-        return a * (np.einsum("kd,kd->k", a, W) - p.targets[draws])[:, None]
+        return np.multiply(a, (np.einsum("kd,kd->k", a, W) - p.targets[draws])[:, None], out)
     a = p.signed_rows[draws]
-    return _sigmoid(np.einsum("kd,kd->k", a, W))[:, None] * a + p.reg * W
+    g = np.multiply(_sigmoid(np.einsum("kd,kd->k", a, W))[:, None], a, out)
+    g += p.reg * W
+    return g
 
 
 def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import HyperParams, alpha1
-from .instrumentation import TheoryTrace, _branch_arrays, aux_iterate
+from .instrumentation import TheoryTrace, _branch_arrays, _mean_sd, aux_iterate
 from .problems import (
     Problem,
     ProblemCertificate,
@@ -282,8 +282,8 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
         w = W[k]
         G = branch_samples(p, w, K, rng)
         h_vec = grad(p, w)
-        mean = G.mean(axis=0)
-        se = G.std(axis=0, ddof=1) / math.sqrt(K)
+        mean, sd = _mean_sd(G)
+        se = sd / math.sqrt(K)
         budget = 4.0 * se + 1e-12 * (1.0 + np.abs(h_vec))
         rel = (budget - np.abs(mean - h_vec)) / budget
         i = int(np.argmin(rel))
@@ -296,8 +296,9 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
             + cert.B * float(h_vec @ h_vec)
             + cert.C
         )
-        se2 = float(gn2.std(ddof=1)) / math.sqrt(K)
-        margin = (bound + 4.0 * se2 - float(gn2.mean())) / (1.0 + bound)
+        gn2_mean, gn2_sd = _mean_sd(gn2)
+        se2 = float(gn2_sd) / math.sqrt(K)
+        margin = (bound + 4.0 * se2 - float(gn2_mean)) / (1.0 + bound)
         if margin < worst_a:
             worst_a, loc_a = margin, (None, k, None)
     return [
@@ -429,8 +430,8 @@ def check_descent_expectation(
             - fhat_next
             + (1.0 + C1 * delta_row) * fhat_t
         )
-        mean = float(X.mean())
-        se = float(X.std(ddof=1)) / math.sqrt(K)
+        mean, sd = map(float, _mean_sd(X))
+        se = sd / math.sqrt(K)
         margin = (mean + 4.0 * se) / (1.0 + abs(fhat_t))
         if margin >= 0:
             n_pass += 1

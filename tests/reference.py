@@ -88,7 +88,7 @@ def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False)
     in place after each step and copied out at the checkpoints.  The blocked
     sweep of ``experiments.run_sweep`` must match it bitwise."""
     from adamabc.core import alpha1, beta2_at, eta_at
-    from adamabc.optimizer import BLOCK, adam_rows, prefetch_draws
+    from adamabc.optimizer import BLOCK, prefetch_draws
     from adamabc.problems import grad_batch, oracle_rows, rng_stream
 
     S, d = len(seeds), p.dim
@@ -115,7 +115,11 @@ def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False)
         np.maximum(sup_gsq, gn2, out=sup_gsq)
         G = oracle_rows(p, W, None if block is None else block[j])
         if rule == "adam":
-            eta_v = adam_rows(W, M, V, G, beta2_at(t, h), eta_t, h)
+            b2 = beta2_at(t, h)
+            V = b2 * V + (1.0 - b2) * (G * G)
+            M = h.beta1 * M + (1.0 - h.beta1) * G
+            eta_v = eta_t / (np.sqrt(V) + h.mu)
+            W = W - eta_v * M
             dsum[:, t - 1] = (eta_prev - eta_v).sum(axis=1)
             eta_prev = eta_v
         else:

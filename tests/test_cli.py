@@ -271,6 +271,33 @@ def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("T", [0, -3])
+@pytest.mark.parametrize("command", ["experiment", "verify", "trace"])
+def test_nonpositive_horizon_exits_2_with_one_line(tmp_path, capsys, command, T):
+    out = tmp_path / "out"
+    argv = [command, "--config", f"T = {T}", "--seeds", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: T must be >= 1, got {T}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    # a probe's hypothesis gate and its checkpoint gate
+    ("experiment", "probes = rate,last_iterate\ngamma = 1.0"),
+    ("experiment", "T = 1\nprobes = summability"),
+    # the problem build
+    ("experiment", "problem = least_squares\nd = 5\nn = 3"),
+    ("trace", "problem = least_squares\nd = 5\nn = 3"),
+    ("trace", "eig_min = -1"),
+])
+def test_config_error_creates_no_output_directory(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", text, "--seeds", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_non_finite_trace_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
     # S_total and fhat overflow from t = 1; warnings are errors here, so an
     # overflow warning escaping the guard would fail the run

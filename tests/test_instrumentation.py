@@ -9,6 +9,7 @@ from adamabc.core import HyperParams, eta_at
 from adamabc.instrumentation import (
     NegativeGap,
     PiHatSeries,
+    _mean_sd,
     branch_conditional,
     build_trace,
     eta_v_at_state,
@@ -160,6 +161,15 @@ def test_branch_standard_error_scales_like_sqrt_k(quad10, h10, trace2k):
     assert 0.4 < ratio < 0.6  # doubling-in-sqrt(K): expect about 1/2
     # unbiasedness: the branch mean of M_{t,1} sits within its own 4-SE band of 0
     assert abs(est_big.cond_mean_m1) <= 4.0 * est_big.se_m1
+
+
+@pytest.mark.parametrize("shape", [(100_000, 10), (20_000, 5), (100_000,), (7, 3), (2,)])
+def test_mean_sd_is_bitwise_numpys_mean_and_std(shape):
+    x = 1.0 + 3.0 * np.random.default_rng(len(shape) + shape[0]).standard_normal(shape)
+    mean, sd = _mean_sd(x)
+    for got, ref in ((mean, x.mean(axis=0)), (sd, x.std(axis=0, ddof=1))):
+        assert np.shape(got) == np.shape(ref)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_branch_requires_at_least_two_draws(quad10, h10):

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams
+from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams, beta2_at, eta_at
 from adamabc.optimizer import (
+    SUB,
     NonFiniteGradient,
     adam_init,
+    adam_rows,
     adam_step,
+    run_steps,
     run_trajectories,
     run_trajectory,
 )
@@ -77,6 +80,47 @@ def test_beta1_zero_copies_gradient_into_momentum():
     assert np.array_equal(s.m, g)
 
 
+def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
+    # an array holding the same double multiplies and divides bitwise like the scalar
+    rng = np.random.default_rng(5)
+    S, d = 7, 5
+    h = HyperParams(dim=d)
+    w, m, g = rng.standard_normal((3, S, d)) * 10.0 ** rng.integers(-8, 8, (3, S, d))
+    v = rng.random((S, d)) * 10.0 ** rng.integers(-8, 8, (S, d))
+    b2, eta = beta2_at(7, h), eta_at(7, h)
+    sched, consts = (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu)
+
+    def full(values):
+        return tuple(np.full((S, d), c) for c in values)
+
+    scalar, columns = ([np.empty((S, d)) for _ in range(3)] for _ in range(2))
+    adam_rows(w, m, v, g, sched, consts, scalar, np.empty((S, d)))
+    adam_rows(w, m, v, g, full(sched), full(consts), columns, np.empty((S, d)))
+    # the update's formula, one numpy expression per line
+    v_ref = b2 * v + (1.0 - b2) * (g * g)
+    m_ref = h.beta1 * m + (1.0 - h.beta1) * g
+    w_ref = w - eta / (np.sqrt(v_ref) + h.mu) * m_ref
+    for a, b, ref in zip(scalar, columns, (w_ref, m_ref, v_ref)):
+        assert a.tobytes() == b.tobytes() == ref.tobytes()
+    # in place, over the state itself
+    state = [w.copy(), m.copy(), v.copy()]
+    adam_rows(*state, g, sched, consts, state, np.empty((S, d)))
+    for a, ref in zip(state, (w_ref, m_ref, v_ref)):
+        assert a.tobytes() == ref.tobytes()
+
+
+def test_run_steps_owns_one_bounded_ring(quad10, h10):
+    T, seeds = 4100, (0, 1, 2)
+    rings, done = set(), 0
+    for t0, k, ring in run_steps(quad10, h10, T, seeds):
+        assert (t0, k) == (done, min(SUB, T - done))
+        done += k
+        assert ring.W.shape == (SUB + 1, len(seeds), 10)
+        assert max(len(a) for a in ring) <= SUB + 1
+        rings.add(tuple(id(a) for a in ring))
+    assert done == T and len(rings) == 1
+
+
 def test_step_rejects_bad_gradients():
     s0 = adam_init(np.zeros(2), HyperParams(dim=2))
     with pytest.raises(DimensionMismatch):
@@ -93,24 +137,26 @@ def test_step_rejects_bad_gradients():
 @pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
 @pytest.mark.parametrize("w1", [None, "spread"])
 def test_trajectory_matches_manual_composition(suite, kind, w1):
-    # T = 4100 crosses the 4096-draw prefetch block of the recording loop
     from adamabc.problems import oracle_sample, rng_stream
 
     p = next(q for q in suite if q.name == kind)
     h = HyperParams(dim=p.dim)
     start = np.ones(p.dim) if w1 is None else np.linspace(-0.5, 1.5, p.dim)
-    T = 4100
-    tr = run_trajectory(p, h, T=T, seed=42, w1=None if w1 is None else start)
     rng = rng_stream("trajectory", 42, "oracle")
     s = adam_init(start, h)
-    assert np.array_equal(tr.W[0], s.w)
-    for k in range(T):
+    ref = {"W": [s.w], "G": [], "M": [], "V": []}
+    for _ in range(4100):
         g = oracle_sample(p, s.w, rng)
         s = adam_step(s, g, h)
-        assert np.array_equal(tr.G[k], g)
-        assert np.array_equal(tr.W[k + 1], s.w)
-        assert np.array_equal(tr.M[k], s.m)
-        assert np.array_equal(tr.V[k], s.v_vec)
+        for name, a in zip("WGMV", (s.w, g, s.m, s.v_vec)):
+            ref[name].append(a)
+    # horizons on both sides of the 32-step ring's first edge, and one that
+    # crosses the 4096-draw prefetch block
+    for T in (1, 31, 32, 33, 4100):
+        tr = run_trajectory(p, h, T=T, seed=42, w1=None if w1 is None else start)
+        assert np.array_equal(tr.W, ref["W"][: T + 1]), T
+        for name in "GMV":
+            assert np.array_equal(getattr(tr, name), ref[name][:T]), (T, name)
 
 
 @pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
@@ -182,9 +228,9 @@ def test_nonfinite_gradient_mid_block_stops_at_its_step(monkeypatch, quad10, h10
     real = O.oracle_rows
     calls = []
 
-    def faulty(p, W, draws):
+    def faulty(p, W, draws, out=None):
         calls.append(None)
-        g = real(p, W, draws)
+        g = real(p, W, draws, out)
         if len(calls) == 4100:
             g[0, 3] = np.nan
         return g
@@ -202,9 +248,9 @@ def test_stacked_nonfinite_gradient_names_its_seed(monkeypatch, quad10, h10):
     real = O.oracle_rows
     calls = []
 
-    def faulty(p, W, draws):
+    def faulty(p, W, draws, out=None):
         calls.append(None)
-        g = real(p, W, draws)
+        g = real(p, W, draws, out)
         if len(calls) == 4100:
             g[1, 3] = np.inf
         return g
