@@ -9,13 +9,17 @@ in even pairs and the change in odd ones.  The last line a run prints is its
 JSON result; every end-to-end metric the benchmark declares is taken from it.
 
 The output file holds an ``end_to_end`` block, keyed by workload: the raw
-runs, and per metric each side's median and quartiles (linear interpolation,
-as numpy's default), the change's wins and ties over the pairs, the relative
-change of the medians, the parent's interquartile range, the metric's bound
-and whether the change's median is worse than the parent's by more than it.
+runs, each side's share of failed operations over the pairs, and per metric
+each side's median and quartiles (linear interpolation, as numpy's default),
+the change's wins and ties over the pairs, the relative change of the
+medians, the parent's interquartile range, the metric's bound, whether the
+change's median is worse than the parent's by more than it, and whether the
+metric is unresolved: the parent's interquartile range exceeds the bound
+relative to its median, and not every change run beats every parent run.
 With ``--claim W:METRIC`` it also holds a ``claim`` block: met when the change
-wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range.  The file is rewritten after every pair.
+wins at least nine tenths of the pairs, the medians differ by more than the
+parent's interquartile range, and the change failed no larger share of its
+operations than the parent.  The file is rewritten after every pair.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-wide \\
@@ -64,17 +68,21 @@ def quartiles(values) -> dict:
 def summarise(runs, metrics) -> dict:
     """The per-workload summary of one workload's runs.
 
-    ``runs`` are run records (``side``, ``pair``, ``seed`` and one value per
-    metric); ``metrics`` are BENCHMARK.json's end-to-end entries.
+    ``runs`` are run records (``side``, ``pair``, ``seed``, ``attempted``,
+    ``failed`` and one value per metric); ``metrics`` are BENCHMARK.json's
+    end-to-end entries.
     """
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r
     pairs = [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
     out = {"pairs": len(pairs), "seeds": [p["parent"]["seed"] for p in pairs],
-           "runs": runs, "metrics": {}}
+           "runs": runs, "failed_share": {}, "metrics": {}}
     if not pairs:
         return out
+    for side in ("parent", "change"):
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        out["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / attempted
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
         parent = [p["parent"][name] for p in pairs]
@@ -82,24 +90,29 @@ def summarise(runs, metrics) -> dict:
         diffs = [sign * (c - p) for p, c in zip(parent, change)]
         qp, qc = quartiles(parent), quartiles(change)
         rel = (qc["median"] - qp["median"]) / qp["median"] if qp["median"] else 0.0
+        iqr = qp["q3"] - qp["q1"]
+        separated = min(sign * c for c in change) > max(sign * p for p in parent)
         out["metrics"][name] = {
             "parent": qp,
             "change": qc,
             "change_wins": sum(d > 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
             "median_change_rel": rel,
-            "parent_iqr": qp["q3"] - qp["q1"],
+            "parent_iqr": iqr,
             "bound": m["bound"],
             "worse_than_bound": -sign * rel > m["bound"],
+            "unresolved": iqr > m["bound"] * abs(qp["median"]) and not separated,
         }
     return out
 
 
 def claim(summary: dict, workload: str, metric: str) -> dict:
-    """The gain rule: at least 9/10 of the pairs won, and a median gap wider
-    than the parent's interquartile range."""
+    """The gain rule: at least 9/10 of the pairs won, a median gap wider than
+    the parent's interquartile range, and no larger share of failed
+    operations than the parent's."""
     s = summary[workload]["metrics"][metric]
     pairs = summary[workload]["pairs"]
+    failed = summary[workload]["failed_share"]
     gap = abs(s["change"]["median"] - s["parent"]["median"])
     return {
         "workload": workload,
@@ -110,7 +123,9 @@ def claim(summary: dict, workload: str, metric: str) -> dict:
         "change_median": s["change"]["median"],
         "median_change_rel": s["median_change_rel"],
         "parent_iqr": s["parent_iqr"],
-        "met": 10 * s["change_wins"] >= 9 * pairs and gap > s["parent_iqr"],
+        "failed_share": failed,
+        "met": (10 * s["change_wins"] >= 9 * pairs and gap > s["parent_iqr"]
+                and failed["change"] <= failed["parent"]),
     }
 
 

@@ -18,6 +18,7 @@ non-finite), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -32,7 +33,6 @@ from .core import ConstraintViolation, HyperParams, beta2_at, eta_at, with_dim
 from .experiments import (
     ExperimentConfig,
     NonFiniteSweep,
-    PROBE_NAMES,
     ProblemSpec,
     SUITE_KINDS,
     check_gates,
@@ -64,37 +64,39 @@ class NonFiniteTrace(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema: key -> (kind, default-as-text)
+# config schema: key -> (kind, default-as-text, field), where field is
+# "problem.<ProblemSpec field>", "h.<HyperParams field>" or an
+# ExperimentConfig field
 
 _SCHEMA = {
     # problem geometry (applies to the experiment/trace problem)
-    "problem": ("str", "noisy_quadratic"),
-    "d": ("int", "10"),
-    "n": ("int", "0"),  # data rows; 0 = kind default
-    "sigma": ("float", "1.0"),
-    "eig_min": ("float", "1.0"),
-    "eig_max": ("float", "4.0"),
-    "data_seed": ("int", "0"),
-    "reg": ("float", "0.05"),
+    "problem": ("str", "noisy_quadratic", "problem.kind"),
+    "d": ("int", "10", "problem.d"),  # also sets h.dim
+    "n": ("int", "0", "problem.n"),  # data rows; 0 = kind default
+    "sigma": ("float", "1.0", "problem.sigma"),
+    "eig_min": ("float", "1.0", "problem.eig_min"),
+    "eig_max": ("float", "4.0", "problem.eig_max"),
+    "data_seed": ("int", "0", "problem.data_seed"),
+    "reg": ("float", "0.05", "problem.reg"),
     # algorithm constants
-    "beta1": ("float", "0.9"),
-    "alpha0": ("float", "0.5"),
-    "gamma": ("float", "1.25"),
-    "delta": ("float", "0.25"),
-    "mu": ("float", "1e-08"),
-    "v": ("float", "1.0"),
+    "beta1": ("float", "0.9", "h.beta1"),
+    "alpha0": ("float", "0.5", "h.alpha0"),
+    "gamma": ("float", "1.25", "h.gamma"),
+    "delta": ("float", "0.25", "h.delta"),
+    "mu": ("float", "1e-08", "h.mu"),
+    "v": ("float", "1.0", "h.v"),
     # run shape
-    "T": ("int", "1024"),
-    "seeds": ("int_list", "0,1,2"),
-    "checkpoints": ("int_list", ""),  # empty = powers of two up to T
-    "probes": ("str_list", "rate"),
-    "out_dir": ("opt_str", ""),
-    "threads": ("int", "1"),
-    "epsilon_last": ("opt_float", ""),
-    "epsilon_l1": ("opt_float", ""),
+    "T": ("int", "1024", "T"),
+    "seeds": ("int_list", "0,1,2", "seeds"),
+    "checkpoints": ("int_list", "", "checkpoints"),  # empty = powers of two up to T
+    "probes": ("str_list", "rate", "probes"),
+    "out_dir": ("opt_str", "", "out_dir"),
+    "threads": ("int", "1", "threads"),
+    "epsilon_last": ("opt_float", "", "epsilon_last"),
+    "epsilon_l1": ("opt_float", "", "epsilon_l1"),
     # verification driver
-    "suite": ("str_list", ",".join(SUITE_KINDS)),
-    "inject_fault": ("str", ""),
+    "suite": ("str_list", ",".join(SUITE_KINDS), "suite"),
+    "inject_fault": ("str", "", "inject_fault"),
 }
 
 
@@ -176,81 +178,37 @@ def parse_config(source: str) -> ExperimentConfig:
     else:
         entries = _entries_from_text(text)
 
-    vals = {}
-    for key, (kind, default) in _SCHEMA.items():
+    fields = {"problem": {}, "h": {}, "": {}}
+    for key, (kind, default, target) in _SCHEMA.items():
         raw, where = entries.get(key, (default, "default"))
-        vals[key] = _cast(key, kind, raw, where)
+        group, _, name = target.rpartition(".")
+        fields[group][name] = _cast(key, kind, raw, where)
 
-    spec = ProblemSpec(
-        kind=vals["problem"],
-        d=vals["d"],
-        n=vals["n"],
-        sigma=vals["sigma"],
-        eig_min=vals["eig_min"],
-        eig_max=vals["eig_max"],
-        data_seed=vals["data_seed"],
-        reg=vals["reg"],
-    )
-    h = HyperParams(
-        beta1=vals["beta1"],
-        alpha0=vals["alpha0"],
-        gamma=vals["gamma"],
-        delta=vals["delta"],
-        mu=vals["mu"],
-        v=vals["v"],
-        dim=vals["d"],
-    )
+    run = fields[""]
+    run["checkpoints"] = run["checkpoints"] or default_checkpoints(run["T"])
     cfg = ExperimentConfig(
-        problem=spec,
-        h=h,
-        T=vals["T"],
-        seeds=vals["seeds"],
-        checkpoints=vals["checkpoints"] or default_checkpoints(vals["T"]),
-        probes=vals["probes"],
-        out_dir=vals["out_dir"],
-        threads=vals["threads"],
-        epsilon_last=vals["epsilon_last"],
-        epsilon_l1=vals["epsilon_l1"],
-        suite=vals["suite"],
-        inject_fault=vals["inject_fault"],
+        problem=ProblemSpec(**fields["problem"]),
+        h=HyperParams(**fields["h"], dim=fields["problem"]["d"]),
+        **run,
     )
     validate_config(cfg)
     return cfg
 
 
+def _text(value) -> str:
+    """A field's value as config text: lists comma-joined, floats by repr, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(x) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Flat-text form of ``cfg``; parse_config(serialize_config(cfg)) == cfg."""
-    p = cfg.problem
-    vals = {
-        "problem": p.kind,
-        "d": p.d,
-        "n": p.n,
-        "sigma": p.sigma,
-        "eig_min": p.eig_min,
-        "eig_max": p.eig_max,
-        "data_seed": p.data_seed,
-        "reg": p.reg,
-        "beta1": cfg.h.beta1,
-        "alpha0": cfg.h.alpha0,
-        "gamma": cfg.h.gamma,
-        "delta": cfg.h.delta,
-        "mu": cfg.h.mu,
-        "v": cfg.h.v,
-        "T": cfg.T,
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "checkpoints": ",".join(str(c) for c in cfg.checkpoints),
-        "probes": ",".join(cfg.probes),
-        "out_dir": cfg.out_dir or "",
-        "threads": cfg.threads,
-        "epsilon_last": "" if cfg.epsilon_last is None else repr(cfg.epsilon_last),
-        "epsilon_l1": "" if cfg.epsilon_l1 is None else repr(cfg.epsilon_l1),
-        "suite": ",".join(cfg.suite),
-        "inject_fault": cfg.inject_fault,
-    }
     lines = []
-    for key in _SCHEMA:
-        v = vals[key]
-        lines.append(f"{key} = {repr(v) if isinstance(v, float) else v}")
+    for key, (_, _, target) in _SCHEMA.items():
+        lines.append(f"{key} = {_text(functools.reduce(getattr, target.split('.'), cfg))}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,11 @@
 """Seed-sweep experiments probing the convergence claims at desk scale.
 
-Five probes: decay rate of the running average squared gradient norm, per-seed
+Six probes: decay rate of the running average squared gradient norm, per-seed
 last-iterate convergence, seed-mean (L1-style) convergence, summability of the
-weighted gradient series, and moment/growth probes (reciprocal product
-moments, S_T^(3/4) growth, boundedness of the second-moment mass).
+weighted gradient series, moment/growth probes (reciprocal product moments,
+S_T^(3/4) growth, boundedness of the second-moment mass), and a plain-SGD
+anchor.  A probe only reduces the sweep it is handed; ``run_probes`` checks
+every gate, runs each sweep once and marks reports below acceptance scale.
 
 Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
 — one process, disjoint per-seed rng streams, bitwise-identical per seed to a
@@ -88,11 +90,13 @@ FROZEN_THRESHOLDS = {
     },
 }
 
-PROBE_NAMES = ("rate", "last_iterate", "l1", "summability", "moment", "sgd_anchor")
-
 #: probes whose claim assumes gamma > 1 and delta > 0 (outside it they are
 #: config errors), with the name their error message gives them
 HYPOTHESIS_GATED = {"last_iterate": "last-iterate", "l1": "L1"}
+
+#: probes whose verdicts compare successive checkpoints, so a single one is a
+#: config error, with the name their error message gives them
+CHECKPOINT_GATED = {"l1": "L1", "summability": "summability"}
 
 #: the acceptance scale of the size-gated probes: the name their messages
 #: give them, the minimum seed count and the minimum log2 T
@@ -210,6 +214,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConstraintViolation(f"T must be >= 1, got {cfg.T}")
     if len(set(cfg.seeds)) != len(cfg.seeds) or not cfg.seeds:
         raise ConstraintViolation("seeds must be a non-empty list of distinct integers")
+    if min(cfg.seeds) < 0:
+        raise ConstraintViolation(f"seeds must be >= 0, got {min(cfg.seeds)}")
+    if cfg.problem.data_seed < 0:
+        raise ConstraintViolation(f"data_seed must be >= 0, got {cfg.problem.data_seed}")
     cps = list(cfg.checkpoints)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ConstraintViolation("checkpoints must be non-empty and strictly increasing")
@@ -473,28 +481,11 @@ def _scale_gate(cfg: ExperimentConfig, probe: str, enforce: bool) -> list:
     return [msg for _, msg in misses]
 
 
-def _hypothesis_gate(cfg: ExperimentConfig, probe: str) -> None:
-    """Config error when ``probe`` is hypothesis-gated and cfg lies outside
-    gamma > 1, delta > 0; a no-op for every other probe."""
-    label = HYPOTHESIS_GATED.get(probe)
-    if label and not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
-        raise ConstraintViolation(
-            f"{label} probe requires gamma > 1 and delta > 0 "
-            f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
-        )
-
-
-def _checkpoint_gate(cfg: ExperimentConfig, probe: str) -> None:
-    """Config error when ``probe`` is summability, which compares the last two
-    checkpoints, and cfg declares only one; a no-op for every other probe."""
-    if probe == "summability" and len(cfg.checkpoints) < 2:
-        raise ConstraintViolation(
-            f"summability probe needs >= 2 checkpoints, got {len(cfg.checkpoints)}"
-        )
-
-
 def _mark_below_scale(rep: ExperimentReport, msgs) -> None:
-    """Keep every verdict's numbers but downgrade them to informational."""
+    """With any scale message, keep every verdict's numbers but downgrade them
+    to informational, and note each message."""
+    if not msgs:
+        return
     for v in rep.verdicts.values():
         if v["status"] in ("pass", "fail"):
             v["status"] = "informational"
@@ -507,7 +498,7 @@ def _mark_below_scale(rep: ExperimentReport, msgs) -> None:
 
 
 def rate_experiment(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Decay of the running average squared gradient norm.
 
@@ -516,14 +507,12 @@ def rate_experiment(
     ln^2(T)/sqrt(T) (gamma = 1) should be bounded and non-increasing across
     the final decade.
 
-    ``enforce_scale=False`` lets undersized runs complete; their verdicts are
-    downgraded to informational and the report notes the missing scale.
+    With too few final-decade checkpoints the slope fit raises DegenerateFit,
+    unless ``enforce_scale`` is off: then the report notes the skipped fit.
     """
-    below = _scale_gate(cfg, "rate", enforce_scale)
-    res = _shared if _shared is not None else run_sweep(cfg)
-    rep = _base_report(cfg, "rate", res, ["avg_gsq", "last_grad"])
+    rep = _base_report(cfg, "rate", _shared, ["avg_gsq", "last_grad"])
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
-    mean_avg = res["avg_gsq"].mean(axis=0)
+    mean_avg = _shared["avg_gsq"].mean(axis=0)
     lo, hi = _final_decade(cfg)
 
     if cfg.h.delta > 0:
@@ -533,7 +522,6 @@ def rate_experiment(
             if enforce_scale:
                 raise
             rep.notes.append("slope fit skipped: too few final-decade checkpoints")
-            _mark_below_scale(rep, below)
             return rep
         target = -(0.5 - cfg.h.delta)
         tol = FROZEN_THRESHOLDS["rate_slope_tol"]["value"]
@@ -563,8 +551,8 @@ def rate_experiment(
         denom = np.log(cps) ** power / np.sqrt(cps)
         denom[denom == 0.0] = np.nan  # ln(1) = 0: ratio undefined at t = 1
         ratio = mean_avg / denom
-        rep.per_seed["log_rate_ratio"] = (res["avg_gsq"] / denom).tolist()
-        rep.stats["log_rate_ratio"] = _stats(res["avg_gsq"] / denom)
+        rep.per_seed["log_rate_ratio"] = (_shared["avg_gsq"] / denom).tolist()
+        rep.stats["log_rate_ratio"] = _stats(_shared["avg_gsq"] / denom)
         in_dec = (cps >= lo) & (cps <= hi) & ~np.isnan(denom)
         r_dec = ratio[in_dec]
         slack = FROZEN_THRESHOLDS["ratio_step_slack"]["value"]
@@ -581,27 +569,18 @@ def rate_experiment(
             f"ratio to ln^{power:g}(T)/sqrt(T)",
             "provenance": FROZEN_THRESHOLDS["ratio_step_slack"]["provenance"],
         }
-    if below:
-        _mark_below_scale(rep, below)
     return rep
 
 
 def last_iterate_experiment(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
-    """Per-seed last-iterate gradient norm below the frozen threshold.
-
-    No size gates; the gamma/delta requirement is a hypothesis of the claim
-    under test, so it stays a hard error regardless of ``enforce_scale``.
-    """
-    _hypothesis_gate(cfg, "last_iterate")
-    res = _shared if _shared is not None else run_sweep(cfg)
-    rep = _base_report(cfg, "last_iterate", res, ["last_grad"])
+    """Per-seed last-iterate gradient norm below the frozen threshold."""
+    rep = _base_report(cfg, "last_iterate", _shared, ["last_grad"])
     eps = cfg.epsilon_last
     if eps is None:
         eps = FROZEN_THRESHOLDS["last_iterate_eps"]["value"]
-    last3 = res["last_grad"][:, -3:] if res["last_grad"].shape[1] >= 3 else res["last_grad"]
-    worst = float(last3.max())
+    worst = float(_shared["last_grad"][:, -3:].max())  # the last three checkpoints, or all
     rep.verdicts["last_iterate_below_eps"] = {
         "status": "pass" if worst < eps else "fail",
         "observed": worst,
@@ -612,7 +591,7 @@ def last_iterate_experiment(
     }
     # transient peak should sit before the final decade
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
-    argmax = np.argmax(res["last_grad"], axis=1)
+    argmax = np.argmax(_shared["last_grad"], axis=1)
     peak_cp = cps[argmax]
     rep.verdicts["peak_before_final_decade"] = {
         "status": "pass" if bool(np.all(peak_cp < _final_decade(cfg)[0])) else "fail",
@@ -624,17 +603,14 @@ def last_iterate_experiment(
 
 
 def l1_experiment(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Seed-mean last-iterate gradient norm: decreasing tail, finite sup."""
-    _hypothesis_gate(cfg, "l1")
-    below = _scale_gate(cfg, "l1", enforce_scale)
-    res = _shared if _shared is not None else run_sweep(cfg)
-    rep = _base_report(cfg, "l1", res, ["last_grad", "sup_grad"])
+    rep = _base_report(cfg, "l1", _shared, ["last_grad", "sup_grad"])
     eps = cfg.epsilon_l1
     if eps is None:
         eps = FROZEN_THRESHOLDS["l1_eps"]["value"]
-    mean_last = res["last_grad"].mean(axis=0)
+    mean_last = _shared["last_grad"].mean(axis=0)
     tail = mean_last[-4:]
     strictly_dec = bool(np.all(np.diff(tail) < 0))
     rep.verdicts["mean_strictly_decreasing"] = {
@@ -652,7 +628,7 @@ def l1_experiment(
         else "epsilon_l1 from config",
     }
     # dominating-variable probe: seed-mean of sup_t |grad| stable in seed count
-    sup_final = res["sup_grad"][:, -1]
+    sup_final = _shared["sup_grad"][:, -1]
     half = len(cfg.seeds) // 2
     if half >= 1:
         m_half, m_full = float(sup_final[:half].mean()), float(sup_final.mean())
@@ -665,25 +641,19 @@ def l1_experiment(
         }
     else:
         rep.notes.append("single seed: sup-gradient seed-stability probe skipped")
-    if below:
-        _mark_below_scale(rep, below)
     return rep
 
 
 def summability_probe(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Partial sums of eta_t |grad f(w_t)|^2 must flatten: final increment < 1%.
 
-    No size gates (``enforce_scale`` accepted for driver uniformity); runs
-    outside the gamma/delta hypotheses are reported informational.  A single
-    checkpoint leaves no final increment: a config error.
+    Runs outside the gamma/delta hypotheses are reported informational.
     """
-    _checkpoint_gate(cfg, "summability")
-    res = _shared if _shared is not None else run_sweep(cfg)
-    rep = _base_report(cfg, "summability", res, ["eta_gsq_sum"])
+    rep = _base_report(cfg, "summability", _shared, ["eta_gsq_sum"])
     informational = not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0)
-    sums = res["eta_gsq_sum"]
+    sums = _shared["eta_gsq_sum"]
     inc = (sums[:, -1] - sums[:, -2]) / sums[:, -1]
     worst = float(inc.max())
     status = "pass" if worst < 0.01 else "fail"
@@ -702,21 +672,22 @@ def summability_probe(
 
 
 def moment_probe(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
-    """Reciprocal-product moments, S_T^(3/4) growth, second-moment-mass sup."""
-    below = _scale_gate(cfg, "moment", enforce_scale)
-    res = _shared if _shared is not None else run_sweep(cfg, collect_dsum=True)
-    if "dsum" not in res:
-        raise ValueError("moment probe needs a sweep with collect_dsum=True")
-    rep = _base_report(cfg, "moment", res, ["S_total", "sigma_v", "sup_sigma_v"])
+    """Reciprocal-product moments, S_T^(3/4) growth, second-moment-mass sup.
+
+    Reads the gap sums of a sweep run with ``collect_dsum``.  With too few
+    final-decade checkpoints the S^(3/4) fit raises DegenerateFit, unless
+    ``enforce_scale`` is off: then the report notes the skipped fit.
+    """
+    rep = _base_report(cfg, "moment", _shared, ["S_total", "sigma_v", "sup_sigma_v"])
     p_obj = cfg.problem.build()
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
     lo, hi = _final_decade(cfg)
     in_dec = (cps >= lo) & (cps <= hi)
 
     # E[PiHat_T^-p] drift over the final decade, p = 1, 2, 3 (log domain)
-    log_pi = log_pi_series(res["dsum"], cfg.h, p_obj.certificate)
+    log_pi = log_pi_series(_shared["dsum"], cfg.h, p_obj.certificate)
     log_pi_cp = log_pi[:, cps - 1]
     rep.per_seed["log_pi_hat"] = log_pi_cp.tolist()
     rep.stats["log_pi_hat"] = _stats(log_pi_cp)
@@ -739,7 +710,7 @@ def moment_probe(
         }
 
     # E[S_T^(3/4)] growth
-    s34_mean = (res["S_total"] ** 0.75).mean(axis=0)
+    s34_mean = (_shared["S_total"] ** 0.75).mean(axis=0)
     if cfg.h.delta > 0:
         try:
             slope, stderr, r2 = fit_loglog_slope(
@@ -763,7 +734,7 @@ def moment_probe(
         rep.notes.append("delta = 0: S^(3/4) growth fit skipped (hypothesis delta > 0)")
 
     # sup of the second-moment mass: exactly constant over the final decade
-    sup_cp = res["sup_sigma_v"][:, in_dec]
+    sup_cp = _shared["sup_sigma_v"][:, in_dec]
     if cfg.h.gamma > 1.0:
         constant = bool(np.all(sup_cp == sup_cp[:, :1]))
         rep.verdicts["sup_sigma_v_constant"] = {
@@ -780,25 +751,23 @@ def moment_probe(
             "target": "see notes",
             "provenance": "exact float comparison of running-max snapshots",
         }
-    if below:
-        _mark_below_scale(rep, below)
     return rep
 
 
 def sgd_anchor_experiment(
-    cfg: ExperimentConfig, _shared: dict | None = None, enforce_scale: bool = True
+    cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
-    """Plain SGD with eta_t = 1/sqrt(t) as a harness sanity anchor.
+    """Plain SGD with eta_t = 1/sqrt(t) as a harness sanity anchor, on a sweep
+    run with ``rule="sgd"``.
 
     Noiseless quadratic: average squared gradient decays with slope near -1;
     noisy: the running average plateaus at a sigma^2-proportional floor.
     Informational only — it validates the harness, not the method under study.
     """
-    res = _shared if _shared is not None else run_sweep(cfg, rule="sgd")
-    rep = _base_report(cfg, "sgd_anchor", res, ["avg_gsq", "last_grad"])
+    rep = _base_report(cfg, "sgd_anchor", _shared, ["avg_gsq", "last_grad"])
     rep.notes.append("SGD baseline anchor; informational")
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
-    mean_avg = res["avg_gsq"].mean(axis=0)
+    mean_avg = _shared["avg_gsq"].mean(axis=0)
     try:
         slope, stderr, r2 = fit_loglog_slope(list(zip(cps, mean_avg)), _final_decade(cfg))
         rep.fits["avg_gsq_slope"] = {
@@ -823,31 +792,49 @@ PROBES = {
     "sgd_anchor": sgd_anchor_experiment,
 }
 
+PROBE_NAMES = tuple(PROBES)
+
 
 def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
-    """Every check ``run_probes`` makes before its sweep: the config, each
-    probe's hypothesis and checkpoint gates, then (with ``enforce_scale``)
-    its scale gates."""
+    """Every check ``run_probes`` makes before its first sweep: the config,
+    then for each probe its hypothesis gate and its checkpoint gate, then
+    (with ``enforce_scale``) each probe's scale gate."""
     validate_config(cfg)
     for probe in cfg.probes:
-        _hypothesis_gate(cfg, probe)
-        _checkpoint_gate(cfg, probe)
+        label = HYPOTHESIS_GATED.get(probe)
+        if label and not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
+            raise ConstraintViolation(
+                f"{label} probe requires gamma > 1 and delta > 0 "
+                f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
+            )
+        label = CHECKPOINT_GATED.get(probe)
+        if label and len(cfg.checkpoints) < 2:
+            raise ConstraintViolation(
+                f"{label} probe needs >= 2 checkpoints, got {len(cfg.checkpoints)}"
+            )
     if enforce_scale:
         for probe in cfg.probes:
             _scale_gate(cfg, probe, True)
 
 
 def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
-    """Run every probe named in cfg.probes, sharing one sweep where possible."""
-    check_gates(cfg, enforce_scale)  # every gate before any sweep starts
-    need_dsum = "moment" in cfg.probes
-    shared = None
+    """Run every probe named in cfg.probes; reports keyed by probe, in order.
+
+    Every gate runs before any sweep.  Each update rule's sweep runs once, on
+    first need: ``sgd_anchor`` reads the SGD sweep, every other probe the
+    Adam sweep, which collects the gap sums when ``moment`` is asked for.
+    With ``enforce_scale=False`` a probe below its acceptance scale still
+    reports, its verdicts informational and its notes naming the missing scale.
+    """
+    check_gates(cfg, enforce_scale)
+    sweeps = {}
     reports = {}
     for probe in cfg.probes:
-        if probe == "sgd_anchor":
-            reports[probe] = sgd_anchor_experiment(cfg, enforce_scale=enforce_scale)
-            continue
-        if shared is None:
-            shared = run_sweep(cfg, collect_dsum=need_dsum)
-        reports[probe] = PROBES[probe](cfg, _shared=shared, enforce_scale=enforce_scale)
+        rule = "sgd" if probe == "sgd_anchor" else "adam"
+        if rule not in sweeps:
+            dsum = rule == "adam" and "moment" in cfg.probes
+            sweeps[rule] = run_sweep(cfg, rule, collect_dsum=dsum)
+        rep = PROBES[probe](cfg, sweeps[rule], enforce_scale)
+        _mark_below_scale(rep, _scale_gate(cfg, probe, False))
+        reports[probe] = rep
     return reports

@@ -74,3 +74,32 @@ def test_an_unfinished_pair_is_left_out():
     runs = records([1.0, 1.1], [0.9, 1.0])[:3]
     s = bench_pairs.summarise(runs, METRICS)
     assert s["pairs"] == 1 and len(s["runs"]) == 3
+
+
+def test_claim_is_not_met_when_the_change_fails_a_larger_share_of_operations():
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    runs = records(parent, [0.8] * 10)
+    summary = {"w": bench_pairs.summarise(runs, METRICS)}
+    assert summary["w"]["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert bench_pairs.claim(summary, "w", "wall_s")["met"] is True
+    # one failed operation of the change's 40 sinks a claim that wins every pair
+    runs[1] = dict(runs[1], failed=1)
+    assert runs[1]["side"] == "change"
+    summary = {"w": bench_pairs.summarise(runs, METRICS)}
+    assert summary["w"]["failed_share"] == {"parent": 0.0, "change": 1 / 40}
+    c = bench_pairs.claim(summary, "w", "wall_s")
+    assert c["change_wins"] == 10 and c["met"] is False
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # a parent IQR of 0.4 over a median of 1.0 exceeds wall_s's bound of 0.25
+    parent = [0.7, 1.3, 0.8, 1.2, 1.0]
+    s = bench_pairs.summarise(records(parent, [1.0, 1.1, 0.9, 1.0, 1.0]), METRICS)
+    assert s["metrics"]["wall_s"]["parent_iqr"] == pytest.approx(0.4)
+    assert s["metrics"]["wall_s"]["unresolved"] is True
+    # ... unless every change run beats every parent run
+    s = bench_pairs.summarise(records(parent, [0.6, 0.5, 0.6, 0.4, 0.5]), METRICS)
+    assert s["metrics"]["wall_s"]["unresolved"] is False
+    # a spread within the bound resolves the metric
+    s = bench_pairs.summarise(records([1.0, 1.1, 0.9, 1.0, 1.0], parent), METRICS)
+    assert s["metrics"]["wall_s"]["unresolved"] is False

@@ -213,6 +213,8 @@ def test_hypothesis_gate_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("args", [
     ["--config", "T = 1\nprobes = rate,summability"],
     ["--config", "T = 100\nprobes = summability", "--checkpoints", "100"],
+    # l1's strictly-decreasing verdict would pass on one value
+    ["--config", "T = 64\nprobes = l1", "--checkpoints", "64"],
 ])
 def test_single_checkpoint_summability_exits_2_before_any_sweep(tmp_path, monkeypatch, capsys, args):
     import adamabc.experiments as E
@@ -226,7 +228,8 @@ def test_single_checkpoint_summability_exits_2_before_any_sweep(tmp_path, monkey
 
     monkeypatch.setattr(E, "run_sweep", counting)
     assert main(["experiment", *args, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "config error: summability probe needs >= 2 checkpoints, got 1\n"
+    label = "L1" if "l1" in args[1] else "summability"
+    assert capsys.readouterr().err == f"config error: {label} probe needs >= 2 checkpoints, got 1\n"
     assert sweeps == []
 
 
@@ -278,6 +281,19 @@ def test_nonpositive_horizon_exits_2_with_one_line(tmp_path, capsys, command, T)
     argv = [command, "--config", f"T = {T}", "--seeds", "0", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: T must be >= 1, got {T}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "verify", "trace"])
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "-1"], "seeds must be >= 0, got -1"),
+    (["--config", "problem = least_squares\nd = 5\ndata_seed = -1", "--seeds", "0"],
+     "data_seed must be >= 0, got -1"),
+])
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command, args, message):
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -20,16 +20,13 @@ from adamabc.experiments import (
     HorizonTooShort,
     InsufficientSeeds,
     PROBE_NAMES,
+    PROBES,
     ProblemSpec,
     SUB,
     default_checkpoints,
     fit_loglog_slope,
-    last_iterate_experiment,
-    moment_probe,
-    rate_experiment,
     run_probes,
     run_sweep,
-    summability_probe,
 )
 from adamabc.instrumentation import geometric_tail_rowsums
 from adamabc.optimizer import run_trajectory
@@ -279,13 +276,13 @@ def test_geometric_tail_fft_path_matches_direct():
 
 def test_rate_probe_scale_gates_raise_when_enforced():
     with pytest.raises(InsufficientSeeds, match=">= 20 seeds"):
-        rate_experiment(cfg_for("noisy_quadratic", 1 << 14, (0, 1)))
+        run_probes(cfg_for("noisy_quadratic", 1 << 14, (0, 1)))
     with pytest.raises(HorizonTooShort, match="2\\^14"):
-        rate_experiment(cfg_for("noisy_quadratic", 512, tuple(range(20))))
+        run_probes(cfg_for("noisy_quadratic", 512, tuple(range(20))))
 
 
 def test_rate_probe_below_scale_is_informational():
-    rep = rate_experiment(cfg_for("noisy_quadratic", 512, (0, 1, 2)), enforce_scale=False)
+    rep = run_probes(cfg_for("noisy_quadratic", 512, (0, 1, 2)), enforce_scale=False)["rate"]
     assert rep.verdicts["rate_slope"]["status"] == "informational"
     assert any("below acceptance scale" in n for n in rep.notes)
     assert rep.status == "pass"  # informational verdicts never fail a report
@@ -295,7 +292,7 @@ def test_rate_probe_below_scale_is_informational():
 def test_rate_probe_delta_zero_single_checkpoint_is_informational():
     # T = 1: the only checkpoint is t = 1 where ln(1) = 0 leaves no ratio data
     h = HyperParams(gamma=1.5, delta=0.0, dim=10)
-    rep = rate_experiment(cfg_for("noisy_quadratic", 1, (0, 1), h=h), enforce_scale=False)
+    rep = run_probes(cfg_for("noisy_quadratic", 1, (0, 1), h=h), enforce_scale=False)["rate"]
     v = rep.verdicts["log_rate_ratio"]
     assert v["status"] == "informational"
     assert any("no final-decade checkpoints past t = 1" in n for n in rep.notes)
@@ -304,8 +301,8 @@ def test_rate_probe_delta_zero_single_checkpoint_is_informational():
 
 def test_rate_probe_delta_zero_reports_ratio_series():
     h = HyperParams(gamma=1.5, delta=0.0, dim=10)
-    rep = rate_experiment(cfg_for("noisy_quadratic", 2048, (0, 1, 2)), enforce_scale=False)
-    rep0 = rate_experiment(cfg_for("noisy_quadratic", 2048, (0, 1, 2), h=h), enforce_scale=False)
+    rep = run_probes(cfg_for("noisy_quadratic", 2048, (0, 1, 2)), enforce_scale=False)["rate"]
+    rep0 = run_probes(cfg_for("noisy_quadratic", 2048, (0, 1, 2), h=h), enforce_scale=False)["rate"]
     assert "log_rate_ratio" in rep0.per_seed
     assert "rate_slope" in rep.verdicts and "log_rate_ratio" not in rep.verdicts
     assert "log_rate_ratio" in rep0.verdicts and "rate_slope" not in rep0.verdicts
@@ -313,25 +310,25 @@ def test_rate_probe_delta_zero_reports_ratio_series():
 
 def test_last_iterate_probe_requires_the_hypotheses():
     h_bad = HyperParams(gamma=1.0, delta=0.0, dim=10)
+    cfg = cfg_for("noisy_quadratic", 64, (0,), h=h_bad, probes=("last_iterate",))
     with pytest.raises(ConstraintViolation, match="gamma > 1 and delta > 0"):
-        last_iterate_experiment(cfg_for("noisy_quadratic", 64, (0,), h=h_bad))
+        run_probes(cfg)
     # the hypothesis gate is not a size gate: enforce_scale cannot waive it
     with pytest.raises(ConstraintViolation):
-        last_iterate_experiment(
-            cfg_for("noisy_quadratic", 64, (0,), h=h_bad), enforce_scale=False
-        )
+        run_probes(cfg, enforce_scale=False)
 
 
 def test_last_iterate_threshold_override_and_provenance():
-    loose = last_iterate_experiment(cfg_for("noisy_quadratic", 256, (0, 1), epsilon_last=10.0))
+    cfg = cfg_for("noisy_quadratic", 256, (0, 1), probes=("last_iterate",))
+    loose = run_probes(replace(cfg, epsilon_last=10.0))["last_iterate"]
     v = loose.verdicts["last_iterate_below_eps"]
     assert v["status"] == "pass"
     assert v["threshold"] == 10.0
     assert v["provenance"] == "epsilon_last from config"
-    strict = last_iterate_experiment(cfg_for("noisy_quadratic", 256, (0, 1), epsilon_last=1e-12))
+    strict = run_probes(replace(cfg, epsilon_last=1e-12))["last_iterate"]
     assert strict.verdicts["last_iterate_below_eps"]["status"] == "fail"
     assert strict.status == "fail"
-    default = last_iterate_experiment(cfg_for("noisy_quadratic", 256, (0, 1)))
+    default = run_probes(cfg)["last_iterate"]
     assert (
         default.verdicts["last_iterate_below_eps"]["threshold"]
         == FROZEN_THRESHOLDS["last_iterate_eps"]["value"]
@@ -341,33 +338,30 @@ def test_last_iterate_threshold_override_and_provenance():
 
 def test_summability_probe_is_informational_outside_hypotheses():
     h0 = HyperParams(gamma=1.5, delta=0.0, dim=10)
-    rep = summability_probe(cfg_for("noisy_quadratic", 1024, (0, 1), h=h0))
+    cfg = cfg_for("noisy_quadratic", 1024, (0, 1), probes=("summability",))
+    rep = run_probes(replace(cfg, h=h0))["summability"]
     v = rep.verdicts["final_increment_below_1pct"]
     assert v["status"] == "informational"
     assert any("informational only" in n for n in rep.notes)
-    rep2 = summability_probe(cfg_for("noisy_quadratic", 1024, (0, 1)))
+    rep2 = run_probes(cfg)["summability"]
     assert rep2.verdicts["final_increment_below_1pct"]["status"] in ("pass", "fail")
 
 
 def test_summability_probe_needs_two_checkpoints():
     # a single checkpoint leaves no final increment: refused before the sweep
-    cfg = replace(cfg_for("noisy_quadratic", 64, (0, 1)), checkpoints=(64,))
+    cfg = cfg_for("noisy_quadratic", 64, (0, 1), probes=("summability",))
     with pytest.raises(ConstraintViolation, match="needs >= 2 checkpoints, got 1"):
-        summability_probe(cfg, _shared={})
+        run_probes(replace(cfg, checkpoints=(64,)))
 
 
 def test_moment_probe_needs_gap_sums():
-    cfg = cfg_for("noisy_quadratic", 64, tuple(range(50)))
-    plain = run_sweep(cfg)  # no collect_dsum
-    with pytest.raises(ValueError, match="collect_dsum"):
-        moment_probe(cfg, _shared=plain)
     with pytest.raises(InsufficientSeeds, match=">= 50"):
-        moment_probe(cfg_for("noisy_quadratic", 64, (0, 1)))
+        run_probes(cfg_for("noisy_quadratic", 64, (0, 1), probes=("moment",)))
 
 
 def test_moment_probe_small_scale_mechanics():
-    cfg = cfg_for("noisy_quadratic", 256, tuple(range(50)))
-    rep = moment_probe(cfg)
+    cfg = cfg_for("noisy_quadratic", 256, tuple(range(50)), probes=("moment",))
+    rep = run_probes(cfg)["moment"]
     for p_mom in (1, 2, 3):
         assert f"pi_inv_moment_p{p_mom}_stable" in rep.verdicts
     assert "S34_growth" in rep.verdicts  # delta > 0 in the default pair
@@ -386,16 +380,35 @@ def test_run_probes_shares_one_sweep_and_keys_reports_by_probe(monkeypatch):
         return real(cfg, rule, collect_dsum)
 
     monkeypatch.setattr(E, "run_sweep", counting)
-    cfg = cfg_for(
-        "noisy_quadratic", 512, tuple(range(4)),
-        probes=("rate", "summability", "sgd_anchor"),
-    )
-    reports = E.run_probes(cfg, enforce_scale=False)
-    assert set(reports) == {"rate", "summability", "sgd_anchor"}
-    # one shared main sweep plus one separate sgd-rule sweep
-    assert sorted(calls) == [("adam", False), ("sgd", False)]
-    assert reports["sgd_anchor"].verdicts["anchor"]["status"] == "informational"
-    assert any("anchor" in n for n in reports["sgd_anchor"].notes)
+    # one shared Adam sweep, with the gap sums only when moment reads them,
+    # plus one separate sgd-rule sweep
+    for probes, sweeps in [
+        (("rate", "summability", "sgd_anchor"), [("adam", False), ("sgd", False)]),
+        (("moment", "sgd_anchor"), [("adam", True), ("sgd", False)]),
+    ]:
+        calls.clear()
+        reports = E.run_probes(cfg_for("noisy_quadratic", 512, tuple(range(4)), probes=probes),
+                               enforce_scale=False)
+        assert list(reports) == list(probes)
+        assert calls == sweeps
+        assert reports["sgd_anchor"].verdicts["anchor"]["status"] == "informational"
+        assert any("anchor" in n for n in reports["sgd_anchor"].notes)
+
+
+def test_probes_only_reduce_the_sweep_they_are_given(monkeypatch):
+    import adamabc.experiments as E
+
+    cfg = cfg_for("noisy_quadratic", 256, tuple(range(4)))  # below every acceptance scale
+    sweeps = {"adam": run_sweep(cfg, collect_dsum=True), "sgd": run_sweep(cfg, rule="sgd")}
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a probe ran its own sweep")
+
+    monkeypatch.setattr(E, "run_sweep", no_sweep)
+    for probe, fn in PROBES.items():
+        rep = fn(cfg, sweeps["sgd" if probe == "sgd_anchor" else "adam"])
+        assert rep.probe == probe
+        assert not any("below acceptance scale" in n for n in rep.notes)
 
 
 @pytest.mark.parametrize(
@@ -531,6 +544,4 @@ def test_report_status_aggregation():
 
 def test_probe_name_registry_is_closed():
     assert PROBE_NAMES == ("rate", "last_iterate", "l1", "summability", "moment", "sgd_anchor")
-    from adamabc.experiments import PROBES
-
     assert set(PROBES) == set(PROBE_NAMES)
