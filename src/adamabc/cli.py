@@ -4,15 +4,18 @@ Subcommands
 -----------
 verify         run the invariant/soundness checks over the configured problem
                suite and seeds; prints a JSON verdict, exit 0 iff all pass.
-experiment     run the enabled probes; writes per-probe CSV series, a JSON
-               report, and a manifest into the output directory.
+experiment     run the enabled probes; writes per-probe CSV series and a JSON
+               report into the output directory.
 trace          run one seed and dump the full per-step diagnostic CSV.
 list-problems  print the standard problem suite with certified constants.
 
 Config is flat ``key = value`` text (diff-friendly; '#' comments allowed) or a
 JSON object with the same keys.  Every key has a default, so the empty config
-is valid.  Exit codes: 0 all checks pass, 1 checks failed (or a sweep went
-non-finite), 2 usage or config error.
+is valid.  Each command runs ``_prepare`` (every config error it can have,
+then its output directory), its run, and ``_emit`` (its artifacts, then a
+``manifest.json`` listing them).  ``main`` alone maps outcomes to exit codes:
+0 all checks pass; 1 a check failed, or the run went non-finite or produced a
+negative rate gap (one line, no artifact); 2 usage or config error (one line).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,7 +43,7 @@ from .experiments import (
     run_probes,
     validate_config,
 )
-from .instrumentation import TheoryTrace
+from .instrumentation import NegativeGap, TheoryTrace
 from .optimizer import run_trajectories, run_trajectory
 from .problems import RNG_ALGORITHM, default_suite, rng_stream
 from .verify import (
@@ -171,8 +174,11 @@ def parse_config(source: str) -> ExperimentConfig:
     """
     text = source
     if source and os.path.isfile(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ParseError(str(e)) from e
     if text.lstrip().startswith("{"):
         entries = _entries_from_json(text)
     else:
@@ -216,45 +222,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # output plumbing
 
 
-@dataclass
-class RunManifest:
-    """What a run emitted: config echo, versions, and per-file digests.
-
-    Written after every other artifact so its listing is complete.
-    """
-
-    config: dict
-    code_version: str
-    rng_algorithm: str
-    started: str
-    artifacts: list = field(default_factory=list)  # {path, sha256, bytes}
-
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "code_version": self.code_version,
-            "rng_algorithm": self.rng_algorithm,
-            "started": self.started,
-            "artifacts": self.artifacts,
-        }
-
-
-def _new_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(
-        config=cfg.as_dict(),
-        code_version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        started=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    if not os.access(path, os.W_OK):
-        raise OSError(f"output directory not writable: {path}")
-    return path
-
-
 def _write_text(out_dir: str, name: str, text: str) -> dict:
     """Write ``out_dir/name`` atomically: a temp file beside it, then os.replace.
 
@@ -274,8 +241,19 @@ def _write_text(out_dir: str, name: str, text: str) -> dict:
     return {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _write_manifest(out_dir: str, manifest: RunManifest) -> None:
-    _write_text(out_dir, "manifest.json", json.dumps(manifest.as_dict(), indent=2) + "\n")
+def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int:
+    """Write each ``{name: text}`` artifact, then ``manifest.json``: the config
+    echo, versions, start time and each artifact's digest.  The manifest goes
+    last, so its listing is complete.  Returns the number of files written."""
+    manifest = {
+        "config": cfg.as_dict(),
+        "code_version": __version__,
+        "rng_algorithm": RNG_ALGORITHM,
+        "started": started,
+        "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
+    }
+    _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return len(texts) + 1
 
 
 def _fmt(x) -> str:
@@ -365,28 +343,48 @@ def _suite_problems(cfg: ExperimentConfig) -> list:
     return [by_kind[kind] for kind in cfg.suite]
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
+    """Raise every config error ``command`` can have, then make its output directory:
+    ``out``, else the config's ``out_dir``, else the working directory (for
+    ``verify``, none).  Returns ``(out_dir, problem)``, the built config
+    problem, or None for ``verify``, which runs the standard suite instead."""
+    problem = None
+    if command == "verify":
+        if not cfg.suite:
+            raise ConstraintViolation("empty problem suite")
+        if "noisy_quadratic" in cfg.suite and cfg.T < 2:
+            # the quadratic's descent check branches at checkpoints below T
+            raise ConstraintViolation(f"the descent check needs T >= 2, got T = {cfg.T}")
+    else:
+        if command == "experiment":
+            if not cfg.probes:
+                raise ConstraintViolation("no probes enabled")
+            check_gates(cfg, enforce_scale=False)
+        elif len(cfg.seeds) != 1:
+            raise ConstraintViolation(
+                f"trace needs exactly one seed, got {len(cfg.seeds)} (pass --seeds N)"
+            )
+        problem = cfg.problem.build()
+    out_dir = out or cfg.out_dir or (None if command == "verify" else ".")
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConstraintViolation(str(e)) from e
+        if not os.access(out_dir, os.W_OK):
+            raise ConstraintViolation(f"output directory not writable: {out_dir}")
+    return out_dir, problem
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails a check, not a warning
+def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
     """Invariant + soundness checks over the configured suite and seeds.
 
     Prints a JSON verdict listing every check result; exit 0 iff all pass.
     The ``inject_fault`` config key activates a documented fault fixture so
-    the failure path itself can be exercised (see FAULT_FIXTURES).  Artifacts
-    go to ``out_dir``, else the config's ``out_dir``, else nowhere.
+    the failure path itself can be exercised (see FAULT_FIXTURES).
+    ``verify.json`` and the manifest go to ``out_dir`` unless it is None.
     """
-    if not cfg.suite:
-        print("config error: empty problem suite", file=sys.stderr)
-        return 2
-    if "noisy_quadratic" in cfg.suite and cfg.T < 2:
-        # the quadratic's descent check branches at checkpoints below T
-        print(f"config error: the descent check needs T >= 2, got T = {cfg.T}", file=sys.stderr)
-        return 2
-    out_dir = out_dir or cfg.out_dir
-    if out_dir is not None:
-        try:
-            out_dir = _ensure_outdir(out_dir)
-        except OSError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
     problems = _suite_problems(cfg)
     verdict = {
         "status": "pass",
@@ -437,9 +435,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     text = json.dumps(verdict, indent=2) + "\n"
     print(text, end="")
     if out_dir is not None:
-        manifest = _new_manifest(cfg)
-        manifest.artifacts.append(_write_text(out_dir, "verify.json", text))
-        _write_manifest(out_dir, manifest)
+        _emit(out_dir, cfg, started, {"verify.json": text})
     return 1 if verdict["failing"] else 0
 
 
@@ -458,21 +454,8 @@ def _series_csv(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
     """Run the enabled probes; write CSV series, JSON report, and manifest."""
-    if not cfg.probes:
-        print("config error: no probes enabled", file=sys.stderr)
-        return 2
-    # config errors surface before the output directory is created
-    check_gates(cfg, enforce_scale=False)
-    cfg.problem.build()
-    out_dir = out_dir or cfg.out_dir or "."
-    try:
-        out_dir = _ensure_outdir(out_dir)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    manifest = _new_manifest(cfg)
     reports = run_probes(cfg, enforce_scale=False)
     report_doc = {
         "status": "pass",
@@ -481,41 +464,30 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         "config": cfg.as_dict(),
         "probes": {},
     }
-    failed = False
+    texts = {}
     for name, rep in reports.items():
         report_doc["probes"][name] = rep.as_dict()
-        manifest.artifacts.append(_write_text(out_dir, f"series_{name}.csv", _series_csv(rep)))
-        failed = failed or rep.status == "fail"
+        texts[f"series_{name}.csv"] = _series_csv(rep)
         print(f"probe {name}: {rep.status}")
         for vname, v in rep.verdicts.items():
             print(f"  {vname}: {v['status']}")
         for note in rep.notes:
             print(f"  note: {note}")
+    failed = any(rep.status == "fail" for rep in reports.values())
     if failed:
         report_doc["status"] = "fail"
-    manifest.artifacts.append(
-        _write_text(out_dir, "report.json", json.dumps(report_doc, indent=2) + "\n")
-    )
-    _write_manifest(out_dir, manifest)
-    print(f"wrote {len(manifest.artifacts) + 1} files to {out_dir}")
+    texts["report.json"] = json.dumps(report_doc, indent=2) + "\n"
+    print(f"wrote {_emit(out_dir, cfg, started, texts)} files to {out_dir}")
     return 1 if failed else 0
 
 
-def cmd_trace(cfg: ExperimentConfig, seed: int, out_dir: str | None = None, checkpoints=None) -> int:
-    """One trajectory -> per-step diagnostic CSV (byte-identical on rerun)."""
-    p = cfg.problem.build()  # a config error before the output directory is created
-    out_dir = out_dir or cfg.out_dir or "."
-    try:
-        out_dir = _ensure_outdir(out_dir)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    # overflow is reported once, by trace_csv's non-finite guard, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = run_trajectory(p, cfg.h, cfg.T, seed)
-        text = trace_csv(trace, rows=checkpoints)
-    info = _write_text(out_dir, f"trace_seed{seed}.csv", text)
-    print(os.path.join(out_dir, info["path"]))
+@np.errstate(over="ignore", invalid="ignore")  # trace_csv's non-finite guard reports overflow
+def cmd_trace(cfg: ExperimentConfig, p, out_dir: str, started: str, rows=None) -> int:
+    """One trajectory of ``p`` -> per-step diagnostic CSV (byte-identical on rerun)."""
+    seed = int(cfg.seeds[0])
+    name = f"trace_seed{seed}.csv"
+    _emit(out_dir, cfg, started, {name: trace_csv(run_trajectory(p, cfg.h, cfg.T, seed), rows)})
+    print(os.path.join(out_dir, name))
     return 0
 
 
@@ -589,33 +561,23 @@ def main(argv=None) -> int:
         return cmd_list_problems()
     try:
         cfg = _resolve(args)
-    except (ParseError, ConstraintViolation, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
+        out_dir, problem = _prepare(args.command, cfg, args.out)
+        started = datetime.now(timezone.utc).isoformat()
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir=args.out)
+            return cmd_verify(cfg, out_dir, started)
         if args.command == "experiment":
-            return cmd_experiment(cfg, out_dir=args.out)
-        if args.command == "trace":
-            if len(cfg.seeds) != 1:
-                print(
-                    f"config error: trace needs exactly one seed, got {len(cfg.seeds)} "
-                    "(pass --seeds N)",
-                    file=sys.stderr,
-                )
-                return 2
-            rows = list(cfg.checkpoints) if args.checkpoints is not None else None
-            return cmd_trace(cfg, int(cfg.seeds[0]), out_dir=args.out, checkpoints=rows)
-    except ConstraintViolation as e:
-        # a problem build or a probe's hypothesis gate rejects the config mid-run
+            return cmd_experiment(cfg, out_dir, started)
+        rows = list(cfg.checkpoints) if args.checkpoints is not None else None
+        return cmd_trace(cfg, problem, out_dir, started, rows)
+    except (ParseError, ConstraintViolation) as e:
+        # from _resolve, _prepare, or a check the run repeats
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (NonFiniteSweep, NonFiniteTrace) as e:
-        # the run itself went non-finite: a failed outcome, reported before any artifact
+    except (NonFiniteSweep, NonFiniteTrace, NegativeGap) as e:
+        # the run itself went non-finite or broke the rate ordering: a failed
+        # outcome, reported before any artifact
         print(e, file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

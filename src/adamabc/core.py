@@ -15,6 +15,7 @@ recursion puts on each squared gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -55,6 +56,10 @@ def validate_hyperparams(h: HyperParams) -> HyperParams:
     Raises ConstraintViolation naming the violated bound otherwise.
     Idempotent: validating a validated value is a no-op.
     """
+    for name in ("beta1", "alpha0", "gamma", "delta", "mu", "v"):
+        # a NaN fails no range test below, and an infinite mu or v passes one
+        if not math.isfinite(getattr(h, name)):
+            raise ConstraintViolation(f"{name} must be finite, got {getattr(h, name)}")
     if not 0.0 <= h.beta1 < 1.0:
         raise ConstraintViolation(f"beta1 must satisfy 0 <= beta1 < 1, got {h.beta1}")
     if not 0.0 < h.alpha0 < 1.0:

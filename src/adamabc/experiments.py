@@ -218,6 +218,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConstraintViolation(f"seeds must be >= 0, got {min(cfg.seeds)}")
     if cfg.problem.data_seed < 0:
         raise ConstraintViolation(f"data_seed must be >= 0, got {cfg.problem.data_seed}")
+    for key in ("eig_min", "eig_max", "reg"):  # sigma's bound is checked by the build
+        if not math.isfinite(getattr(cfg.problem, key)):
+            raise ConstraintViolation(f"{key} must be finite, got {getattr(cfg.problem, key)}")
     cps = list(cfg.checkpoints)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ConstraintViolation("checkpoints must be non-empty and strictly increasing")
@@ -239,6 +242,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for kind in cfg.suite:
         if kind not in SUITE_KINDS:
             raise ConstraintViolation(f"unknown problem kind {kind!r} (known: {SUITE_KINDS})")
+    for key in ("probes", "suite"):
+        names = getattr(cfg, key)
+        if len(set(names)) != len(names):
+            raise ConstraintViolation(f"{key} must be distinct, got {','.join(names)}")
     if cfg.inject_fault not in FAULT_FIXTURES:
         raise ConstraintViolation(
             f"unknown fault fixture {cfg.inject_fault!r} (known: {FAULT_FIXTURES})"

@@ -328,7 +328,8 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None, eta=None) -> 
     if np.any(bad):
         t_bad, i_bad = np.argwhere(bad)[0]
         raise NegativeGap(
-            f"Delta_{{t={t_bad + 1},i={i_bad}}} = {delta[t_bad, i_bad]:.6e} materially negative"
+            f"negative rate gap: seed {seed}, Delta_{{t={t_bad + 1},i={i_bad}}} = "
+            f"{delta[t_bad, i_bad]:.6e} materially negative"
         )
 
     # cumulative sum seeded with the v row: S_t = S_{t-1} + g_t^2, added left

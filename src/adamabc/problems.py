@@ -145,6 +145,8 @@ def make_noisy_quadratic(eigenvalues, sigma: float) -> NoisyQuadratic:
     eigs = np.asarray(eigenvalues, dtype=np.float64).ravel()
     if eigs.size == 0:
         raise EmptySpectrum("need at least one eigenvalue")
+    if not np.all(np.isfinite(eigs)):
+        raise ConstraintViolation(f"eigenvalues must be finite, got {eigs[~np.isfinite(eigs)][0]}")
     if np.any(eigs <= 0):
         raise ConstraintViolation(f"eigenvalues must be positive, got {np.sum(eigs <= 0)} of "
                                   f"{eigs.size} <= 0 (smallest {float(eigs.min())!r})")
@@ -290,10 +292,10 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
     n, d = rows.shape
     if labels.shape != (n,) or not np.all(np.abs(labels) == 1.0):
         raise ConstraintViolation("labels must be a length-n vector of +/-1")
-    if reg < 0:
-        raise ConstraintViolation(f"reg must be >= 0, got {reg}")
+    if not (math.isfinite(reg) and reg >= 0):
+        raise ConstraintViolation(f"reg must be finite and >= 0, got {reg}")
     w_star, gn = _solve_logistic(rows, labels, reg)
-    if gn > 1e-10:
+    if not gn <= 1e-10:  # a NaN norm certifies nothing
         raise ConstraintViolation(
             f"logistic solver failed to certify the minimum: |grad| = {gn:.3e} > 1e-10"
         )

@@ -50,7 +50,8 @@ class CheckResult:
         return {
             "name": self.name,
             "status": self.status,
-            "worst_margin": self.worst_margin,
+            # strict JSON has no infinity; the note names the non-finite margin
+            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "location": list(self.location),
             "tolerance": self.tolerance,
             "note": self.note,
@@ -58,11 +59,16 @@ class CheckResult:
 
 
 def _result(name, margin, tol, location, note="") -> CheckResult:
-    status = "fail" if margin < -tol else "pass"
+    margin = float(margin)
+    finite = math.isfinite(margin)
+    if not finite:
+        # a NaN fails no comparison, so it is recorded as the worst margin there is
+        note = f"non-finite margin {margin}" + (f"; {note}" if note else "")
+        margin = -math.inf
     return CheckResult(
         name=name,
-        status=status,
-        worst_margin=float(margin),
+        status="pass" if finite and margin >= -tol else "fail",
+        worst_margin=margin,
         location=location,
         tolerance=float(tol),
         note=note,

@@ -5,7 +5,7 @@ import hashlib
 import json
 import os
 import warnings
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -305,6 +305,10 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command, args, me
     ("experiment", "problem = least_squares\nd = 5\nn = 3"),
     ("trace", "problem = least_squares\nd = 5\nn = 3"),
     ("trace", "eig_min = -1"),
+    # each command's own checks (trace's seed count: test_trace_requires_exactly_one_seed)
+    ("verify", "suite ="),
+    ("verify", "T = 1"),
+    ("experiment", "probes ="),
 ])
 def test_config_error_creates_no_output_directory(tmp_path, capsys, command, text):
     out = tmp_path / "out"
@@ -312,6 +316,42 @@ def test_config_error_creates_no_output_directory(tmp_path, capsys, command, tex
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "verify", "trace"])
+@pytest.mark.parametrize("text, message", [
+    # a NaN passes every range test, and an infinite mu, v or eigenvalue passes its own
+    ("gamma = nan", "gamma must be finite, got nan"),
+    ("v = inf", "v must be finite, got inf"),
+    ("mu = inf", "mu must be finite, got inf"),
+    ("eig_max = inf", "eig_max must be finite, got inf"),
+    ("eig_min = nan", "eig_min must be finite, got nan"),
+    ("problem = logistic\nreg = nan", "reg must be finite, got nan"),
+    # a repeated entry would run the same work twice
+    ("probes = rate,rate", "probes must be distinct, got rate,rate"),
+    ("suite = noisy_quadratic,noisy_quadratic",
+     "suite must be distinct, got noisy_quadratic,noisy_quadratic"),
+])
+def test_non_finite_or_repeated_config_value_exits_2_with_one_line(
+        tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", text, "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "trace"])
+def test_negative_rate_gap_exits_1_with_one_line_and_no_artifact(tmp_path, capsys, command):
+    # with v = 0.25 the synthetic pre-run rate v / alpha1 lies below eta_{v_1}
+    cfg = "v = 0.25\nT = 64\nsuite = noisy_quadratic"
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seeds", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "negative rate gap: seed 0, Delta_{t=1,i=0} = -4.238820e-01 materially negative\n"
+    )
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_trace_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
@@ -383,9 +423,11 @@ def test_trace_checkpoint_subsampling(tmp_path):
     assert [r.split(",")[0] for r in lines[1:]] == ["2", "4", "8"]
 
 
-def test_trace_requires_exactly_one_seed(capsys):
-    assert main(["trace", "--config", "T = 8", "--seeds", "0,1"]) == 2
+def test_trace_requires_exactly_one_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["trace", "--config", "T = 8", "--seeds", "0,1", "--out", str(out)]) == 2
     assert "exactly one seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_csv_rejects_rows_outside_horizon(trace2k):
@@ -502,6 +544,61 @@ def test_experiment_with_no_probes_is_a_config_error(tmp_path, capsys):
     assert "no probes enabled" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------- manifests
+
+
+# experiment's manifest: test_experiment_writes_series_report_and_manifest
+@pytest.mark.parametrize("command, args, listed", [
+    ("trace", ["--config", "T = 16", "--seeds", "4"], ["trace_seed4.csv"]),
+    ("verify", ["--config", "T = 16\nseeds = 0\nsuite = least_squares"], ["verify.json"]),
+])
+def test_trace_and_verify_write_a_manifest_of_their_artifacts(tmp_path, capsys, command, args,
+                                                              listed):
+    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == sorted(listed + ["manifest.json"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest) == ["config", "code_version", "rng_algorithm", "started", "artifacts"]
+    assert manifest["code_version"] == __version__ and manifest["rng_algorithm"] == RNG_ALGORITHM
+    assert [a["path"] for a in manifest["artifacts"]] == listed
+    for a in manifest["artifacts"]:
+        data = (tmp_path / a["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == a["sha256"]
+        assert len(data) == a["bytes"]
+
+
+@pytest.mark.parametrize("command, runner, args", [
+    ("experiment", "run_probes", ["--config", EXP_CFG]),
+    ("trace", "run_trajectory", ["--config", "T = 16", "--seeds", "4"]),
+    ("verify", "run_trajectories", ["--config", "T = 16\nseeds = 0\nsuite = least_squares"]),
+])
+def test_manifest_start_is_stamped_before_the_run(tmp_path, monkeypatch, capsys,
+                                                  command, runner, args):
+    import adamabc.cli as C
+
+    events = []
+
+    class Clock:
+        @staticmethod
+        def now(tz=None):
+            events.append("clock")
+            return datetime(2000, 1, 1, tzinfo=tz) + timedelta(seconds=len(events))
+
+    def recording(real):
+        def run(*a, **k):
+            events.append("run")
+            return real(*a, **k)
+        return run
+
+    monkeypatch.setattr(C, "datetime", Clock)
+    monkeypatch.setattr(C, runner, recording(getattr(C, runner)))
+    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert events == ["clock", "run"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["started"] == "2000-01-01T00:00:01+00:00"
+
+
 # ---------------------------------------------------------------- verify command
 
 
@@ -578,6 +675,27 @@ def test_verify_fault_fixture_exercises_the_failure_path(capsys):
     assert verdict["status"] == "fail"
     assert "taylor-step [noisy_quadratic]" in verdict["failing"]
     assert verdict["fault_fixture"] == "lipschitz_tenth"
+
+
+def test_verify_fails_a_non_finite_margin_in_strict_json(tmp_path, capsys):
+    cfg = "v = 1e308\nT = 64\nseeds = 0\nsuite = noisy_quadratic"
+
+    def strict(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning reaches stderr
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = json.loads(captured.out, parse_constant=strict)
+    assert json.loads((tmp_path / "verify.json").read_text(), parse_constant=strict) == verdict
+    checks = {c["name"]: c for c in verdict["checks"]["noisy_quadratic"]}
+    for name in ("rate-monotone", "gap-telescoping", "energy-growth-phi1", "energy-growth-phi4"):
+        assert checks[name]["status"] == "fail", name
+        assert checks[name]["worst_margin"] is None
+        assert checks[name]["note"] == "non-finite margin nan"
+        assert f"{name} [noisy_quadratic]" in verdict["failing"]
 
 
 def test_verify_empty_suite_is_a_config_error(capsys):

@@ -71,6 +71,11 @@ def test_inadmissible_exponent_pairs(gamma, delta):
         (dict(mu=-1e-8), "mu"),
         (dict(v=0.0), "v"),
         (dict(dim=0), "dim"),
+        # a NaN fails no range test, and an infinite mu or v passes its one
+        (dict(gamma=float("nan")), "gamma must be finite, got nan"),
+        (dict(beta1=float("nan")), "beta1 must be finite"),
+        (dict(mu=float("inf")), "mu must be finite, got inf"),
+        (dict(v=float("inf")), "v must be finite, got inf"),
     ],
 )
 def test_scalar_bounds_rejected_with_named_message(kw, fragment):

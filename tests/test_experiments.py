@@ -182,6 +182,10 @@ def test_default_checkpoints():
         (dict(epsilon_last=float("inf")), "epsilon_last must be finite and > 0"),
         (dict(epsilon_l1=0.0), "epsilon_l1 must be finite and > 0"),
         (dict(epsilon_l1=float("nan")), "epsilon_l1 must be finite and > 0"),
+        (dict(probes=("rate", "rate")), "probes must be distinct, got rate,rate"),
+        (dict(suite=("logistic", "logistic")), "suite must be distinct"),
+        (dict(problem=replace(SPECS["noisy_quadratic"], eig_max=math.inf)), "eig_max must be finite"),
+        (dict(problem=replace(SPECS["logistic"], reg=math.nan)), "reg must be finite"),
     ],
 )
 def test_validate_config_rejections(kw, fragment):

@@ -85,6 +85,9 @@ def test_quadratic_rejects_bad_spectrum():
         make_noisy_quadratic([], sigma=1.0)
     with pytest.raises(ConstraintViolation):
         make_noisy_quadratic([1.0, 0.0], sigma=1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConstraintViolation, match="eigenvalues must be finite"):
+            make_noisy_quadratic([1.0, bad], sigma=1.0)
     with pytest.raises(ConstraintViolation):
         make_noisy_quadratic([1.0], sigma=-0.5)
 
@@ -176,6 +179,9 @@ def test_logistic_rejects_nonsign_labels_and_bad_reg():
         _logistic_from_data(p.rows, np.zeros(30), reg=0.05)
     with pytest.raises(ConstraintViolation):
         make_logistic(30, 4, seed=0, reg=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConstraintViolation, match="reg must be finite and >= 0"):
+            make_logistic(30, 4, seed=0, reg=bad)
 
 
 # ---------------------------------------------------------------- shared surface

@@ -1,6 +1,7 @@
 """Checkers must pass on honest runs and flip on targeted corruptions."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from adamabc.verify import (
     check_telescoping,
     check_vital1_pathwise,
     descent_constants,
+    _result,
     gradcheck,
     merge_results,
     run_trace_checks,
@@ -303,3 +305,17 @@ def test_check_result_serialization_round_trip():
         "tolerance": 0.0,
         "note": "n",
     }
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_non_finite_margin_fails_and_serializes_as_strict_json(margin):
+    r = _result("x", margin, 0.0, (0, 1, None), note="n")
+    assert r.status == "fail" and r.worst_margin == -math.inf
+    assert r.note == f"non-finite margin {margin}; n"
+    d = r.as_dict()
+    assert d["worst_margin"] is None
+    json.dumps(d, allow_nan=False)
+    # merged after a finite failure of the same check, it stays the worst case
+    assert merge_results([_cr("x", -0.5), r]) == [r]
+    # an infinite tolerance passes every finite margin, not a non-finite one
+    assert _result("x", margin, math.inf, (0, 1, None)).status == "fail"
