@@ -21,7 +21,6 @@ negative rate gap (one line, no artifact); 2 usage or config error (one line).
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -201,23 +200,6 @@ def parse_config(source: str) -> ExperimentConfig:
     return cfg
 
 
-def _text(value) -> str:
-    """A field's value as config text: lists comma-joined, floats by repr, None empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(x) for x in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Flat-text form of ``cfg``; parse_config(serialize_config(cfg)) == cfg."""
-    lines = []
-    for key, (_, _, target) in _SCHEMA.items():
-        lines.append(f"{key} = {_text(functools.reduce(getattr, target.split('.'), cfg))}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -252,7 +234,7 @@ def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int
         "started": started,
         "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
     }
-    _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return len(texts) + 1
 
 
@@ -346,8 +328,9 @@ def _suite_problems(cfg: ExperimentConfig) -> list:
 def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
     """Raise every config error ``command`` can have, then make its output directory:
     ``out``, else the config's ``out_dir``, else the working directory (for
-    ``verify``, none).  Returns ``(out_dir, problem)``, the built config
-    problem, or None for ``verify``, which runs the standard suite instead."""
+    ``verify``, none).  Returns ``(out_dir, problem, made)``: the built config
+    problem, or None for ``verify``, which runs the standard suite instead,
+    and ``out_dir`` again if this call created it, else None."""
     problem = None
     if command == "verify":
         if not cfg.suite:
@@ -366,6 +349,7 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
             )
         problem = cfg.problem.build()
     out_dir = out or cfg.out_dir or (None if command == "verify" else ".")
+    made = None if out_dir is None or os.path.exists(out_dir) else out_dir
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
@@ -373,7 +357,7 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
             raise ConstraintViolation(str(e)) from e
         if not os.access(out_dir, os.W_OK):
             raise ConstraintViolation(f"output directory not writable: {out_dir}")
-    return out_dir, problem
+    return out_dir, problem, made
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails a check, not a warning
@@ -432,7 +416,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
         verdict["fault_fixture"] = cfg.inject_fault
     if verdict["failing"]:
         verdict["status"] = "fail"
-    text = json.dumps(verdict, indent=2) + "\n"
+    text = json.dumps(verdict, indent=2, allow_nan=False) + "\n"
     print(text, end="")
     if out_dir is not None:
         _emit(out_dir, cfg, started, {"verify.json": text})
@@ -476,7 +460,7 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
     failed = any(rep.status == "fail" for rep in reports.values())
     if failed:
         report_doc["status"] = "fail"
-    texts["report.json"] = json.dumps(report_doc, indent=2) + "\n"
+    texts["report.json"] = json.dumps(report_doc, indent=2, allow_nan=False) + "\n"
     print(f"wrote {_emit(out_dir, cfg, started, texts)} files to {out_dir}")
     return 1 if failed else 0
 
@@ -511,12 +495,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default="", help="config file path or inline key=value/JSON text")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--seeds", default=None, help="comma-separated seed list (overrides config)")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes (overrides config; env ADAM_ABC_THREADS is the fallback)",
-    )
+    sub.add_argument("--threads", type=int, default=None,
+                     help="worker processes (overrides config)")
     sub.add_argument(
         "--checkpoints",
         default=None,
@@ -533,12 +513,6 @@ def _resolve(args) -> ExperimentConfig:
         updates["checkpoints"] = _cast("checkpoints", "int_list", args.checkpoints, "--checkpoints")
     if args.threads is not None:
         updates["threads"] = args.threads
-    elif os.environ.get("ADAM_ABC_THREADS"):
-        raw = os.environ["ADAM_ABC_THREADS"]
-        try:
-            updates["threads"] = int(raw)
-        except ValueError as e:
-            raise ParseError(f"ADAM_ABC_THREADS: bad value {raw!r}") from e
     if updates:
         cfg = replace(cfg, **updates)
         validate_config(cfg)
@@ -559,9 +533,10 @@ def main(argv=None) -> int:
 
     if args.command == "list-problems":
         return cmd_list_problems()
+    made = None
     try:
         cfg = _resolve(args)
-        out_dir, problem = _prepare(args.command, cfg, args.out)
+        out_dir, problem, made = _prepare(args.command, cfg, args.out)
         started = datetime.now(timezone.utc).isoformat()
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, started)
@@ -578,6 +553,9 @@ def main(argv=None) -> int:
         # outcome, reported before any artifact
         print(e, file=sys.stderr)
         return 1
+    finally:
+        if made and not os.listdir(made):  # a run that failed leaves no empty directory
+            os.rmdir(made)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,6 +23,7 @@ their provenance; reports echo the provenance next to each verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -114,7 +115,8 @@ SWEEP_SERIES = (
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Serializable recipe for a problem instance (cli config surface)."""
+    """Serializable recipe for a problem instance (cli config surface).  ``build``
+    keeps the last few builds, so every user of a spec shares one immutable Problem."""
 
     kind: str  # noisy_quadratic | least_squares | logistic
     d: int = 10
@@ -125,6 +127,7 @@ class ProblemSpec:
     data_seed: int = 0
     reg: float = 0.05
 
+    @functools.lru_cache(maxsize=8)
     def build(self) -> Problem:
         if self.kind == "noisy_quadratic":
             return make_noisy_quadratic(
@@ -218,7 +221,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConstraintViolation(f"seeds must be >= 0, got {min(cfg.seeds)}")
     if cfg.problem.data_seed < 0:
         raise ConstraintViolation(f"data_seed must be >= 0, got {cfg.problem.data_seed}")
-    for key in ("eig_min", "eig_max", "reg"):  # sigma's bound is checked by the build
+    for key in ("sigma", "eig_min", "eig_max", "reg"):  # sigma^2 * d is checked by the build
         if not math.isfinite(getattr(cfg.problem, key)):
             raise ConstraintViolation(f"{key} must be finite, got {getattr(cfg.problem, key)}")
     cps = list(cfg.checkpoints)

@@ -293,11 +293,12 @@ class TheoryTrace:
         return AdamState(t=t - 1, w=self.W[t - 1], m=np.asarray(m), v_vec=np.asarray(v))
 
 
-def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None, eta=None) -> TheoryTrace:
+def build_trace(p: Problem, h: HyperParams, W, G, M, V, eta, seed=None) -> TheoryTrace:
     """Derive every auxiliary series from the raw arrays of a finished run.
 
     ``eta`` holds the step sizes eta_1 .. eta_T as the run used them (the
-    buffer ``run_steps`` fills); when None they are recomputed from h.
+    buffer ``run_steps`` fills, scalar ``eta_at`` per step), so the trace's
+    rates match the update arithmetic bitwise.
     """
     W = np.asarray(W, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -311,9 +312,6 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, seed=None, eta=None) -> 
     cert = p.certificate
 
     steps = np.arange(1, T + 1, dtype=np.float64)
-    # scalar eta_at per step, so trace rates match the update arithmetic bitwise
-    if eta is None:
-        eta = [eta_at(t, h) for t in range(1, T + 1)]
     eta_sched = np.asarray(eta, dtype=np.float64)
     if eta_sched.shape != (T,):
         raise ValueError(f"eta shape {eta_sched.shape} != ({T},)")

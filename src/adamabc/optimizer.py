@@ -7,7 +7,8 @@ The update, per step tau = completed-steps + 1:
     eta_v = eta_tau / (sqrt(v') + mu)        (componentwise)
     w' = w - eta_v * m'
 
-No bias correction anywhere; mu sits outside the square root.  ``adam_rows``
+No bias correction anywhere; mu sits outside the square root.  Every run
+starts at w_1 = ones with m = 0 and v = h.v.  ``adam_rows``
 is the only implementation, on a stacked (rows, d) state; it allocates
 nothing.  ``run_steps`` is the one stepping loop, on a ring of ``SUB`` steps
 that it owns; its consumers are the recording of ``run_trajectories``
@@ -146,8 +147,8 @@ class Ring(NamedTuple):
     eta: np.ndarray
 
 
-def run_steps(p: Problem, h: HyperParams, T: int, seeds, w1=None,
-              rule: str = "adam", check: bool = False):
+def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
+              check: bool = False):
     """Advance one row per seed T steps in lockstep: the one stepping loop.
 
     The loop owns a ``Ring`` of ``SUB`` steps and yields ``(t0, k, ring)``
@@ -155,7 +156,7 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, w1=None,
     reading W[i] and writing G[i], W[i + 1], M[i], V[i] and its step size
     eta[i].  The next sub-block overwrites it, starting from W[k], so a
     consumer copies or reduces what it needs before it resumes the loop.
-    Every row starts at w1 (ones when None) with m = 0 and v = h.v, draws
+    Every row starts at ones with m = 0 and v = h.v, draws
     from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
     time, and only meets its own data, so it is bitwise a lone run.
     ``rule="sgd"`` steps w - t^(-1/2) g and leaves M unset and V at h.v.
@@ -169,7 +170,7 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, w1=None,
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
     G, M = np.empty((SUB, S, d)), np.empty((SUB, S, d))
     ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB))
-    ring.W[0] = 1.0 if w1 is None else w1
+    ring.W[0] = 1.0
     # The schedule is broadcast into (SUB, S, d) columns once per sub-block and
     # the constants into (S, d) arrays once per run, so every per-step ufunc
     # runs array by array, into a ring slot or into tmp.  Slot views are bound
@@ -209,8 +210,8 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, w1=None,
         yield t0, k, ring
 
 
-def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
-    """Run T Adam steps from w1 for every seed at once; yield one TheoryTrace
+def run_trajectories(p: Problem, h: HyperParams, T: int, seeds):
+    """Run T Adam steps from ones for every seed at once; yield one TheoryTrace
     per seed, in the order of ``seeds``.
 
     The recording mode of ``run_steps``: each sub-block of its ring is copied
@@ -228,12 +229,11 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
         raise ValueError(f"T must be >= 1, got {T}")
     seeds = list(seeds)
     S, d = len(seeds), h.dim
-    w1 = adam_init(np.ones(d) if w1 is None else w1, h).w
     W = np.empty((T + 1, S, d))
-    W[0] = w1
+    W[0] = 1.0
     G, M, V = (np.empty((T, S, d)) for _ in range(3))
     eta = np.empty(T)
-    for t0, k, ring in run_steps(p, h, T, seeds, w1, check=True):
+    for t0, k, ring in run_steps(p, h, T, seeds, check=True):
         steps = slice(t0, t0 + k)
         W[t0 + 1 : t0 + k + 1] = ring.W[1 : k + 1]
         G[steps], M[steps], V[steps], eta[steps] = ring.G[:k], ring.M[:k], ring.V[:k], ring.eta[:k]
@@ -242,7 +242,7 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds, w1=None):
 
     for r, seed in enumerate(seeds):
         rows = (np.ascontiguousarray(a[:, r]) for a in (W, G, M, V))
-        yield build_trace(p, h, *rows, seed=seed, eta=eta)
+        yield build_trace(p, h, *rows, eta, seed=seed)
 
 
 def _non_finite_message(g, seeds, tau: int) -> str:
@@ -253,7 +253,7 @@ def _non_finite_message(g, seeds, tau: int) -> str:
     return f"seed {seeds[r]}, {where}"
 
 
-def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int, w1=None):
+def run_trajectory(p: Problem, h: HyperParams, T: int, seed: int):
     """Run T Adam steps on problem ``p`` and return the assembled TheoryTrace:
     the one-seed case of ``run_trajectories``."""
-    return next(run_trajectories(p, h, T, [seed], w1))
+    return next(run_trajectories(p, h, T, [seed]))

@@ -247,43 +247,44 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return num
 
 
-def _logistic_loss_raw(rows, labels, reg, w):
-    z = rows @ w
-    return float(np.mean(np.logaddexp(0.0, -labels * z))) + 0.5 * reg * float(w @ w)
+def _logistic_loss(signed_rows, reg, W):
+    """Regularized logistic loss at the rows of W (k, d), on ``signed_rows``."""
+    data = np.mean(np.logaddexp(0.0, W @ signed_rows.T), axis=1)
+    return data + 0.5 * reg * np.einsum("ij,ij->i", W, W)
 
 
-def _logistic_grad_raw(rows, labels, reg, w):
-    # the Newton solver's gradient; every other caller goes through grad_batch
-    z = rows @ w
-    p = _sigmoid(-labels * z)
-    return -(rows.T @ (labels * p)) / rows.shape[0] + reg * w
+def _logistic_grad(signed_rows, reg, W):
+    """Its gradient at the rows of W, (k, d) or a stack (..., k, d)."""
+    P = _sigmoid(W @ signed_rows.T)
+    return P @ signed_rows / signed_rows.shape[0] + reg * W
 
 
-def _solve_logistic(rows, labels, reg, tol=1e-12, max_iter=200):
-    """Damped Newton on the regularized logistic loss; stops at |grad| <= tol."""
-    n, d = rows.shape
-    w = np.zeros(d)
-    f = _logistic_loss_raw(rows, labels, reg, w)
-    for _ in range(max_iter):
-        g = _logistic_grad_raw(rows, labels, reg, w)
+def _solve_logistic(signed_rows, reg):
+    """Damped Newton on the problem's own loss and gradient kernels, with w
+    as one (1, d) row; stops at |grad| <= 1e-12."""
+    n, d = signed_rows.shape
+    w = np.zeros((1, d))
+    f = _logistic_loss(signed_rows, reg, w)[0]
+    for _ in range(200):
+        g = _logistic_grad(signed_rows, reg, w)[0]
         gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return w, gn
-        z = rows @ w
-        p = _sigmoid(-labels * z)
-        dd = p * (1.0 - p)
-        H = (rows.T * dd) @ rows / n + reg * np.eye(d)
+        if gn <= 1e-12:
+            return w[0], gn
+        p = _sigmoid(w @ signed_rows.T)[0]
+        H = (signed_rows.T * (p * (1.0 - p))) @ signed_rows / n + reg * np.eye(d)
         step = np.linalg.solve(H, g)
+        # near w* the predicted decrease g.step / 2 falls below the rounding of
+        # f, where comparing values of f judges nothing: take the full step
+        tiny = g @ step < 1e-14 * f
         alpha = 1.0
         while alpha > 1e-8:
             w_new = w - alpha * step
-            f_new = _logistic_loss_raw(rows, labels, reg, w_new)
-            if f_new <= f:
+            f_new = _logistic_loss(signed_rows, reg, w_new)[0]
+            if f_new <= f or tiny:
                 break
             alpha *= 0.5
         w, f = w_new, f_new
-    g = _logistic_grad_raw(rows, labels, reg, w)
-    return w, float(np.linalg.norm(g))
+    return w[0], float(np.linalg.norm(_logistic_grad(signed_rows, reg, w)))
 
 
 def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logistic:
@@ -294,14 +295,20 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
         raise ConstraintViolation("labels must be a length-n vector of +/-1")
     if not (math.isfinite(reg) and reg >= 0):
         raise ConstraintViolation(f"reg must be finite and >= 0, got {reg}")
-    w_star, gn = _solve_logistic(rows, labels, reg)
+    signed_rows = -labels[:, None] * rows
+    w_star, gn = _solve_logistic(signed_rows, reg)
     if not gn <= 1e-10:  # a NaN norm certifies nothing
         raise ConstraintViolation(
             f"logistic solver failed to certify the minimum: |grad| = {gn:.3e} > 1e-10"
         )
+    w_norm = float(np.linalg.norm(w_star))
+    if w_norm > radius:  # e.g. separable data without reg: the infimum is not attained
+        raise ConstraintViolation(
+            f"logistic minimizer |w*| = {w_norm:.4g} lies outside the certified ball R = {radius:g}"
+        )
     lam_max = float(np.linalg.eigvalsh(rows.T @ rows / n)[-1])
     max_row = float(np.sqrt(np.einsum("ij,ij->i", rows, rows).max()))
-    f_star = _logistic_loss_raw(rows, labels, reg, w_star)
+    f_star = float(_logistic_loss(signed_rows, reg, w_star[None])[0])
     cert = ProblemCertificate(
         L_f=0.25 * lam_max + reg,
         f_star=f_star,
@@ -326,7 +333,7 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
         reg=float(reg),
         radius=float(radius),
         w_star=_frozen(w_star),
-        signed_rows=_frozen(-labels[:, None] * rows),
+        signed_rows=_frozen(signed_rows),
     )
 
 
@@ -367,7 +374,7 @@ def loss(p: Problem, w) -> float:
         r = p.rows @ w - p.targets
         return 0.5 * float(r @ r) / p.rows.shape[0]
     if isinstance(p, Logistic):
-        return _logistic_loss_raw(p.rows, p.labels, p.reg, w)
+        return float(_logistic_loss(p.signed_rows, p.reg, w[None])[0])
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
@@ -387,8 +394,7 @@ def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:
         R = W @ p.rows.T - p.targets
         return 0.5 * np.einsum("ij,ij->i", R, R) / p.rows.shape[0]
     if isinstance(p, Logistic):
-        data = np.mean(np.logaddexp(0.0, W @ p.signed_rows.T), axis=1)
-        return data + 0.5 * p.reg * np.einsum("ij,ij->i", W, W)
+        return _logistic_loss(p.signed_rows, p.reg, W)
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
@@ -407,8 +413,7 @@ def grad_batch(p: Problem, W: np.ndarray) -> np.ndarray:
     if isinstance(p, LeastSquares):
         return W @ p.hess.T - p.lin
     if isinstance(p, Logistic):
-        P = _sigmoid(W @ p.signed_rows.T)
-        return P @ p.signed_rows / p.rows.shape[0] + p.reg * W
+        return _logistic_grad(p.signed_rows, p.reg, W)
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 

@@ -50,10 +50,11 @@ class CheckResult:
         return {
             "name": self.name,
             "status": self.status,
-            # strict JSON has no infinity; the note names the non-finite margin
+            # strict JSON has no infinity: the note names a non-finite margin,
+            # and an infinite tolerance marks an informational result
             "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "location": list(self.location),
-            "tolerance": self.tolerance,
+            "tolerance": self.tolerance if math.isfinite(self.tolerance) else None,
             "note": self.note,
         }
 
@@ -105,11 +106,11 @@ def _argmin_2d(x: np.ndarray):
 # pathwise trace checks
 
 
-def check_properties(trace: TheoryTrace, cert: ProblemCertificate, h: HyperParams) -> list[CheckResult]:
+def check_properties(trace: TheoryTrace) -> list[CheckResult]:
     """The four exact per-step guarantees: monotone rates, the v-vs-S floor,
     momentum-square decay, and the w-vs-u function-value bridge."""
     _require_complete(trace)
-    seed = trace.seed
+    seed, cert, h = trace.seed, trace.certificate, trace.h
     out = []
 
     # monotone adaptive rates: eta_{v_t,i} <= eta_{v_{t-1},i}, rel tol 1e-15
@@ -177,9 +178,10 @@ def check_telescoping(trace: TheoryTrace) -> CheckResult:
     return _result("gap-telescoping", -float(err[i]), 1e-12, (trace.seed, trace.T, i))
 
 
-def check_momentum_bound(trace: TheoryTrace, h: HyperParams) -> CheckResult:
+def check_momentum_bound(trace: TheoryTrace) -> CheckResult:
     """|m_t|^2 <= (1-beta1) * sum_k beta1^(t-k) |g_k|^2 at every step."""
     _require_complete(trace)
+    h = trace.h
     gsq = np.einsum("ij,ij->i", trace.G, trace.G)
     r = np.empty(trace.T)
     acc = 0.0
@@ -209,11 +211,10 @@ def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
 
 def run_trace_checks(trace: TheoryTrace) -> list[CheckResult]:
     """All pathwise checks for one trace (the per-trace invariant suite)."""
-    cert, h = trace.certificate, trace.h
-    out = list(check_properties(trace, cert, h))
-    out.append(check_taylor_step(trace, cert))
+    out = check_properties(trace)
+    out.append(check_taylor_step(trace, trace.certificate))
     out.append(check_telescoping(trace))
-    out.append(check_momentum_bound(trace, h))
+    out.append(check_momentum_bound(trace))
     out.append(check_vital1_pathwise(trace, 1))
     out.append(check_vital1_pathwise(trace, 4))
     return out

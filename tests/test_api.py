@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -53,10 +54,10 @@ def test_span_patches_resolve():
         assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
 
 
-def _package_names_used(path: Path):
-    """(module, attribute) for every ``alias.attr`` and ``from adamabc.x import``."""
-    tree = ast.parse(path.read_text())
-    aliases = {}
+def _imports(tree):
+    """Module aliases (``import adamabc.x as X``) and imported names
+    (``from adamabc.x import f``) of a parsed script."""
+    aliases, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -64,11 +65,36 @@ def _package_names_used(path: Path):
                     aliases[a.asname] = a.name
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("adamabc"):
             for a in node.names:
-                yield node.module, a.name
+                names[a.asname or a.name] = (node.module, a.name)
+    return aliases, names
+
+
+def _package_names_used(path: Path):
+    """(module, attribute) for every ``alias.attr`` and ``from adamabc.x import``."""
+    tree = ast.parse(path.read_text())
+    aliases, names = _imports(tree)
+    yield from names.values()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             yield aliases[node.value.id], node.attr
+
+
+def _package_calls(path: Path):
+    """(module, attribute, indexed, call) for every call of ``alias.attr(...)``,
+    ``alias.attr[key](...)`` (indexed: a table of callables) or an imported
+    name."""
+    tree = ast.parse(path.read_text())
+    aliases, names = _imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        indexed = isinstance(node.func, ast.Subscript)
+        f = node.func.value if indexed else node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in aliases:
+            yield aliases[f.value.id], f.attr, indexed, node
+        elif isinstance(f, ast.Name) and f.id in names and not indexed:
+            yield *names[f.id], False, node
 
 
 @pytest.mark.parametrize("script", ["ladder.py", "workloads.py"])
@@ -77,6 +103,24 @@ def test_benchmark_lookups_resolve(script):
     assert used  # the scan found the harness's calls
     for mod_name, attr in sorted(used):
         assert hasattr(importlib.import_module(mod_name), attr), (script, mod_name, attr)
+
+
+@pytest.mark.parametrize("script", ["ladder.py", "workloads.py"])
+def test_benchmark_calls_bind_to_the_package_signatures(script):
+    # a removed or renamed parameter the harness passes fails here, not in a traced run
+    calls = list(_package_calls(PERFBENCH / script))
+    assert calls
+    for mod_name, attr, indexed, call in calls:
+        obj = getattr(importlib.import_module(mod_name), attr)
+        args = [None] * len(call.args)
+        kwargs = {k.arg: None for k in call.keywords}
+        if any(isinstance(a, ast.Starred) for a in call.args) or None in kwargs:
+            continue  # unpacked arguments: no count to check
+        for fn in obj.values() if indexed else [obj]:
+            try:
+                inspect.signature(fn).bind(*args, **kwargs)
+            except TypeError as e:
+                pytest.fail(f"{script}:{call.lineno}: {mod_name}.{attr}: {e}")
 
 
 def test_ladder_trace_method_resolves():

@@ -1,6 +1,7 @@
 """Config parsing, CSV/JSON emission, manifests, exit codes, reruns."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,7 +21,6 @@ from adamabc.cli import (
     _write_text,
     main,
     parse_config,
-    serialize_config,
     trace_csv,
 )
 from adamabc.core import ConstraintViolation, HyperParams, beta2_at, eta_at
@@ -119,17 +119,14 @@ def test_constraint_violations_surface_from_parse():
         parse_config("T = 16\ncheckpoints = 1, 32")
 
 
-def test_serialize_round_trips_and_covers_every_key():
-    cfg = parse_config(
-        "T = 100\nseeds = 3,1\nproblem = logistic\nd = 7\nn = 40\nreg = 0.125\n"
-        "beta1 = 0.35\nalpha0 = 0.3\ngamma = 1.1\ndelta = 0.05\nmu = 1e-10\n"
-        "probes = rate,sgd_anchor\nthreads = 2\nepsilon_l1 = 0.07\n"
-        "checkpoints = 1,10,100\nsuite = logistic\ninject_fault = lipschitz_tenth"
-    )
-    text = serialize_config(cfg)
-    for key in _SCHEMA:
-        assert any(line.startswith(f"{key} = ") for line in text.splitlines()), key
-    assert parse_config(text) == cfg
+def test_every_config_field_is_the_target_of_exactly_one_key():
+    # h.dim is the one field without a key of its own: d sets it
+    fields = [f"problem.{f.name}" for f in dataclasses.fields(ProblemSpec)]
+    fields += [f"h.{f.name}" for f in dataclasses.fields(HyperParams) if f.name != "dim"]
+    fields += [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.name not in ("problem", "h")]
+    targets = [target for _, _, target in _SCHEMA.values()]
+    assert sorted(targets) == sorted(fields)
 
 
 def test_fmt_round_trips_doubles():
@@ -148,13 +145,11 @@ def test_resolve_applies_cli_overrides():
     assert cfg.checkpoints == (2, 4, 16)
 
 
-def test_resolve_threads_env_fallback_and_override(monkeypatch):
-    monkeypatch.setenv("ADAM_ABC_THREADS", "3")
-    assert _resolve(ns()).threads == 3
-    assert _resolve(ns(threads=1)).threads == 1  # flag beats environment
-    monkeypatch.setenv("ADAM_ABC_THREADS", "lots")
-    with pytest.raises(ParseError, match="ADAM_ABC_THREADS: bad value 'lots'"):
-        _resolve(ns())
+def test_resolve_threads_flag_overrides_the_config():
+    assert _resolve(ns(config="threads = 3")).threads == 3
+    assert _resolve(ns(config="threads = 3", threads=1)).threads == 1
+    with pytest.raises(ConstraintViolation, match="threads must be >= 1"):
+        _resolve(ns(threads=0))
 
 
 def test_main_rejects_bad_usage_and_bad_config(capsys):
@@ -267,6 +262,23 @@ def test_non_finite_sweep_exits_1_with_one_line_and_no_report(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, text", [
+    ("experiment", "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment"),
+    # v = 0.25 makes the first rate gap negative
+    ("trace", "v = 0.25\nT = 16\nseeds = 0"),
+    ("verify", "v = 0.25\nT = 16\nseeds = 0\nsuite = noisy_quadratic"),
+])
+def test_failed_run_removes_only_the_empty_directory_it_made(tmp_path, capsys, command, text):
+    made, kept = tmp_path / "made", tmp_path / "kept"
+    kept.mkdir()
+    for out in (made, kept):
+        assert main([command, "--config", text, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not err.startswith("config error"), err
+    assert not made.exists()
+    assert kept.is_dir() and list(kept.iterdir()) == []
+
+
 def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
     argv = ["trace", "--config", "sigma = 1e200", "--seeds", "0", "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -305,6 +317,7 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command, args, me
     ("experiment", "problem = least_squares\nd = 5\nn = 3"),
     ("trace", "problem = least_squares\nd = 5\nn = 3"),
     ("trace", "eig_min = -1"),
+    ("trace", "problem = logistic\nd = 30\nn = 20\nreg = 0"),  # |w*| outside its ball
     # each command's own checks (trace's seed count: test_trace_requires_exactly_one_seed)
     ("verify", "suite ="),
     ("verify", "T = 1"),
@@ -326,6 +339,8 @@ def test_config_error_creates_no_output_directory(tmp_path, capsys, command, tex
     ("mu = inf", "mu must be finite, got inf"),
     ("eig_max = inf", "eig_max must be finite, got inf"),
     ("eig_min = nan", "eig_min must be finite, got nan"),
+    # verify builds no config problem, so the build's own sigma check is not enough
+    ("sigma = inf", "sigma must be finite, got inf"),
     ("problem = logistic\nreg = nan", "reg must be finite, got nan"),
     # a repeated entry would run the same work twice
     ("probes = rate,rate", "probes must be distinct, got rate,rate"),
@@ -351,7 +366,7 @@ def test_negative_rate_gap_exits_1_with_one_line_and_no_artifact(tmp_path, capsy
         "negative rate gap: seed 0, Delta_{t=1,i=0} = -4.238820e-01 materially negative\n"
     )
     assert captured.out == ""
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # the directory this run made is removed again
 
 
 def test_non_finite_trace_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
@@ -536,6 +551,17 @@ def test_experiment_failure_sets_exit_code(tmp_path, capsys):
     assert "probe last_iterate: fail" in out
     report = json.loads((tmp_path / "f" / "report.json").read_text())
     assert report["status"] == "fail"
+
+
+def test_experiment_solves_the_logistic_problem_once(tmp_path, monkeypatch, capsys):
+    import adamabc.problems as P
+
+    solves, real = [], P._solve_logistic
+    monkeypatch.setattr(P, "_solve_logistic", lambda *a: solves.append(a) or real(*a))
+    ProblemSpec.build.cache_clear()
+    cfg = "problem = logistic\nT = 64\nseeds = 0,1\nprobes = moment,sgd_anchor"
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(solves) == 1
 
 
 def test_experiment_with_no_probes_is_a_config_error(tmp_path, capsys):

@@ -295,25 +295,31 @@ def test_trace_gaps_are_nonnegative_and_telescope(trace2k):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+def _schedule(T, h):
+    return [eta_at(t, h) for t in range(1, T + 1)]
+
+
 def test_build_trace_rejects_inconsistent_shapes(quad10, h10):
     T, d = 4, 10
     W = np.ones((T + 1, d))
     G = np.ones((T, d))
+    eta = _schedule(T, h10)
     with pytest.raises(ValueError, match="inconsistent raw shapes"):
-        build_trace(quad10, h10, W, G, np.ones((T + 1, d)), np.ones((T, d)))
+        build_trace(quad10, h10, W, G, np.ones((T + 1, d)), np.ones((T, d)), eta)
     with pytest.raises(ValueError, match="inconsistent raw shapes"):
-        build_trace(quad10, h10, np.ones((T, d)), G, np.ones((T, d)), np.ones((T, d)))
+        build_trace(quad10, h10, np.ones((T, d)), G, np.ones((T, d)), np.ones((T, d)), eta)
 
 
 def test_recorded_step_sizes_give_the_recomputed_trace(quad10, h10):
-    # run_trajectories hands build_trace the step sizes run_steps filled
+    # run_trajectories hands build_trace the step sizes run_steps filled:
+    # the scalar schedule, to the bit
     tr = run_trajectory(quad10, h10, T=300, seed=4)
-    fresh = build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, seed=4)
+    fresh = build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, _schedule(300, h10), seed=4)
     for name in ("eta_v", "delta", "fhat", "zeta", "m1"):
         assert np.array_equal(getattr(tr, name), getattr(fresh, name)), name
     assert np.array_equal(tr.pi.values, fresh.pi.values)
     with pytest.raises(ValueError, match=r"eta shape \(299,\) != \(300,\)"):
-        build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, eta=np.ones(299))
+        build_trace(quad10, h10, tr.W, tr.G, tr.M, tr.V, np.ones(299))
 
 
 def test_build_trace_flags_rate_inversion():
@@ -325,4 +331,4 @@ def test_build_trace_flags_rate_inversion():
     M = G.copy()
     V = np.array([[1.0], [0.09]])
     with pytest.raises(NegativeGap, match=r"Delta_\{t=2,i=0\}"):
-        build_trace(p, h, W, G, M, V)
+        build_trace(p, h, W, G, M, V, _schedule(2, h))

@@ -184,6 +184,27 @@ def test_logistic_rejects_nonsign_labels_and_bad_reg():
             make_logistic(30, 4, seed=0, reg=bad)
 
 
+def test_logistic_loss_is_the_loss_batch_row(suite):
+    p = suite[2]
+    for w in 3.0 * np.random.default_rng(4).standard_normal((200, p.dim)):
+        assert loss(p, w) == loss_batch(p, w[None])[0]
+    assert p.certificate.f_star == loss_batch(p, p.w_star[None])[0]
+
+
+def test_newton_solve_converges_past_the_loss_rounding():
+    # here |grad|^2 falls below the rounding of f before |grad| reaches 1e-12,
+    # so comparing values of f cannot judge the last Newton steps
+    p = make_logistic(60, 3, 4)
+    assert np.linalg.norm(grad(p, p.w_star)) <= 1e-12
+
+
+def test_logistic_minimizer_outside_the_certified_ball_is_rejected():
+    # separable data without a ridge term: the infimum 0 is not attained
+    with pytest.raises(ConstraintViolation, match=r"\|w\*\| = 178.6 lies outside the certified "
+                                                  r"ball R = 100"):
+        make_logistic(20, 30, 0, reg=0.0)
+
+
 # ---------------------------------------------------------------- shared surface
 
 

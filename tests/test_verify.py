@@ -70,7 +70,7 @@ def test_momentum_decay_margin_is_exactly_zero_without_momentum(quad10):
     h = HyperParams(beta1=0.0, dim=10)
     tr = run_trajectory(quad10, h, T=100, seed=0)
     r = next(
-        x for x in check_properties(tr, tr.certificate, h)
+        x for x in check_properties(tr)
         if x.name == "momentum-square-decay"
     )
     assert r.status == "pass"
@@ -84,7 +84,7 @@ def test_floor_check_flags_a_deflated_second_moment(trace2k):
     V = trace2k.V.copy()
     V[5, 3] /= 10.0
     bad = dataclasses.replace(trace2k, V=V)
-    results = {r.name: r for r in check_properties(bad, bad.certificate, bad.h)}
+    results = {r.name: r for r in check_properties(bad)}
     r = results["second-moment-floor"]
     assert r.status == "fail"
     assert r.location == (trace2k.seed, 6, 3)  # exactly the corrupted entry
@@ -118,7 +118,7 @@ def test_incomplete_trace_is_rejected(trace2k):
     with pytest.raises(IncompleteTrace, match="non-finite"):
         check_telescoping(bad)
     with pytest.raises(IncompleteTrace):
-        check_momentum_bound(bad, bad.h)
+        check_momentum_bound(bad)
 
 
 # ---------------------------------------------------------------- sampled checks
@@ -240,6 +240,16 @@ def test_descent_with_tiny_k_is_informational_only(quad10, trace2k):
     assert r.status == "pass"  # tolerance widens to infinity
     assert math.isinf(r.tolerance)
     assert "informational only" in r.note
+
+
+def test_informational_descent_result_is_strict_json(quad10, trace2k):
+    def strict(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    r = check_descent_expectation(quad10, trace2k, [1, 2, 4], 500, rng_stream("d5", 0, "branch"))
+    assert math.isinf(r.tolerance)
+    d = json.loads(json.dumps(r.as_dict()), parse_constant=strict)
+    assert d["tolerance"] is None and d["worst_margin"] == r.worst_margin
 
 
 def test_descent_input_validation(quad10, trace2k):
