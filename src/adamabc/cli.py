@@ -283,36 +283,32 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
     for t in ts:
         if not (1 <= t <= T):
             raise ConstraintViolation(f"trace row {t} outside [1, T={T}]")
-    # TRACE_COLUMNS less the schedule, each indexed by t - 1: step quantities
-    # [:T], post-step states [1:]
-    cols = [
-        trace.f_w[:T],
-        trace.grad_norm_sq[:T],
-        trace.f_u[:T],
-        trace.margin2[1:],
-        trace.eta_v[1:].sum(axis=1),
-        trace.S_total[1:],
-        trace.sigma_v[1:],
-        trace.delta.sum(axis=1),
-        trace.zeta,
-        trace.fhat[:T],
-        trace.lambda4,
-        trace.pi.values[1:],
-        trace.m1,
-    ]
-    if rows is not None:
-        sel = np.asarray(ts, dtype=np.intp) - 1
-        cols = [c[sel] for c in cols]
-    if not all(np.isfinite(c).all() for c in cols):
-        bad = ~np.isfinite(np.stack(cols))  # (column, row)
+    at = np.asarray(ts, dtype=np.intp) - 1  # the step quantities' index; a state's is at + 1
+    cols = {
+        "f_w": trace.f_w[at],
+        "grad_norm_sq": trace.grad_norm_sq[at],
+        "f_u": trace.f_u[at],
+        "eta_t": np.array([eta_at(t, h) for t in ts]),
+        "beta2_t": np.array([beta2_at(t, h) for t in ts]),
+        "min_margin_prop2": trace.margin2[at + 1],
+        "sum_eta_v": trace.eta_v.sum(axis=1)[at + 1],
+        "S_total": trace.S_total[at + 1],
+        "sigma_v": trace.sigma_v[at + 1],
+        "delta_sum": trace.delta.sum(axis=1)[at],
+        "zeta_sum": trace.zeta[at],
+        "fhat": trace.fhat[at],
+        "lambda_phi4": trace.lambda4[at],
+        "pi_hat": trace.pi.values[at + 1],
+        "m1": trace.m1[at],
+    }
+    bad = ~np.isfinite(np.stack(list(cols.values())))  # (column, row)
+    if bad.any():
         r = int(np.argmax(bad.any(axis=0)))
-        name = (TRACE_COLUMNS[1:4] + TRACE_COLUMNS[6:])[int(np.argmax(bad[:, r]))]
+        name = list(cols)[int(np.argmax(bad[:, r]))]
         raise NonFiniteTrace(f"non-finite trace: seed {trace.seed}, step t={ts[r]}, column {name}")
-    cols = [c.tolist() for c in cols]
-    cols[3:3] = [[eta_at(t, h) for t in ts], [beta2_at(t, h) for t in ts]]
     row = ",".join(["{}"] + ["{:.17g}"] * len(cols)).format
     lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(row(*r) for r in zip(ts, *cols))
+    lines.extend(row(*r) for r in zip(ts, *(c.tolist() for c in cols.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -330,7 +326,7 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
     ``out``, else the config's ``out_dir``, else the working directory (for
     ``verify``, none).  Returns ``(out_dir, problem, made)``: the built config
     problem, or None for ``verify``, which runs the standard suite instead,
-    and ``out_dir`` again if this call created it, else None."""
+    and the directories this call created, leaf first."""
     problem = None
     if command == "verify":
         if not cfg.suite:
@@ -349,8 +345,12 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
             )
         problem = cfg.problem.build()
     out_dir = out or cfg.out_dir or (None if command == "verify" else ".")
-    made = None if out_dir is None or os.path.exists(out_dir) else out_dir
+    made = []
     if out_dir is not None:
+        d = os.path.abspath(out_dir)
+        while not os.path.exists(d):
+            made.append(d)
+            d = os.path.dirname(d)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as e:
@@ -533,7 +533,7 @@ def main(argv=None) -> int:
 
     if args.command == "list-problems":
         return cmd_list_problems()
-    made = None
+    made = []
     try:
         cfg = _resolve(args)
         out_dir, problem, made = _prepare(args.command, cfg, args.out)
@@ -554,8 +554,10 @@ def main(argv=None) -> int:
         print(e, file=sys.stderr)
         return 1
     finally:
-        if made and not os.listdir(made):  # a run that failed leaves no empty directory
-            os.rmdir(made)
+        for d in made:  # a run that failed leaves no empty directory it made
+            if os.listdir(d):
+                break
+            os.rmdir(d)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -91,17 +91,18 @@ FROZEN_THRESHOLDS = {
     },
 }
 
-#: probes whose claim assumes gamma > 1 and delta > 0 (outside it they are
-#: config errors), with the name their error message gives them
-HYPOTHESIS_GATED = {"last_iterate": "last-iterate", "l1": "L1"}
-
-#: probes whose verdicts compare successive checkpoints, so a single one is a
-#: config error, with the name their error message gives them
-CHECKPOINT_GATED = {"l1": "L1", "summability": "summability"}
-
-#: the acceptance scale of the size-gated probes: the name their messages
-#: give them, the minimum seed count and the minimum log2 T
-SCALE_GATED = {"rate": ("rate", 20, 14), "l1": ("L1", 100, 0), "moment": ("moment", 50, 0)}
+#: each probe's gates: the name its messages give it, whether its claim
+#: assumes gamma > 1 and delta > 0 and whether it compares successive
+#: checkpoints (outside either, a config error), then its acceptance scale:
+#: the minimum seed count and the minimum log2 T
+GATES = {
+    "rate": ("rate", False, False, 20, 14),
+    "last_iterate": ("last-iterate", True, False, 0, 0),
+    "l1": ("L1", True, True, 100, 0),
+    "summability": ("summability", False, True, 0, 0),
+    "moment": ("moment", False, False, 50, 0),
+    "sgd_anchor": ("sgd_anchor", False, False, 0, 0),
+}
 
 #: the per-checkpoint statistics of a sweep, each of shape (seeds, checkpoints)
 SWEEP_SERIES = (
@@ -470,14 +471,52 @@ def _base_report(cfg: ExperimentConfig, probe: str, res: dict, names) -> Experim
     return rep
 
 
+def _verdict(status, observed, provenance, **bounds) -> dict:
+    """One verdict record: a bool status becomes "pass"/"fail" (a string is
+    kept), then the observed value, the bounds in the order given, provenance."""
+    if not isinstance(status, str):
+        status = "pass" if status else "fail"
+    return {"status": status, "observed": observed, **bounds, "provenance": provenance}
+
+
 def _final_decade(cfg: ExperimentConfig):
     return (cfg.T / 10.0, float(cfg.T))
+
+
+def _fit_final_decade(rep: ExperimentReport, name: str, cfg: ExperimentConfig, y,
+                      label: str, enforce: bool):
+    """Final-decade log-log slope of the per-checkpoint series ``y``, recorded
+    as ``rep.fits[name]``.  A DegenerateFit is raised under ``enforce``, else
+    noted; the slope is then None."""
+    lo, hi = _final_decade(cfg)
+    cps = np.asarray(cfg.checkpoints, dtype=np.float64)
+    try:
+        slope, stderr, r2 = fit_loglog_slope(list(zip(cps, y)), (lo, hi))
+    except DegenerateFit as e:
+        if enforce:
+            raise
+        rep.notes.append(f"{label} fit skipped: {e}")
+        return None
+    rep.fits[name] = {"slope": slope, "stderr": stderr, "r2": r2, "range": [lo, hi]}
+    return slope
+
+
+def _in_hypotheses(h: HyperParams) -> bool:
+    """The paper's convergence hypotheses on the schedule."""
+    return h.gamma > 1.0 and h.delta > 0.0
+
+
+def _epsilon(cfg: ExperimentConfig, key: str, frozen: str) -> tuple:
+    """The config's threshold ``key`` or else the frozen one, with its provenance."""
+    if getattr(cfg, key) is not None:
+        return getattr(cfg, key), f"{key} from config"
+    return FROZEN_THRESHOLDS[frozen]["value"], FROZEN_THRESHOLDS[frozen]["provenance"]
 
 
 def _scale_gate(cfg: ExperimentConfig, probe: str, enforce: bool) -> list:
     """Messages for the acceptance-scale requirements of ``probe`` that cfg
     misses; the first one is raised instead when ``enforce`` is set."""
-    label, min_seeds, log2_T = SCALE_GATED.get(probe, ("", 0, 0))
+    label, _, _, min_seeds, log2_T = GATES[probe]
     misses = []
     if len(cfg.seeds) < min_seeds:
         misses.append(
@@ -523,39 +562,26 @@ def rate_experiment(
     rep = _base_report(cfg, "rate", _shared, ["avg_gsq", "last_grad"])
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
     mean_avg = _shared["avg_gsq"].mean(axis=0)
-    lo, hi = _final_decade(cfg)
 
     if cfg.h.delta > 0:
-        try:
-            slope, stderr, r2 = fit_loglog_slope(list(zip(cps, mean_avg)), (lo, hi))
-        except DegenerateFit:
-            if enforce_scale:
-                raise
-            rep.notes.append("slope fit skipped: too few final-decade checkpoints")
+        slope = _fit_final_decade(rep, "avg_gsq_slope", cfg, mean_avg, "slope", enforce_scale)
+        if slope is None:
             return rep
         target = -(0.5 - cfg.h.delta)
         tol = FROZEN_THRESHOLDS["rate_slope_tol"]["value"]
-        rep.fits["avg_gsq_slope"] = {
-            "slope": slope, "stderr": stderr, "r2": r2, "range": [lo, hi],
-        }
-        rep.verdicts["rate_slope"] = {
-            "status": "pass" if abs(slope - target) <= tol else "fail",
-            "observed": slope,
-            "target": target,
-            "tolerance": tol,
-            "provenance": FROZEN_THRESHOLDS["rate_slope_tol"]["provenance"],
-        }
+        rep.verdicts["rate_slope"] = _verdict(
+            abs(slope - target) <= tol, slope, FROZEN_THRESHOLDS["rate_slope_tol"]["provenance"],
+            target=target, tolerance=tol,
+        )
         # reference point for reading failures of the verdict above: when the
         # noise floor dominates the final decade, the stationary gradient
         # energy tracks eta_t and the slope lands at -(1/2+delta) instead
-        rep.verdicts["slope_step_size_scaling"] = {
-            "status": "informational",
-            "observed": slope,
-            "target": -(0.5 + cfg.h.delta),
-            "provenance": "stationary-regime reference, not a pass/fail check: "
+        rep.verdicts["slope_step_size_scaling"] = _verdict(
+            "informational", slope, "stationary-regime reference, not a pass/fail check: "
             "gradient energy proportional to the step size gives slope "
             "-(1/2+delta) on noise-dominated problems",
-        }
+            target=-(0.5 + cfg.h.delta),
+        )
     else:
         power = 2.0 if cfg.h.gamma == 1.0 else 1.0
         denom = np.log(cps) ** power / np.sqrt(cps)
@@ -563,22 +589,20 @@ def rate_experiment(
         ratio = mean_avg / denom
         rep.per_seed["log_rate_ratio"] = (_shared["avg_gsq"] / denom).tolist()
         rep.stats["log_rate_ratio"] = _stats(_shared["avg_gsq"] / denom)
+        lo, hi = _final_decade(cfg)
         in_dec = (cps >= lo) & (cps <= hi) & ~np.isnan(denom)
         r_dec = ratio[in_dec]
         slack = FROZEN_THRESHOLDS["ratio_step_slack"]["value"]
         if r_dec.size:
-            noninc = bool(np.all(r_dec[1:] <= slack * r_dec[:-1]) and r_dec[-1] <= r_dec[0])
-            status = "pass" if noninc else "fail"
+            status = bool(np.all(r_dec[1:] <= slack * r_dec[:-1]) and r_dec[-1] <= r_dec[0])
         else:
             status = "informational"
             rep.notes.append("no final-decade checkpoints past t = 1: ratio verdict empty")
-        rep.verdicts["log_rate_ratio"] = {
-            "status": status,
-            "observed": r_dec.tolist(),
-            "target": f"non-increasing over final decade (x{slack} per-step slack), "
+        rep.verdicts["log_rate_ratio"] = _verdict(
+            status, r_dec.tolist(), FROZEN_THRESHOLDS["ratio_step_slack"]["provenance"],
+            target=f"non-increasing over final decade (x{slack} per-step slack), "
             f"ratio to ln^{power:g}(T)/sqrt(T)",
-            "provenance": FROZEN_THRESHOLDS["ratio_step_slack"]["provenance"],
-        }
+        )
     return rep
 
 
@@ -587,28 +611,17 @@ def last_iterate_experiment(
 ) -> ExperimentReport:
     """Per-seed last-iterate gradient norm below the frozen threshold."""
     rep = _base_report(cfg, "last_iterate", _shared, ["last_grad"])
-    eps = cfg.epsilon_last
-    if eps is None:
-        eps = FROZEN_THRESHOLDS["last_iterate_eps"]["value"]
+    eps, provenance = _epsilon(cfg, "epsilon_last", "last_iterate_eps")
     worst = float(_shared["last_grad"][:, -3:].max())  # the last three checkpoints, or all
-    rep.verdicts["last_iterate_below_eps"] = {
-        "status": "pass" if worst < eps else "fail",
-        "observed": worst,
-        "threshold": eps,
-        "provenance": FROZEN_THRESHOLDS["last_iterate_eps"]["provenance"]
-        if cfg.epsilon_last is None
-        else "epsilon_last from config",
-    }
+    rep.verdicts["last_iterate_below_eps"] = _verdict(worst < eps, worst, provenance, threshold=eps)
     # transient peak should sit before the final decade
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
-    argmax = np.argmax(_shared["last_grad"], axis=1)
-    peak_cp = cps[argmax]
-    rep.verdicts["peak_before_final_decade"] = {
-        "status": "pass" if bool(np.all(peak_cp < _final_decade(cfg)[0])) else "fail",
-        "observed": peak_cp.tolist(),
-        "threshold": _final_decade(cfg)[0],
-        "provenance": "per-seed argmax of the checkpoint series",
-    }
+    peak_cp = cps[np.argmax(_shared["last_grad"], axis=1)]
+    lo = _final_decade(cfg)[0]
+    rep.verdicts["peak_before_final_decade"] = _verdict(
+        np.all(peak_cp < lo), peak_cp.tolist(), "per-seed argmax of the checkpoint series",
+        threshold=lo,
+    )
     return rep
 
 
@@ -617,38 +630,25 @@ def l1_experiment(
 ) -> ExperimentReport:
     """Seed-mean last-iterate gradient norm: decreasing tail, finite sup."""
     rep = _base_report(cfg, "l1", _shared, ["last_grad", "sup_grad"])
-    eps = cfg.epsilon_l1
-    if eps is None:
-        eps = FROZEN_THRESHOLDS["l1_eps"]["value"]
+    eps, provenance = _epsilon(cfg, "epsilon_l1", "l1_eps")
     mean_last = _shared["last_grad"].mean(axis=0)
     tail = mean_last[-4:]
-    strictly_dec = bool(np.all(np.diff(tail) < 0))
-    rep.verdicts["mean_strictly_decreasing"] = {
-        "status": "pass" if strictly_dec else "fail",
-        "observed": tail.tolist(),
-        "target": "strictly decreasing over final four checkpoints",
-        "provenance": "seed-mean of last-iterate gradient norms",
-    }
-    rep.verdicts["mean_below_eps"] = {
-        "status": "pass" if float(mean_last[-1]) < eps else "fail",
-        "observed": float(mean_last[-1]),
-        "threshold": eps,
-        "provenance": FROZEN_THRESHOLDS["l1_eps"]["provenance"]
-        if cfg.epsilon_l1 is None
-        else "epsilon_l1 from config",
-    }
+    rep.verdicts["mean_strictly_decreasing"] = _verdict(
+        np.all(np.diff(tail) < 0), tail.tolist(), "seed-mean of last-iterate gradient norms",
+        target="strictly decreasing over final four checkpoints",
+    )
+    final = float(mean_last[-1])
+    rep.verdicts["mean_below_eps"] = _verdict(final < eps, final, provenance, threshold=eps)
     # dominating-variable probe: seed-mean of sup_t |grad| stable in seed count
     sup_final = _shared["sup_grad"][:, -1]
     half = len(cfg.seeds) // 2
     if half >= 1:
         m_half, m_full = float(sup_final[:half].mean()), float(sup_final.mean())
         drift = abs(m_full - m_half) / m_full
-        rep.verdicts["sup_grad_seed_stability"] = {
-            "status": "pass" if drift <= 0.10 else "fail",
-            "observed": {"first_half_mean": m_half, "full_mean": m_full, "drift": drift},
-            "threshold": 0.10,
-            "provenance": "seed-mean of running sup gradient norm, first half vs all seeds",
-        }
+        rep.verdicts["sup_grad_seed_stability"] = _verdict(
+            drift <= 0.10, {"first_half_mean": m_half, "full_mean": m_full, "drift": drift},
+            "seed-mean of running sup gradient norm, first half vs all seeds", threshold=0.10,
+        )
     else:
         rep.notes.append("single seed: sup-gradient seed-stability probe skipped")
     return rep
@@ -662,22 +662,18 @@ def summability_probe(
     Runs outside the gamma/delta hypotheses are reported informational.
     """
     rep = _base_report(cfg, "summability", _shared, ["eta_gsq_sum"])
-    informational = not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0)
     sums = _shared["eta_gsq_sum"]
-    inc = (sums[:, -1] - sums[:, -2]) / sums[:, -1]
-    worst = float(inc.max())
-    status = "pass" if worst < 0.01 else "fail"
-    if informational:
+    worst = float(((sums[:, -1] - sums[:, -2]) / sums[:, -1]).max())
+    status = worst < 0.01
+    if not _in_hypotheses(cfg.h):
         status = "informational"
         rep.notes.append(
             "hypotheses gamma > 1, delta > 0 not met; summability result is informational only"
         )
-    rep.verdicts["final_increment_below_1pct"] = {
-        "status": status,
-        "observed": worst,
-        "threshold": 0.01,
-        "provenance": "per-seed increment over the last checkpoint interval / total",
-    }
+    rep.verdicts["final_increment_below_1pct"] = _verdict(
+        status, worst, "per-seed increment over the last checkpoint interval / total",
+        threshold=0.01,
+    )
     return rep
 
 
@@ -711,56 +707,38 @@ def moment_probe(
         log_range = float(dec.max() - dec.min())
         drift = math.expm1(log_range) if log_range < 700.0 else None
         rep.stats[f"log_mean_pi_inv_p{p_mom}"] = {"mean": log_mom.tolist()}
-        rep.verdicts[f"pi_inv_moment_p{p_mom}_stable"] = {
-            "status": "pass" if log_range < math.log1p(0.10) else "fail",
-            "observed": {"drift": drift, "log_range": log_range},
-            "threshold": 0.10,
-            "provenance": "surrogate product series; relative drift of "
+        rep.verdicts[f"pi_inv_moment_p{p_mom}_stable"] = _verdict(
+            log_range < math.log1p(0.10), {"drift": drift, "log_range": log_range},
+            "surrogate product series; relative drift of "
             "E[PiHat^-p] over final-decade checkpoints, log-domain mean",
-        }
+            threshold=0.10,
+        )
 
     # E[S_T^(3/4)] growth
-    s34_mean = (_shared["S_total"] ** 0.75).mean(axis=0)
     if cfg.h.delta > 0:
-        try:
-            slope, stderr, r2 = fit_loglog_slope(
-                list(zip(cps.astype(float), s34_mean)), (lo, hi)
-            )
-        except DegenerateFit:
-            if enforce_scale:
-                raise
-            slope = None
-            rep.notes.append("S^(3/4) fit skipped: too few final-decade checkpoints")
+        s34_mean = (_shared["S_total"] ** 0.75).mean(axis=0)
+        slope = _fit_final_decade(rep, "S34_slope", cfg, s34_mean, "S^(3/4)", enforce_scale)
         if slope is not None:
-            rep.fits["S34_slope"] = {"slope": slope, "stderr": stderr, "r2": r2, "range": [lo, hi]}
-            rep.verdicts["S34_growth"] = {
-                "status": "pass" if abs(slope - 0.75) <= 0.1 else "fail",
-                "observed": slope,
-                "target": 0.75,
-                "tolerance": 0.1,
-                "provenance": "log-log fit of seed-mean S_T^(3/4) over the final decade",
-            }
+            rep.verdicts["S34_growth"] = _verdict(
+                abs(slope - 0.75) <= 0.1, slope,
+                "log-log fit of seed-mean S_T^(3/4) over the final decade",
+                target=0.75, tolerance=0.1,
+            )
     else:
         rep.notes.append("delta = 0: S^(3/4) growth fit skipped (hypothesis delta > 0)")
 
     # sup of the second-moment mass: exactly constant over the final decade
     sup_cp = _shared["sup_sigma_v"][:, in_dec]
     if cfg.h.gamma > 1.0:
-        constant = bool(np.all(sup_cp == sup_cp[:, :1]))
-        rep.verdicts["sup_sigma_v_constant"] = {
-            "status": "pass" if constant else "fail",
-            "observed": {"max_spread": float(np.max(sup_cp.max(axis=1) - sup_cp.min(axis=1)))},
-            "target": "running sup of sum_i v_{t,i} identical at all final-decade checkpoints",
-            "provenance": "exact float comparison of running-max snapshots",
-        }
+        status = np.all(sup_cp == sup_cp[:, :1])
+        target = "running sup of sum_i v_{t,i} identical at all final-decade checkpoints"
     else:
         rep.notes.append("gamma <= 1: sup sigma_v constancy is informational (hypothesis gamma > 1)")
-        rep.verdicts["sup_sigma_v_constant"] = {
-            "status": "informational",
-            "observed": {"max_spread": float(np.max(sup_cp.max(axis=1) - sup_cp.min(axis=1)))},
-            "target": "see notes",
-            "provenance": "exact float comparison of running-max snapshots",
-        }
+        status, target = "informational", "see notes"
+    rep.verdicts["sup_sigma_v_constant"] = _verdict(
+        status, {"max_spread": float(np.max(sup_cp.max(axis=1) - sup_cp.min(axis=1)))},
+        "exact float comparison of running-max snapshots", target=target,
+    )
     return rep
 
 
@@ -776,20 +754,9 @@ def sgd_anchor_experiment(
     """
     rep = _base_report(cfg, "sgd_anchor", _shared, ["avg_gsq", "last_grad"])
     rep.notes.append("SGD baseline anchor; informational")
-    cps = np.asarray(cfg.checkpoints, dtype=np.float64)
     mean_avg = _shared["avg_gsq"].mean(axis=0)
-    try:
-        slope, stderr, r2 = fit_loglog_slope(list(zip(cps, mean_avg)), _final_decade(cfg))
-        rep.fits["avg_gsq_slope"] = {
-            "slope": slope, "stderr": stderr, "r2": r2, "range": list(_final_decade(cfg)),
-        }
-    except DegenerateFit as e:
-        rep.notes.append(f"slope fit skipped: {e}")
-    rep.verdicts["anchor"] = {
-        "status": "informational",
-        "observed": mean_avg[-1],
-        "provenance": "harness sanity anchor",
-    }
+    _fit_final_decade(rep, "avg_gsq_slope", cfg, mean_avg, "slope", enforce=False)
+    rep.verdicts["anchor"] = _verdict("informational", mean_avg[-1], "harness sanity anchor")
     return rep
 
 
@@ -811,14 +778,13 @@ def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
     (with ``enforce_scale``) each probe's scale gate."""
     validate_config(cfg)
     for probe in cfg.probes:
-        label = HYPOTHESIS_GATED.get(probe)
-        if label and not (cfg.h.gamma > 1.0 and cfg.h.delta > 0.0):
+        label, hypotheses, two_checkpoints, _, _ = GATES[probe]
+        if hypotheses and not _in_hypotheses(cfg.h):
             raise ConstraintViolation(
                 f"{label} probe requires gamma > 1 and delta > 0 "
                 f"(got gamma={cfg.h.gamma}, delta={cfg.h.delta})"
             )
-        label = CHECKPOINT_GATED.get(probe)
-        if label and len(cfg.checkpoints) < 2:
+        if two_checkpoints and len(cfg.checkpoints) < 2:
             raise ConstraintViolation(
                 f"{label} probe needs >= 2 checkpoints, got {len(cfg.checkpoints)}"
             )

@@ -96,10 +96,13 @@ def _require_complete(trace: TheoryTrace) -> None:
             raise IncompleteTrace(f"trace array {label} has non-finite entries")
 
 
-def _argmin_2d(x: np.ndarray):
-    flat = int(np.argmin(x))
-    t, i = np.unravel_index(flat, x.shape)
-    return float(x[t, i]), int(t), int(i)
+def _worst(name, rel, tol, seed) -> CheckResult:
+    """The result at the smallest margin of a (T,) or (T, d) series over the
+    steps t = 1 .. T, located at (seed, t, i); a NaN is found first, as by
+    np.argmin."""
+    k = np.unravel_index(int(np.argmin(rel)), rel.shape)
+    i = int(k[1]) if rel.ndim == 2 else None
+    return _result(name, rel[k], tol, (seed, int(k[0]) + 1, i))
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +118,19 @@ def check_properties(trace: TheoryTrace) -> list[CheckResult]:
 
     # monotone adaptive rates: eta_{v_t,i} <= eta_{v_{t-1},i}, rel tol 1e-15
     rel = (trace.eta_v[:-1] - trace.eta_v[1:]) / trace.eta_v[:-1]
-    m, t, i = _argmin_2d(rel)
-    out.append(_result("rate-monotone", m, 1e-15, (seed, t + 1, i)))
+    out.append(_worst("rate-monotone", rel, 1e-15, seed))
 
     # second-moment floor: t^gamma * v_{t,i} >= alpha1 * S_{t,i}, rel tol 1e-9
     steps = np.arange(1, trace.T + 1, dtype=np.float64)
     floor = (steps[:, None] ** h.gamma) * trace.V - alpha1(h) * trace.S[1:]
-    relf = floor / trace.S[1:]
-    m, t, i = _argmin_2d(relf)
-    out.append(_result("second-moment-floor", m, 1e-9, (seed, t + 1, i)))
+    out.append(_worst("second-moment-floor", floor / trace.S[1:], 1e-9, seed))
 
     # momentum-square decay: m_t^2 - m_{t-1}^2 <= -(1-b1) m_{t-1}^2 + (1-b1) g_t^2
     m_prev_sq = np.vstack([np.zeros((1, trace.dim)), trace.M[:-1] ** 2])
     lhs = trace.M**2 - m_prev_sq
     rhs = -(1.0 - h.beta1) * m_prev_sq + (1.0 - h.beta1) * trace.G**2
     scale = 1.0 + m_prev_sq + trace.G**2
-    m, t, i = _argmin_2d((rhs - lhs) / scale)
-    out.append(_result("momentum-square-decay", m, 1e-9, (seed, t + 1, i)))
+    out.append(_worst("momentum-square-decay", (rhs - lhs) / scale, 1e-9, seed))
 
     # function-value bridge: with F = f - f*,
     # F(w_t) <= (L_f+1) F(u_t) + (L_f+1) b1^2/(2(1-b1)^2) |eta_{v_{t-1}} o m_{t-1}|^2
@@ -145,9 +144,7 @@ def check_properties(trace: TheoryTrace) -> list[CheckResult]:
     coef = (L + 1.0) * h.beta1**2 / (2.0 * (1.0 - h.beta1) ** 2)
     bridge = (L + 1.0) * F_u + coef * em_sq - F_w
     scale = 1.0 + np.abs(F_w) + (L + 1.0) * np.abs(F_u)
-    rel = bridge / scale
-    k = int(np.argmin(rel))
-    out.append(_result("value-bridge", float(rel[k]), 1e-9, (seed, k + 1, None)))
+    out.append(_worst("value-bridge", bridge / scale, 1e-9, seed))
     return out
 
 
@@ -163,9 +160,7 @@ def check_taylor_step(trace: TheoryTrace, cert: ProblemCertificate) -> CheckResu
     )
     lhs = trace.f_u[1:] - trace.f_u[:-1]
     scale = 1.0 + np.abs(trace.f_u[:-1])
-    rel = (rhs - lhs) / scale
-    k = int(np.argmin(rel))
-    return _result("taylor-step", float(rel[k]), 1e-8, (trace.seed, k + 1, None))
+    return _worst("taylor-step", (rhs - lhs) / scale, 1e-8, trace.seed)
 
 
 def check_telescoping(trace: TheoryTrace) -> CheckResult:
@@ -189,9 +184,7 @@ def check_momentum_bound(trace: TheoryTrace) -> CheckResult:
         acc = h.beta1 * acc + (1.0 - h.beta1) * gsq[k]
         r[k] = acc
     msq = np.einsum("ij,ij->i", trace.M, trace.M)
-    rel = (r - msq) / (1.0 + r)
-    k = int(np.argmin(rel))
-    return _result("momentum-energy-bound", float(rel[k]), 1e-9, (trace.seed, k + 1, None))
+    return _worst("momentum-energy-bound", (r - msq) / (1.0 + r), 1e-9, trace.seed)
 
 
 def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
@@ -202,11 +195,7 @@ def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
     lam = {1: trace.lambda1, 4: trace.lambda4}[phi]
     lhs = np.sqrt(trace.S_total[1:]) / (steps + 1.0) ** phi
     rhs = math.sqrt(trace.dim * trace.h.v) + np.cumsum(lam)
-    rel = (rhs - lhs) / (1.0 + rhs)
-    k = int(np.argmin(rel))
-    return _result(
-        f"energy-growth-phi{phi:g}", float(rel[k]), 1e-9, (trace.seed, k + 1, None)
-    )
+    return _worst(f"energy-growth-phi{phi:g}", (rhs - lhs) / (1.0 + rhs), 1e-9, trace.seed)
 
 
 def run_trace_checks(trace: TheoryTrace) -> list[CheckResult]:

@@ -230,11 +230,19 @@ def test_single_checkpoint_summability_exits_2_before_any_sweep(tmp_path, monkey
 
 # logistic is left out: its exact gradient is a BLAS matmul whose rounding
 # depends on the row count, so its bytes move with the seed split
-@pytest.mark.parametrize(
-    "problem", ["problem = noisy_quadratic", "problem = least_squares\nd = 5\nn = 50\ndata_seed = 7"]
-)
-def test_experiment_bytes_do_not_depend_on_threads(tmp_path, problem):
-    cfg = f"{problem}\nT = 700\nseeds = 0,1,2,3,4,5,6\nprobes = rate,summability,moment,l1"
+LEAST_SQUARES = "problem = least_squares\nd = 5\nn = 50\ndata_seed = 7"
+
+
+@pytest.mark.parametrize("problem, seeds", [
+    ("problem = noisy_quadratic", "0,1,2,3,4,5,6"),
+    (LEAST_SQUARES, "0,1,2,3,4,5,6"),
+    pytest.param(LEAST_SQUARES, "0,1,2", marks=pytest.mark.xfail(strict=True, reason=(
+        "at --threads 3 each worker holds one row, and a one-row least-squares matmul "
+        "rounds differently from a three-row one (row-count-independent exact gradients "
+        "are ROADMAP item 3)"))),
+])
+def test_experiment_bytes_do_not_depend_on_threads(tmp_path, problem, seeds):
+    cfg = f"{problem}\nT = 700\nseeds = {seeds}\nprobes = rate,summability,moment,l1"
     runs = {}
     for threads in (1, 3):
         out = tmp_path / f"threads{threads}"
@@ -268,10 +276,11 @@ def test_non_finite_sweep_exits_1_with_one_line_and_no_report(tmp_path, capsys):
     ("trace", "v = 0.25\nT = 16\nseeds = 0"),
     ("verify", "v = 0.25\nT = 16\nseeds = 0\nsuite = noisy_quadratic"),
 ])
-def test_failed_run_removes_only_the_empty_directory_it_made(tmp_path, capsys, command, text):
+def test_failed_run_removes_only_the_empty_directories_it_made(tmp_path, capsys, command, text):
+    # made/sub: both directories are the run's; kept and kept/sub: only sub is
     made, kept = tmp_path / "made", tmp_path / "kept"
     kept.mkdir()
-    for out in (made, kept):
+    for out in (made / "sub", kept, kept / "sub"):
         assert main([command, "--config", text, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and not err.startswith("config error"), err
@@ -436,6 +445,13 @@ def test_trace_checkpoint_subsampling(tmp_path):
     assert rc == 0
     lines = (out / "trace_seed0.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in lines[1:]] == ["2", "4", "8"]
+    # only the flag selects rows: the checkpoints key leaves every step in
+    rc = main(
+        ["trace", "--config", "T = 64\ncheckpoints = 2,4,8", "--seeds", "0", "--out", str(out)]
+    )
+    assert rc == 0
+    lines = (out / "trace_seed0.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in lines[1:]] == [str(t) for t in range(1, 65)]
 
 
 def test_trace_requires_exactly_one_seed(tmp_path, capsys):

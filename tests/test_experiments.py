@@ -17,6 +17,7 @@ from adamabc.experiments import (
     ExperimentConfig,
     ExperimentReport,
     FROZEN_THRESHOLDS,
+    GATES,
     HorizonTooShort,
     InsufficientSeeds,
     PROBE_NAMES,
@@ -397,6 +398,26 @@ def test_run_probes_shares_one_sweep_and_keys_reports_by_probe(monkeypatch):
         assert calls == sweeps
         assert reports["sgd_anchor"].verdicts["anchor"]["status"] == "informational"
         assert any("anchor" in n for n in reports["sgd_anchor"].notes)
+
+
+@pytest.mark.parametrize("h, probes", [
+    (HyperParams(dim=10), PROBE_NAMES),
+    # outside the hypotheses: the ratio verdict and the informational branches
+    (HyperParams(dim=10, gamma=1.0, delta=0.0), ("rate", "summability", "moment", "sgd_anchor")),
+])
+def test_every_verdict_has_one_key_order(h, probes):
+    cfg = cfg_for("noisy_quadratic", 256, (0, 1), h=h, probes=probes)
+    for probe, rep in run_probes(cfg, enforce_scale=False).items():
+        assert rep.verdicts, probe
+        for name, v in rep.verdicts.items():
+            keys = list(v)
+            assert keys[:2] == ["status", "observed"] and keys[-1] == "provenance", (name, keys)
+            assert set(keys[2:-1]) <= {"threshold", "target", "tolerance"}, (name, keys)
+            assert v["status"] in ("pass", "fail", "informational"), (name, v["status"])
+
+
+def test_every_probe_has_one_gate_entry():
+    assert list(GATES) == list(PROBES)
 
 
 def test_probes_only_reduce_the_sweep_they_are_given(monkeypatch):

@@ -28,6 +28,7 @@ from adamabc.verify import (
     check_vital1_pathwise,
     descent_constants,
     _result,
+    _worst,
     gradcheck,
     merge_results,
     run_trace_checks,
@@ -315,6 +316,18 @@ def test_check_result_serialization_round_trip():
         "tolerance": 0.0,
         "note": "n",
     }
+
+
+@pytest.mark.parametrize("rel, location", [
+    (np.array([0.5, np.nan, -1.0, np.nan]), (7, 2, None)),
+    (np.array([[0.5, 0.1], [-1.0, np.nan], [np.nan, 0.2]]), (7, 2, 1)),
+])
+def test_worst_locates_the_first_nan_margin_as_argmin_does(rel, location):
+    # np.argmin returns the first NaN in flat order; the location counts steps from 1
+    r = _worst("x", rel, 1e-9, 7)
+    assert r.location == location
+    assert r.status == "fail" and r.worst_margin == -math.inf
+    assert r.note == "non-finite margin nan"
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
