@@ -5,8 +5,9 @@ Runs one fixed corpus of ``adam-abc`` invocations against the ``src/`` of
 each checkout.  Every case runs in a new Python process (``PYTHONPATH`` set to
 the checkout's ``src``, BLAS pinned to one thread) inside an empty temporary
 working directory, with relative ``--out`` names.  A case's record is its exit
-code, its stdout, its stderr and the SHA-256 of every file it left in that
-directory, ``manifest.json`` excepted (it holds the start time).  The script
+code, its stdout, its stderr, every directory it left in that directory (empty
+ones included) and the SHA-256 of every file it left there, ``manifest.json``
+excepted (it holds the start time).  The script
 prints each case whose record differs between the two sides, naming the
 fields that differ, and exits 1 if any case differs, else 0.
 
@@ -72,6 +73,10 @@ CORPUS = (
                                     "--out", "out"]),
     # 2: an unknown key
     ("experiment-parse-error", ["experiment", "--config", "bogus = 1", "--out", "out"]),
+    # 2: no checkpoint in the moment probe's final decade
+    ("experiment-moment-no-final-decade", ["experiment", "--config",
+                                           "T = 1000\nseeds = 0,1\nprobes = moment\n"
+                                           "checkpoints = 1,2,3,4", "--out", "o1"]),
     ("trace", ["trace", "--config", "T = 64", "--seeds", "3", "--out", "out"]),
     ("trace-checkpoints-flag", ["trace", "--config", "T = 64", "--seeds", "0",
                                 "--checkpoints", "2,4,8", "--out", "out"]),
@@ -83,6 +88,9 @@ CORPUS = (
                         "--out", "out"]),
     # 1: the first step-size gap is negative
     ("trace-negative-gap", ["trace", "--config", "v = 0.25\nT = 16\nseeds = 0", "--out", "out/sub"]),
+    # 1: the first step-size gap is negative, under an --out that passes through NEW/..
+    ("trace-negative-gap-dotdot", ["trace", "--config", "v = 0.25\nT = 16\nseeds = 0",
+                                   "--out", "NEW/../x"]),
     # 1: a CSV cell overflows
     ("trace-non-finite", ["trace", "--config", "sigma = 1e153\nT = 64", "--seeds", "0",
                           "--out", "out"]),
@@ -101,15 +109,18 @@ def run_case(checkout: Path, argv) -> dict:
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=cwd, env=env,
                               capture_output=True, text=True, check=False)
+        left = sorted(Path(cwd).rglob("*"))
+        dirs = [str(f.relative_to(cwd)) for f in left if f.is_dir()]
         artifacts = {
             str(f.relative_to(cwd)): hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(Path(cwd).rglob("*")) if f.is_file() and f.name != "manifest.json"
+            for f in left if f.is_file() and f.name != "manifest.json"
         }
     # a traceback names the checkout's files; the rest of the text does not
     return {
         "exit": done.returncode,
         "stdout": done.stdout.replace(src, "<src>"),
         "stderr": done.stderr.replace(src, "<src>"),
+        "dirs": dirs,
         "artifacts": artifacts,
     }
 
@@ -122,7 +133,8 @@ def differences(a: dict, b: dict) -> list:
     """[(case, [differing fields])] for every case whose records differ."""
     out = []
     for name in a:
-        fields = [key for key in ("exit", "stdout", "stderr") if a[name][key] != b[name][key]]
+        fields = [key for key in ("exit", "stdout", "stderr", "dirs")
+                  if a[name][key] != b[name][key]]
         arts_a, arts_b = a[name]["artifacts"], b[name]["artifacts"]
         fields += [f"artifact {path}" for path in sorted(set(arts_a) | set(arts_b))
                    if arts_a.get(path) != arts_b.get(path)]

@@ -347,9 +347,11 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
     out_dir = out or cfg.out_dir or (None if command == "verify" else ".")
     made = []
     if out_dir is not None:
-        d = os.path.abspath(out_dir)
+        # the path makedirs sees, unfolded: "NEW/.." still makes NEW
+        d = os.path.join(os.getcwd(), out_dir)
         while not os.path.exists(d):
-            made.append(d)
+            if os.path.basename(d) not in ("", os.curdir, os.pardir):
+                made.append(d)
             d = os.path.dirname(d)
         try:
             os.makedirs(out_dir, exist_ok=True)
@@ -369,16 +371,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
     the failure path itself can be exercised (see FAULT_FIXTURES).
     ``verify.json`` and the manifest go to ``out_dir`` unless it is None.
     """
-    problems = _suite_problems(cfg)
-    verdict = {
-        "status": "pass",
-        "code_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "config": cfg.as_dict(),
-        "checks": {},
-        "failing": [],
-    }
-    for p in problems:
+    groups = {}
+    for p in _suite_problems(cfg):
         h_p = with_dim(cfg.h, p.dim)
         results = []
         # Every seed of the problem is recorded in one lockstep loop, and each
@@ -402,25 +396,27 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
         oracle_rng = rng_stream(f"verify-oracle:{p.name}", cfg.seeds[0], "branch")
         results.extend(check_oracle_soundness(p, 5, 20_000, oracle_rng))
         results.extend(descent)
-        merged = merge_results(results)
-        verdict["checks"][p.name] = [r.as_dict() for r in merged]
-        for r in merged:
-            if r.status == "fail":
-                verdict["failing"].append(f"{r.name} [{p.name}]")
-    ex_rng = rng_stream("verify-exchange", cfg.seeds[0], "misc")
-    exchange = check_exchange(1_000, ex_rng)
-    verdict["checks"]["global"] = [exchange.as_dict()]
-    if exchange.status == "fail":
-        verdict["failing"].append(f"{exchange.name} [global]")
+        groups[p.name] = merge_results(results)
+    groups["global"] = [check_exchange(1_000, rng_stream("verify-exchange", cfg.seeds[0], "misc"))]
+    checks, failing = {}, []
+    for key, results in groups.items():
+        checks[key] = [r.as_dict() for r in results]
+        failing += [f"{r.name} [{key}]" for r in results if r.status == "fail"]
+    verdict = {
+        "status": "fail" if failing else "pass",
+        "code_version": __version__,
+        "rng_algorithm": RNG_ALGORITHM,
+        "config": cfg.as_dict(),
+        "checks": checks,
+        "failing": failing,
+    }
     if cfg.inject_fault:
         verdict["fault_fixture"] = cfg.inject_fault
-    if verdict["failing"]:
-        verdict["status"] = "fail"
     text = json.dumps(verdict, indent=2, allow_nan=False) + "\n"
     print(text, end="")
     if out_dir is not None:
         _emit(out_dir, cfg, started, {"verify.json": text})
-    return 1 if verdict["failing"] else 0
+    return 1 if failing else 0
 
 
 def _series_csv(rep) -> str:
@@ -555,9 +551,10 @@ def main(argv=None) -> int:
         return 1
     finally:
         for d in made:  # a run that failed leaves no empty directory it made
-            if os.listdir(d):
+            try:
+                os.rmdir(d)
+            except OSError:  # not empty: the run wrote its artifacts
                 break
-            os.rmdir(d)
 
 
 if __name__ == "__main__":  # pragma: no cover

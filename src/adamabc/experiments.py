@@ -774,9 +774,11 @@ PROBE_NAMES = tuple(PROBES)
 
 def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
     """Every check ``run_probes`` makes before its first sweep: the config,
-    then for each probe its hypothesis gate and its checkpoint gate, then
+    then for each probe its hypothesis gate and its checkpoint gates (every
+    moment verdict reads the final decade), then
     (with ``enforce_scale``) each probe's scale gate."""
     validate_config(cfg)
+    lo, hi = _final_decade(cfg)
     for probe in cfg.probes:
         label, hypotheses, two_checkpoints, _, _ = GATES[probe]
         if hypotheses and not _in_hypotheses(cfg.h):
@@ -787,6 +789,10 @@ def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
         if two_checkpoints and len(cfg.checkpoints) < 2:
             raise ConstraintViolation(
                 f"{label} probe needs >= 2 checkpoints, got {len(cfg.checkpoints)}"
+            )
+        if probe == "moment" and not any(lo <= c <= hi for c in cfg.checkpoints):
+            raise ConstraintViolation(
+                f"moment probe needs a checkpoint in the final decade [{lo:g}, {hi:g}]"
             )
     if enforce_scale:
         for probe in cfg.probes:

@@ -35,7 +35,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, rates
+from .optimizer import AdamState, adam_rows, rates
 
 
 class NegativeGap(ValueError):
@@ -170,18 +170,16 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     Returns the stacked branch arrays used by both branch_conditional and the
     descent-expectation check: gradients G (K,d), second moments V, momenta M,
     rates eta_v, next iterates W, gaps delta, plus the shared eta_v_prev and
-    the exact gradient at w_t.
+    the exact gradient at w_t.  The step is ``adam_rows`` on the (d,) state
+    against the (K, d) draws, so each row is bitwise ``adam_step`` of its draw.
     """
     tau = s.t + 1
     Gb = branch_samples(p, s.w, K, rng)
-    b2 = beta2_at(tau, h)
-    # Not optimizer.adam_rows: ((1 - b2) * Gb) * Gb rounds differently from
-    # (1 - b2) * (Gb * Gb), so switching would change the bytes of the
-    # branch-based verdicts in verify.json.
-    Vb = b2 * s.v_vec + (1.0 - b2) * Gb * Gb
-    Mb = h.beta1 * s.m + (1.0 - h.beta1) * Gb
-    eta_vb = rates(eta_at(tau, h), Vb, h.mu)
-    Wb = s.w - eta_vb * Mb
+    b2, eta = beta2_at(tau, h), eta_at(tau, h)
+    Wb, Mb, Vb, eta_vb = (np.empty_like(Gb) for _ in range(4))
+    adam_rows(s.w, s.m, s.v_vec, Gb, (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu),
+              (Wb, Mb, Vb), eta_vb)
+    rates(eta, Vb, h.mu, eta_vb)  # the scratch ends holding eta_v * m', not eta_v
     eta_v_prev = eta_v_at_state(s, h)
     return {
         "tau": tau,

@@ -96,13 +96,20 @@ def _require_complete(trace: TheoryTrace) -> None:
             raise IncompleteTrace(f"trace array {label} has non-finite entries")
 
 
-def _worst(name, rel, tol, seed) -> CheckResult:
-    """The result at the smallest margin of a (T,) or (T, d) series over the
-    steps t = 1 .. T, located at (seed, t, i); a NaN is found first, as by
-    np.argmin."""
-    k = np.unravel_index(int(np.argmin(rel)), rel.shape)
-    i = int(k[1]) if rel.ndim == 2 else None
-    return _result(name, rel[k], tol, (seed, int(k[0]) + 1, i))
+def _worst(name, margins, tol, seed=None, first=0, note="") -> CheckResult:
+    """The result at the smallest of a (n,) or (n, m) array of margins,
+    located at (seed, first + k, i); a NaN is found first, as by np.argmin."""
+    margins = np.asarray(margins, dtype=np.float64)
+    k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    i = int(k[1]) if margins.ndim == 2 else None
+    return _result(name, margins[k], tol, (seed, first + int(k[0]), i), note)
+
+
+def _mean_budget(x):
+    """The mean of x over its first axis and the 4-standard-error budget
+    around it."""
+    mean, sd = _mean_sd(x)
+    return mean, 4.0 * (sd / math.sqrt(x.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +124,19 @@ def check_properties(trace: TheoryTrace) -> list[CheckResult]:
     out = []
 
     # monotone adaptive rates: eta_{v_t,i} <= eta_{v_{t-1},i}, rel tol 1e-15
-    rel = (trace.eta_v[:-1] - trace.eta_v[1:]) / trace.eta_v[:-1]
-    out.append(_worst("rate-monotone", rel, 1e-15, seed))
+    out.append(_worst("rate-monotone", trace.delta / trace.eta_v[:-1], 1e-15, seed, first=1))
 
     # second-moment floor: t^gamma * v_{t,i} >= alpha1 * S_{t,i}, rel tol 1e-9
     steps = np.arange(1, trace.T + 1, dtype=np.float64)
     floor = (steps[:, None] ** h.gamma) * trace.V - alpha1(h) * trace.S[1:]
-    out.append(_worst("second-moment-floor", floor / trace.S[1:], 1e-9, seed))
+    out.append(_worst("second-moment-floor", floor / trace.S[1:], 1e-9, seed, first=1))
 
     # momentum-square decay: m_t^2 - m_{t-1}^2 <= -(1-b1) m_{t-1}^2 + (1-b1) g_t^2
     m_prev_sq = np.vstack([np.zeros((1, trace.dim)), trace.M[:-1] ** 2])
     lhs = trace.M**2 - m_prev_sq
     rhs = -(1.0 - h.beta1) * m_prev_sq + (1.0 - h.beta1) * trace.G**2
     scale = 1.0 + m_prev_sq + trace.G**2
-    out.append(_worst("momentum-square-decay", (rhs - lhs) / scale, 1e-9, seed))
+    out.append(_worst("momentum-square-decay", (rhs - lhs) / scale, 1e-9, seed, first=1))
 
     # function-value bridge: with F = f - f*,
     # F(w_t) <= (L_f+1) F(u_t) + (L_f+1) b1^2/(2(1-b1)^2) |eta_{v_{t-1}} o m_{t-1}|^2
@@ -144,7 +150,7 @@ def check_properties(trace: TheoryTrace) -> list[CheckResult]:
     coef = (L + 1.0) * h.beta1**2 / (2.0 * (1.0 - h.beta1) ** 2)
     bridge = (L + 1.0) * F_u + coef * em_sq - F_w
     scale = 1.0 + np.abs(F_w) + (L + 1.0) * np.abs(F_u)
-    out.append(_worst("value-bridge", bridge / scale, 1e-9, seed))
+    out.append(_worst("value-bridge", bridge / scale, 1e-9, seed, first=1))
     return out
 
 
@@ -160,7 +166,7 @@ def check_taylor_step(trace: TheoryTrace, cert: ProblemCertificate) -> CheckResu
     )
     lhs = trace.f_u[1:] - trace.f_u[:-1]
     scale = 1.0 + np.abs(trace.f_u[:-1])
-    return _worst("taylor-step", (rhs - lhs) / scale, 1e-8, trace.seed)
+    return _worst("taylor-step", (rhs - lhs) / scale, 1e-8, trace.seed, first=1)
 
 
 def check_telescoping(trace: TheoryTrace) -> CheckResult:
@@ -169,8 +175,7 @@ def check_telescoping(trace: TheoryTrace) -> CheckResult:
     total = trace.delta.sum(axis=0)
     target = trace.eta_v[0] - trace.eta_v[-1]
     err = np.abs(total - target) / trace.eta_v[0]
-    i = int(np.argmax(err))
-    return _result("gap-telescoping", -float(err[i]), 1e-12, (trace.seed, trace.T, i))
+    return _worst("gap-telescoping", -err[None], 1e-12, trace.seed, first=trace.T)
 
 
 def check_momentum_bound(trace: TheoryTrace) -> CheckResult:
@@ -184,7 +189,7 @@ def check_momentum_bound(trace: TheoryTrace) -> CheckResult:
         acc = h.beta1 * acc + (1.0 - h.beta1) * gsq[k]
         r[k] = acc
     msq = np.einsum("ij,ij->i", trace.M, trace.M)
-    return _worst("momentum-energy-bound", (r - msq) / (1.0 + r), 1e-9, trace.seed)
+    return _worst("momentum-energy-bound", (r - msq) / (1.0 + r), 1e-9, trace.seed, first=1)
 
 
 def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
@@ -195,7 +200,8 @@ def check_vital1_pathwise(trace: TheoryTrace, phi: int) -> CheckResult:
     lam = {1: trace.lambda1, 4: trace.lambda4}[phi]
     lhs = np.sqrt(trace.S_total[1:]) / (steps + 1.0) ** phi
     rhs = math.sqrt(trace.dim * trace.h.v) + np.cumsum(lam)
-    return _worst(f"energy-growth-phi{phi:g}", (rhs - lhs) / (1.0 + rhs), 1e-9, trace.seed)
+    margins = (rhs - lhs) / (1.0 + rhs)
+    return _worst(f"energy-growth-phi{phi:g}", margins, 1e-9, trace.seed, first=1)
 
 
 def run_trace_checks(trace: TheoryTrace) -> list[CheckResult]:
@@ -231,9 +237,7 @@ def check_grad_bound(p: Problem, num_points: int, rng) -> CheckResult:
     G = grad_batch(p, W)
     gn2 = np.einsum("ij,ij->i", G, G)
     bound = 2.0 * cert.L_f * (f - cert.f_star) * (1.0 + 1e-10)
-    rel = (bound - gn2) / (1.0 + gn2)
-    k = int(np.argmin(rel))
-    return _result("gradient-energy-bound", float(rel[k]), 0.0, (None, k, None))
+    return _worst("gradient-energy-bound", (bound - gn2) / (1.0 + gn2), 0.0)
 
 
 def gradcheck(p: Problem, num_points: int, rng) -> CheckResult:
@@ -242,11 +246,8 @@ def gradcheck(p: Problem, num_points: int, rng) -> CheckResult:
     Per point, relative error |fd - grad| / (1 + |grad|) must be <= 1e-6,
     with coordinate step 1e-6 * (1 + |w_i|).
     """
-    W = sample_points(p, num_points, rng)
-    worst = np.inf
-    worst_loc = (None, None, None)
-    for k in range(W.shape[0]):
-        w = W[k]
+    margins = []
+    for w in sample_points(p, num_points, rng):
         hstep = 1e-6 * (1.0 + np.abs(w))
         P = np.repeat(w[None, :], 2 * p.dim, axis=0)
         idx = np.arange(p.dim)
@@ -256,11 +257,8 @@ def gradcheck(p: Problem, num_points: int, rng) -> CheckResult:
         fd = (f[0::2] - f[1::2]) / (2.0 * hstep)
         g = grad(p, w)
         rel_err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
-        margin = 1e-6 - rel_err
-        if margin < worst:
-            worst = margin
-            worst_loc = (None, k, None)
-    return _result("finite-difference-gradcheck", worst, 0.0, worst_loc)
+        margins.append(1e-6 - rel_err)
+    return _worst("finite-difference-gradcheck", margins, 0.0)
 
 
 def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[CheckResult]:
@@ -271,35 +269,25 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
     A*(f - f*) + B*|grad f|^2 + C plus 4 SE of itself.
     """
     cert = p.certificate
-    W = sample_points(p, num_points, rng)
-    worst_u, loc_u = np.inf, (None, None, None)
-    worst_a, loc_a = np.inf, (None, None, None)
-    for k in range(W.shape[0]):
-        w = W[k]
+    unbiased, second = [], []
+    for w in sample_points(p, num_points, rng):
         G = branch_samples(p, w, K, rng)
         h_vec = grad(p, w)
-        mean, sd = _mean_sd(G)
-        se = sd / math.sqrt(K)
-        budget = 4.0 * se + 1e-12 * (1.0 + np.abs(h_vec))
-        rel = (budget - np.abs(mean - h_vec)) / budget
-        i = int(np.argmin(rel))
-        if rel[i] < worst_u:
-            worst_u, loc_u = float(rel[i]), (None, k, i)
+        mean, budget = _mean_budget(G)
+        budget += 1e-12 * (1.0 + np.abs(h_vec))
+        unbiased.append((budget - np.abs(mean - h_vec)) / budget)
 
-        gn2 = np.einsum("ij,ij->i", G, G)
         bound = (
             cert.A * (loss(p, w) - cert.f_star)
             + cert.B * float(h_vec @ h_vec)
             + cert.C
         )
-        gn2_mean, gn2_sd = _mean_sd(gn2)
-        se2 = float(gn2_sd) / math.sqrt(K)
-        margin = (bound + 4.0 * se2 - float(gn2_mean)) / (1.0 + bound)
-        if margin < worst_a:
-            worst_a, loc_a = margin, (None, k, None)
+        gn2_mean, gn2_budget = _mean_budget(np.einsum("ij,ij->i", G, G))
+        second.append((bound + gn2_budget - gn2_mean) / (1.0 + bound))
+    note = f"K={K}, 4-SE budget"
     return [
-        _result("oracle-unbiasedness", worst_u, 0.0, loc_u, note=f"K={K}, 4-SE budget"),
-        _result("oracle-second-moment", worst_a, 0.0, loc_a, note=f"K={K}, 4-SE budget"),
+        _worst("oracle-unbiasedness", unbiased, 0.0, note=note),
+        _worst("oracle-second-moment", second, 0.0, note=note),
     ]
 
 
@@ -315,8 +303,8 @@ def check_exchange(num_instances: int, rng) -> CheckResult:
     The strict gap is accumulated as a sum of positive terms (no cancellation),
     and a 1e-9 relative slack is folded into the upper-bound margin.
     """
-    worst, loc = np.inf, (None, None, None)
-    for inst in range(num_instances):
+    margins = []
+    for _ in range(num_instances):
         n = int(rng.integers(2, 201))
         mu = float(rng.uniform(0.1, 0.95))
         sigma = mu * float(rng.uniform(0.02, 0.9))
@@ -331,18 +319,9 @@ def check_exchange(num_instances: int, rng) -> CheckResult:
         inner = float(powers @ r)
         gap = float(powers[1:] @ (sigma * r[:-1]))  # inner - lower, positively
         upper = lower / (1.0 - sigma / mu)
-        m_lower = gap / inner
-        m_upper = (upper * (1.0 + 1e-9) - inner) / upper
-        for which, m in ((0, m_lower), (1, m_upper)):
-            if m < worst:
-                worst, loc = m, (None, inst, which)
-    return _result(
-        "sum-exchange-bounds",
-        worst,
-        0.0,
-        loc,
-        note="location i: instance index; location coord 0 = strict lower, 1 = upper",
-    )
+        margins.append((gap / inner, (upper * (1.0 + 1e-9) - inner) / upper))
+    note = "location i: instance index; location coord 0 = strict lower, 1 = upper"
+    return _worst("sum-exchange-bounds", margins, 0.0, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +373,7 @@ def check_descent_expectation(
     cs = descent_constants(cert, h)
     L, C1, C2, kappa = cs["L"], cs["C1"], cs["C2"], cs["kappa"]
 
-    n_pass = 0
-    worst, worst_t = np.inf, checkpoints[0]
+    margins = []
     for t in checkpoints:
         s = trace.state_before(t)
         ba = _branch_arrays(p, s, h, K, rng)
@@ -426,14 +404,13 @@ def check_descent_expectation(
             - fhat_next
             + (1.0 + C1 * delta_row) * fhat_t
         )
-        mean, sd = map(float, _mean_sd(X))
-        se = sd / math.sqrt(K)
-        margin = (mean + 4.0 * se) / (1.0 + abs(fhat_t))
-        if margin >= 0:
-            n_pass += 1
-        if margin < worst:
-            worst, worst_t = margin, t
+        mean, budget = _mean_budget(X)
+        margins.append((mean + budget) / (1.0 + abs(fhat_t)))
 
+    margins = np.asarray(margins)
+    k = int(np.argmin(margins))
+    worst, worst_t = float(margins[k]), checkpoints[k]
+    n_pass = int(np.count_nonzero(margins >= 0))
     rate = n_pass / len(checkpoints)
     note = (
         f"surrogate branch means, K={K}; {n_pass}/{len(checkpoints)} checkpoints "

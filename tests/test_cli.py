@@ -179,6 +179,9 @@ def test_main_rejects_bad_usage_and_bad_config(capsys):
         # rejected by validate_config
         ("probes = last_iterate\nepsilon_last = 0", "epsilon_last must be finite and > 0"),
         ("probes = l1\nepsilon_l1 = -1", "epsilon_l1 must be finite and > 0"),
+        # every moment verdict reads the final decade [T/10, T]
+        ("probes = moment\nseeds = 0,1\ncheckpoints = 1,2,3,4",
+         "moment probe needs a checkpoint in the final decade [6.4, 64]"),
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, fragment):
@@ -286,6 +289,20 @@ def test_failed_run_removes_only_the_empty_directories_it_made(tmp_path, capsys,
         assert err.count("\n") == 1 and not err.startswith("config error"), err
     assert not made.exists()
     assert kept.is_dir() and list(kept.iterdir()) == []
+
+
+def test_failed_run_with_dot_components_in_out_removes_what_it_made(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the walk sees the path makedirs sees: NEW/../x makes both NEW and x, and
+    # a "." or ".." component names a directory the run did not make
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").mkdir()
+    for out in ("NEW/../x", "kept/NEW/../../y/", "./kept/./z"):
+        assert main(["trace", "--config", "v = 0.25\nT = 16\nseeds = 0", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("negative rate gap") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):

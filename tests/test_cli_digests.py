@@ -10,10 +10,11 @@ spec.loader.exec_module(cli_digests)
 
 
 def test_differences_name_each_differing_field():
-    rec = {"exit": 0, "stdout": "a\n", "stderr": "", "artifacts": {"out/x.csv": "1"}}
-    moved = dict(rec, exit=1, artifacts={"out/y.csv": "2"})
+    rec = {"exit": 0, "stdout": "a\n", "stderr": "", "dirs": ["out"],
+           "artifacts": {"out/x.csv": "1"}}
+    moved = dict(rec, exit=1, dirs=["NEW", "out"], artifacts={"out/y.csv": "2"})
     assert cli_digests.differences({"c": rec, "d": rec}, {"c": rec, "d": moved}) == [
-        ("d", ["exit", "artifact out/x.csv", "artifact out/y.csv"])
+        ("d", ["exit", "dirs", "artifact out/x.csv", "artifact out/y.csv"])
     ]
 
 

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from adamabc.core import HyperParams, eta_at
+from adamabc.core import HyperParams, eta_at, with_dim
 from adamabc.instrumentation import (
     NegativeGap,
     PiHatSeries,
+    _branch_arrays,
     _mean_sd,
     branch_conditional,
     build_trace,
@@ -16,7 +17,7 @@ from adamabc.instrumentation import (
     pi_hat,
     synthetic_eta_v0,
 )
-from adamabc.optimizer import AdamState, adam_init, run_trajectory
+from adamabc.optimizer import AdamState, adam_init, adam_step, rates, run_trajectory
 from adamabc.problems import make_noisy_quadratic, rng_stream
 from reference import (
     accumulate_S,
@@ -161,6 +162,21 @@ def test_branch_standard_error_scales_like_sqrt_k(quad10, h10, trace2k):
     assert 0.4 < ratio < 0.6  # doubling-in-sqrt(K): expect about 1/2
     # unbiasedness: the branch mean of M_{t,1} sits within its own 4-SE band of 0
     assert abs(est_big.cond_mean_m1) <= 4.0 * est_big.se_m1
+
+
+@pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
+def test_branch_rows_are_bitwise_adam_steps(suite, kind):
+    # every branch row is the one Adam update applied to that row's draw
+    p = next(q for q in suite if q.name == kind)
+    h = with_dim(H, p.dim)
+    s = run_trajectory(p, h, T=6, seed=0).state_before(6)
+    ba = _branch_arrays(p, s, h, 16, rng_stream("branch-rows", 0, "branch"))
+    for k in range(16):
+        nxt = adam_step(s, ba["G"][k], h)
+        for key, want in (("W", nxt.w), ("M", nxt.m), ("V", nxt.v_vec)):
+            assert ba[key][k].tobytes() == want.tobytes(), (key, k)
+        eta_v = rates(eta_at(s.t + 1, h), ba["V"][k], h.mu)
+        assert ba["eta_v"][k].tobytes() == eta_v.tobytes(), k
 
 
 @pytest.mark.parametrize("shape", [(100_000, 10), (20_000, 5), (100_000,), (7, 3), (2,)])

@@ -204,6 +204,54 @@ def test_exchange_inequalities_hold_and_match_brute_force():
         assert lower < inner <= upper * (1.0 + 1e-9)
 
 
+def _nan_on_third_call(fn):
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        out = fn(*args)
+        return out * np.nan if len(calls) == 3 else out
+
+    return patched
+
+
+class _NanPsiOnThirdInstance:
+    """An rng whose third instance of check_exchange draws an all-NaN psi."""
+
+    def __init__(self, rng):
+        self.rng, self.vectors = rng, 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, size=None):
+        out = self.rng.uniform(*args, size=size)
+        if size is not None:
+            self.vectors += 1
+            if self.vectors == 3:
+                out[:] = np.nan
+        return out
+
+
+def test_a_nan_margin_at_one_point_is_located_and_fails(suite, monkeypatch):
+    import adamabc.verify as V
+
+    nan_note = "non-finite margin nan"
+    monkeypatch.setattr(V, "grad", _nan_on_third_call(grad))
+    r = V.gradcheck(suite[0], 10, rng_stream("fd", 0, "points"))
+    assert (r.status, r.location, r.note) == ("fail", (None, 2, None), nan_note)
+
+    monkeypatch.setattr(V, "grad", _nan_on_third_call(grad))
+    unbiased, second = V.check_oracle_soundness(suite[0], 5, 2_000, rng_stream("os", 0, "branch"))
+    for r, location in ((unbiased, (None, 2, 0)), (second, (None, 2, None))):
+        assert (r.status, r.location) == ("fail", location), r.name
+        assert r.note == f"{nan_note}; K=2000, 4-SE budget"
+
+    r = check_exchange(10, _NanPsiOnThirdInstance(rng_stream("ex", 0, "misc")))
+    assert (r.status, r.location) == ("fail", (None, 2, 0))
+    assert r.note.startswith(f"{nan_note}; location i: instance index")
+
+
 # ---------------------------------------------------------------- descent check
 
 
@@ -324,7 +372,7 @@ def test_check_result_serialization_round_trip():
 ])
 def test_worst_locates_the_first_nan_margin_as_argmin_does(rel, location):
     # np.argmin returns the first NaN in flat order; the location counts steps from 1
-    r = _worst("x", rel, 1e-9, 7)
+    r = _worst("x", rel, 1e-9, 7, first=1)
     assert r.location == location
     assert r.status == "fail" and r.worst_margin == -math.inf
     assert r.note == "non-finite margin nan"
