@@ -98,6 +98,15 @@ CORPUS = (
     ("trace-two-seeds", ["trace", "--config", "T = 8", "--seeds", "0,1", "--out", "out"]),
     # 2: argparse rejects an unknown flag
     ("usage", ["verify", "--bogus"]),
+    # 2: a problem kind no build knows, which verify alone does not build
+    ("verify-unknown-problem", ["verify", "--config",
+                                "problem = foo\nT = 16\nseeds = 0\nsuite = noisy_quadratic"]),
+    # 2: a JSON config that repeats a key
+    ("experiment-json-duplicate-key", ["experiment", "--config",
+                                       '{"T": 64, "T": 32, "seeds": [0]}', "--out", "o"]),
+    # 2: an --out component too long for its file system, under a parent still to make
+    ("trace-long-out-component", ["trace", "--config", "T = 16\nseeds = 0",
+                                  "--out", "new1/" + "x" * 300]),
 )
 
 

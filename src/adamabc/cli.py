@@ -11,9 +11,10 @@ list-problems  print the standard problem suite with certified constants.
 
 Config is flat ``key = value`` text (diff-friendly; '#' comments allowed) or a
 JSON object with the same keys.  Every key has a default, so the empty config
-is valid.  Each command runs ``_prepare`` (every config error it can have,
-then its output directory), its run, and ``_emit`` (its artifacts, then a
-``manifest.json`` listing them).  ``main`` alone maps outcomes to exit codes:
+is valid.  Each command runs ``_prepare`` (every config error it can have; it
+makes nothing), its run, and ``_emit`` (its output directory, its artifacts,
+then a ``manifest.json`` listing them), so a failed run makes no directory.
+``main`` alone maps outcomes to exit codes:
 0 all checks pass; 1 a check failed, or the run went non-finite or produced a
 negative rate gap (one line, no artifact); 2 usage or config error (one line).
 """
@@ -36,7 +37,6 @@ from .experiments import (
     ExperimentConfig,
     NonFiniteSweep,
     ProblemSpec,
-    SUITE_KINDS,
     check_gates,
     default_checkpoints,
     run_probes,
@@ -66,40 +66,42 @@ class NonFiniteTrace(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema: key -> (kind, default-as-text, field), where field is
-# "problem.<ProblemSpec field>", "h.<HyperParams field>" or an
-# ExperimentConfig field
+# config schema: key -> (kind, field), where field is "problem.<ProblemSpec
+# field>", "h.<HyperParams field>" or an ExperimentConfig field.  A key left out
+# takes its _DEFAULTS text, else its field's dataclass default.
 
 _SCHEMA = {
     # problem geometry (applies to the experiment/trace problem)
-    "problem": ("str", "noisy_quadratic", "problem.kind"),
-    "d": ("int", "10", "problem.d"),  # also sets h.dim
-    "n": ("int", "0", "problem.n"),  # data rows; 0 = kind default
-    "sigma": ("float", "1.0", "problem.sigma"),
-    "eig_min": ("float", "1.0", "problem.eig_min"),
-    "eig_max": ("float", "4.0", "problem.eig_max"),
-    "data_seed": ("int", "0", "problem.data_seed"),
-    "reg": ("float", "0.05", "problem.reg"),
+    "problem": ("str", "problem.kind"),
+    "d": ("int", "problem.d"),  # also sets h.dim
+    "n": ("int", "problem.n"),  # data rows; 0 = kind default
+    "sigma": ("float", "problem.sigma"),
+    "eig_min": ("float", "problem.eig_min"),
+    "eig_max": ("float", "problem.eig_max"),
+    "data_seed": ("int", "problem.data_seed"),
+    "reg": ("float", "problem.reg"),
     # algorithm constants
-    "beta1": ("float", "0.9", "h.beta1"),
-    "alpha0": ("float", "0.5", "h.alpha0"),
-    "gamma": ("float", "1.25", "h.gamma"),
-    "delta": ("float", "0.25", "h.delta"),
-    "mu": ("float", "1e-08", "h.mu"),
-    "v": ("float", "1.0", "h.v"),
+    "beta1": ("float", "h.beta1"),
+    "alpha0": ("float", "h.alpha0"),
+    "gamma": ("float", "h.gamma"),
+    "delta": ("float", "h.delta"),
+    "mu": ("float", "h.mu"),
+    "v": ("float", "h.v"),
     # run shape
-    "T": ("int", "1024", "T"),
-    "seeds": ("int_list", "0,1,2", "seeds"),
-    "checkpoints": ("int_list", "", "checkpoints"),  # empty = powers of two up to T
-    "probes": ("str_list", "rate", "probes"),
-    "out_dir": ("opt_str", "", "out_dir"),
-    "threads": ("int", "1", "threads"),
-    "epsilon_last": ("opt_float", "", "epsilon_last"),
-    "epsilon_l1": ("opt_float", "", "epsilon_l1"),
+    "T": ("int", "T"),
+    "seeds": ("int_list", "seeds"),
+    "checkpoints": ("int_list", "checkpoints"),  # empty = powers of two up to T
+    "probes": ("str_list", "probes"),
+    "out_dir": ("opt_str", "out_dir"),
+    "threads": ("int", "threads"),
+    "epsilon_last": ("opt_float", "epsilon_last"),
+    "epsilon_l1": ("opt_float", "epsilon_l1"),
     # verification driver
-    "suite": ("str_list", ",".join(SUITE_KINDS), "suite"),
-    "inject_fault": ("str", "", "inject_fault"),
+    "suite": ("str_list", "suite"),
+    "inject_fault": ("str", "inject_fault"),
 }
+
+_DEFAULTS = {"problem": "noisy_quadratic", "T": "1024", "seeds": "0,1,2"}
 
 
 def _cast(key: str, kind: str, raw: str, where: str):
@@ -142,9 +144,19 @@ def _entries_from_text(text: str) -> dict:
     return entries
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ParseError, as in flat text."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = val
+    return obj
+
+
 def _entries_from_json(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON config: {e}") from e
     if not isinstance(obj, dict):
@@ -178,24 +190,18 @@ def parse_config(source: str) -> ExperimentConfig:
                 text = fh.read()
         except OSError as e:
             raise ParseError(str(e)) from e
-    if text.lstrip().startswith("{"):
-        entries = _entries_from_json(text)
-    else:
-        entries = _entries_from_text(text)
-
+    parse = _entries_from_json if text.lstrip().startswith("{") else _entries_from_text
+    entries = {**{key: (raw, "default") for key, raw in _DEFAULTS.items()}, **parse(text)}
     fields = {"problem": {}, "h": {}, "": {}}
-    for key, (kind, default, target) in _SCHEMA.items():
-        raw, where = entries.get(key, (default, "default"))
-        group, _, name = target.rpartition(".")
-        fields[group][name] = _cast(key, kind, raw, where)
+    for key, (kind, target) in _SCHEMA.items():
+        if key in entries:
+            group, _, name = target.rpartition(".")
+            fields[group][name] = _cast(key, kind, *entries[key])
 
     run = fields[""]
-    run["checkpoints"] = run["checkpoints"] or default_checkpoints(run["T"])
-    cfg = ExperimentConfig(
-        problem=ProblemSpec(**fields["problem"]),
-        h=HyperParams(**fields["h"], dim=fields["problem"]["d"]),
-        **run,
-    )
+    run["checkpoints"] = run.get("checkpoints") or default_checkpoints(run["T"])
+    problem = ProblemSpec(**fields["problem"])
+    cfg = ExperimentConfig(problem=problem, h=HyperParams(**fields["h"], dim=problem.d), **run)
     validate_config(cfg)
     return cfg
 
@@ -224,9 +230,13 @@ def _write_text(out_dir: str, name: str, text: str) -> dict:
 
 
 def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int:
-    """Write each ``{name: text}`` artifact, then ``manifest.json``: the config
-    echo, versions, start time and each artifact's digest.  The manifest goes
-    last, so its listing is complete.  Returns the number of files written."""
+    """Make ``out_dir``, write each ``{name: text}`` artifact, then ``manifest.json``:
+    the config echo, versions, start time and each artifact's digest.  The manifest
+    goes last, so its listing is complete.  Returns the number of files written."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConstraintViolation(str(e)) from e
     manifest = {
         "config": cfg.as_dict(),
         "code_version": __version__,
@@ -234,38 +244,53 @@ def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int
         "started": started,
         "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
     }
-    _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    _write_text(out_dir, "manifest.json", _json(manifest))
     return len(texts) + 1
 
 
-def _fmt(x) -> str:
-    """Numeric cell: integers verbatim, floats at 17 significant digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _report(status: str, cfg: ExperimentConfig, **body) -> dict:
+    """A JSON report: its status, the code and rng versions, the config echo, then ``body``."""
+    return {"status": status, "code_version": __version__, "rng_algorithm": RNG_ALGORITHM,
+            "config": cfg.as_dict(), **body}
+
+
+def _csv(cols: dict) -> str:
+    """CSV text of ``{header: values}``: the first column's ints verbatim, every
+    other column's floats at 17 significant digits."""
+    row = ",".join(["{}"] + ["{:.17g}"] * (len(cols) - 1)).format
+    lines = [",".join(cols)]
+    lines.extend(row(*r) for r in zip(*(np.asarray(c).tolist() for c in cols.values())))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # trace CSV
 
-TRACE_COLUMNS = (
-    "t",
-    "f_w",
-    "grad_norm_sq",
-    "f_u",
-    "eta_t",
-    "beta2_t",
-    "min_margin_prop2",
-    "sum_eta_v",
-    "S_total",
-    "sigma_v",
-    "delta_sum",
-    "zeta_sum",
-    "fhat",
-    "lambda_phi4",
-    "pi_hat",
-    "m1",
-)
+#: column -> its values at steps ``ts`` of a trace, where ``at`` indexes the
+#: step quantities and ``at + 1`` the state reached after the step
+_TRACE_TABLE = {
+    "f_w": lambda tr, ts, at: tr.f_w[at],
+    "grad_norm_sq": lambda tr, ts, at: tr.grad_norm_sq[at],
+    "f_u": lambda tr, ts, at: tr.f_u[at],
+    "eta_t": lambda tr, ts, at: np.array([eta_at(t, tr.h) for t in ts]),
+    "beta2_t": lambda tr, ts, at: np.array([beta2_at(t, tr.h) for t in ts]),
+    "min_margin_prop2": lambda tr, ts, at: tr.margin2[at + 1],
+    "sum_eta_v": lambda tr, ts, at: tr.eta_v.sum(axis=1)[at + 1],
+    "S_total": lambda tr, ts, at: tr.S_total[at + 1],
+    "sigma_v": lambda tr, ts, at: tr.sigma_v[at + 1],
+    "delta_sum": lambda tr, ts, at: tr.delta.sum(axis=1)[at],
+    "zeta_sum": lambda tr, ts, at: tr.zeta[at],
+    "fhat": lambda tr, ts, at: tr.fhat[at],
+    "lambda_phi4": lambda tr, ts, at: tr.lambda4[at],
+    "pi_hat": lambda tr, ts, at: tr.pi.values[at + 1],
+    "m1": lambda tr, ts, at: tr.m1[at],
+}
+
+TRACE_COLUMNS = ("t", *_TRACE_TABLE)
 
 
 def trace_csv(trace: TheoryTrace, rows=None) -> str:
@@ -278,38 +303,18 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
     subsampling); default is every step 1..T.  A non-finite cell raises
     NonFiniteTrace naming the seed, the first such step and its column.
     """
-    h, T = trace.h, trace.T
-    ts = list(range(1, T + 1)) if rows is None else [int(t) for t in rows]
+    ts = list(range(1, trace.T + 1)) if rows is None else [int(t) for t in rows]
     for t in ts:
-        if not (1 <= t <= T):
-            raise ConstraintViolation(f"trace row {t} outside [1, T={T}]")
-    at = np.asarray(ts, dtype=np.intp) - 1  # the step quantities' index; a state's is at + 1
-    cols = {
-        "f_w": trace.f_w[at],
-        "grad_norm_sq": trace.grad_norm_sq[at],
-        "f_u": trace.f_u[at],
-        "eta_t": np.array([eta_at(t, h) for t in ts]),
-        "beta2_t": np.array([beta2_at(t, h) for t in ts]),
-        "min_margin_prop2": trace.margin2[at + 1],
-        "sum_eta_v": trace.eta_v.sum(axis=1)[at + 1],
-        "S_total": trace.S_total[at + 1],
-        "sigma_v": trace.sigma_v[at + 1],
-        "delta_sum": trace.delta.sum(axis=1)[at],
-        "zeta_sum": trace.zeta[at],
-        "fhat": trace.fhat[at],
-        "lambda_phi4": trace.lambda4[at],
-        "pi_hat": trace.pi.values[at + 1],
-        "m1": trace.m1[at],
-    }
+        if not (1 <= t <= trace.T):
+            raise ConstraintViolation(f"trace row {t} outside [1, T={trace.T}]")
+    at = np.asarray(ts, dtype=np.intp) - 1
+    cols = {name: col(trace, ts, at) for name, col in _TRACE_TABLE.items()}
     bad = ~np.isfinite(np.stack(list(cols.values())))  # (column, row)
     if bad.any():
-        r = int(np.argmax(bad.any(axis=0)))
-        name = list(cols)[int(np.argmax(bad[:, r]))]
-        raise NonFiniteTrace(f"non-finite trace: seed {trace.seed}, step t={ts[r]}, column {name}")
-    row = ",".join(["{}"] + ["{:.17g}"] * len(cols)).format
-    lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(row(*r) for r in zip(ts, *(c.tolist() for c in cols.values())))
-    return "\n".join(lines) + "\n"
+        r, c = np.argwhere(bad.T)[0]
+        raise NonFiniteTrace(
+            f"non-finite trace: seed {trace.seed}, step t={ts[r]}, column {list(cols)[c]}")
+    return _csv({"t": ts, **cols})
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +327,11 @@ def _suite_problems(cfg: ExperimentConfig) -> list:
 
 
 def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
-    """Raise every config error ``command`` can have, then make its output directory:
-    ``out``, else the config's ``out_dir``, else the working directory (for
-    ``verify``, none).  Returns ``(out_dir, problem, made)``: the built config
-    problem, or None for ``verify``, which runs the standard suite instead,
-    and the directories this call created, leaf first."""
+    """Raise every config error ``command`` can have, and make nothing.  The output
+    directory is ``out``, else the config's ``out_dir``, else the working directory
+    (for ``verify``, none).  Its nearest existing path must be a writable directory,
+    and each component still to make must fit that directory's name length limit.
+    Returns ``(out_dir, problem)``: the built config problem, or None for ``verify``."""
     problem = None
     if command == "verify":
         if not cfg.suite:
@@ -345,21 +350,18 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
             )
         problem = cfg.problem.build()
     out_dir = out or cfg.out_dir or (None if command == "verify" else ".")
-    made = []
     if out_dir is not None:
-        # the path makedirs sees, unfolded: "NEW/.." still makes NEW
-        d = os.path.join(os.getcwd(), out_dir)
+        # the path makedirs will see, unfolded: "NEW/.." still needs NEW
+        d, missing = os.path.join(os.getcwd(), out_dir), []
         while not os.path.exists(d):
-            if os.path.basename(d) not in ("", os.curdir, os.pardir):
-                made.append(d)
+            missing.append(os.path.basename(d))
             d = os.path.dirname(d)
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as e:
-            raise ConstraintViolation(str(e)) from e
-        if not os.access(out_dir, os.W_OK):
-            raise ConstraintViolation(f"output directory not writable: {out_dir}")
-    return out_dir, problem, made
+        if not (os.path.isdir(d) and os.access(d, os.W_OK)):
+            raise ConstraintViolation(f"not a writable directory: {d}")
+        limit = os.pathconf(d, "PC_NAME_MAX")
+        if any(len(os.fsencode(name)) > limit for name in missing):
+            raise ConstraintViolation(f"output path component longer than {limit} bytes: {out_dir}")
+    return out_dir, problem
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails a check, not a warning
@@ -402,17 +404,10 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
     for key, results in groups.items():
         checks[key] = [r.as_dict() for r in results]
         failing += [f"{r.name} [{key}]" for r in results if r.status == "fail"]
-    verdict = {
-        "status": "fail" if failing else "pass",
-        "code_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "config": cfg.as_dict(),
-        "checks": checks,
-        "failing": failing,
-    }
+    verdict = _report("fail" if failing else "pass", cfg, checks=checks, failing=failing)
     if cfg.inject_fault:
         verdict["fault_fixture"] = cfg.inject_fault
-    text = json.dumps(verdict, indent=2, allow_nan=False) + "\n"
+    text = _json(verdict)
     print(text, end="")
     if out_dir is not None:
         _emit(out_dir, cfg, started, {"verify.json": text})
@@ -421,32 +416,19 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
 
 def _series_csv(rep) -> str:
     """Per-checkpoint statistics of one probe as CSV (for plotting)."""
-    cols = ["checkpoint"]
-    series = []
+    cols = {"checkpoint": rep.checkpoints}
     for name, stats in rep.stats.items():
         for key in ("mean", "median", "q10", "q90"):
             if key in stats:
-                cols.append(f"{name}_{key}")
-                series.append(stats[key])
-    lines = [",".join(cols)]
-    for i, cp in enumerate(rep.checkpoints):
-        lines.append(",".join([str(int(cp))] + [_fmt(s[i]) for s in series]))
-    return "\n".join(lines) + "\n"
+                cols[f"{name}_{key}"] = stats[key]
+    return _csv(cols)
 
 
 def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
     """Run the enabled probes; write CSV series, JSON report, and manifest."""
     reports = run_probes(cfg, enforce_scale=False)
-    report_doc = {
-        "status": "pass",
-        "code_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "config": cfg.as_dict(),
-        "probes": {},
-    }
     texts = {}
     for name, rep in reports.items():
-        report_doc["probes"][name] = rep.as_dict()
         texts[f"series_{name}.csv"] = _series_csv(rep)
         print(f"probe {name}: {rep.status}")
         for vname, v in rep.verdicts.items():
@@ -454,9 +436,8 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
         for note in rep.notes:
             print(f"  note: {note}")
     failed = any(rep.status == "fail" for rep in reports.values())
-    if failed:
-        report_doc["status"] = "fail"
-    texts["report.json"] = json.dumps(report_doc, indent=2, allow_nan=False) + "\n"
+    probes = {name: rep.as_dict() for name, rep in reports.items()}
+    texts["report.json"] = _json(_report("fail" if failed else "pass", cfg, probes=probes))
     print(f"wrote {_emit(out_dir, cfg, started, texts)} files to {out_dir}")
     return 1 if failed else 0
 
@@ -476,8 +457,8 @@ def cmd_list_problems() -> int:
     for p in default_suite():
         c = p.certificate
         print(
-            f"{p.name}  d={p.dim}  L_f={_fmt(c.L_f)}  f_star={_fmt(c.f_star)}  "
-            f"A={_fmt(c.A)}  B={_fmt(c.B)}  C={_fmt(c.C)}"
+            f"{p.name}  d={p.dim}  L_f={c.L_f:.17g}  f_star={c.f_star:.17g}  "
+            f"A={c.A:.17g}  B={c.B:.17g}  C={c.C:.17g}"
         )
         print(f"  {c.description}")
     return 0
@@ -529,10 +510,9 @@ def main(argv=None) -> int:
 
     if args.command == "list-problems":
         return cmd_list_problems()
-    made = []
     try:
         cfg = _resolve(args)
-        out_dir, problem, made = _prepare(args.command, cfg, args.out)
+        out_dir, problem = _prepare(args.command, cfg, args.out)
         started = datetime.now(timezone.utc).isoformat()
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, started)
@@ -541,7 +521,7 @@ def main(argv=None) -> int:
         rows = list(cfg.checkpoints) if args.checkpoints is not None else None
         return cmd_trace(cfg, problem, out_dir, started, rows)
     except (ParseError, ConstraintViolation) as e:
-        # from _resolve, _prepare, or a check the run repeats
+        # from _resolve, _prepare, a check the run repeats, or _emit's makedirs
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteSweep, NonFiniteTrace, NegativeGap) as e:
@@ -549,12 +529,6 @@ def main(argv=None) -> int:
         # outcome, reported before any artifact
         print(e, file=sys.stderr)
         return 1
-    finally:
-        for d in made:  # a run that failed leaves no empty directory it made
-            try:
-                os.rmdir(d)
-            except OSError:  # not empty: the run wrote its artifacts
-                break
 
 
 if __name__ == "__main__":  # pragma: no cover

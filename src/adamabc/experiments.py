@@ -130,22 +130,21 @@ class ProblemSpec:
 
     @functools.lru_cache(maxsize=8)
     def build(self) -> Problem:
-        if self.kind == "noisy_quadratic":
-            return make_noisy_quadratic(
-                np.linspace(self.eig_min, self.eig_max, self.d), self.sigma
-            )
-        if self.kind == "least_squares":
-            n = self.n or 50
-            return make_least_squares(n, self.d, seed=self.data_seed)
-        if self.kind == "logistic":
-            n = self.n or 100
-            return make_logistic(n, self.d, seed=self.data_seed, reg=self.reg)
-        raise ConstraintViolation(f"unknown problem kind {self.kind!r}")
+        if self.kind not in _BUILDS:
+            raise ConstraintViolation(f"unknown problem kind {self.kind!r}")
+        return _BUILDS[self.kind](self)
 
 
-#: problem kinds the verification driver may run; also the only kinds
-#: ProblemSpec.build understands.
-SUITE_KINDS = ("noisy_quadratic", "least_squares", "logistic")
+#: problem kind -> its build from a spec; n = 0 takes the kind's row count
+_BUILDS = {
+    "noisy_quadratic": lambda s: make_noisy_quadratic(np.linspace(s.eig_min, s.eig_max, s.d),
+                                                      s.sigma),
+    "least_squares": lambda s: make_least_squares(s.n or 50, s.d, seed=s.data_seed),
+    "logistic": lambda s: make_logistic(s.n or 100, s.d, seed=s.data_seed, reg=s.reg),
+}
+
+#: the problem kinds a config or the verification driver may name
+SUITE_KINDS = tuple(_BUILDS)
 
 #: fault fixtures the verification driver understands ("" = none).
 #: "lipschitz_tenth" re-runs the smoothness-step check against a certificate
@@ -243,7 +242,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         eps = getattr(cfg, key)
         if eps is not None and not (math.isfinite(eps) and eps > 0.0):
             raise ConstraintViolation(f"{key} must be finite and > 0, got {eps}")
-    for kind in cfg.suite:
+    for kind in (cfg.problem.kind, *cfg.suite):
         if kind not in SUITE_KINDS:
             raise ConstraintViolation(f"unknown problem kind {kind!r} (known: {SUITE_KINDS})")
     for key in ("probes", "suite"):
@@ -350,8 +349,7 @@ def _require_finite(res: dict, cfg: ExperimentConfig) -> None:
     seed is not finite, or else at a seed whose final iterate is not."""
     bad = ~np.isfinite(np.stack([res[name] for name in SWEEP_SERIES]))  # (series, seed, cp)
     if bad.any():
-        i = int(np.argmax(bad.any(axis=(0, 1))))
-        r, k = np.argwhere(bad[:, :, i].T)[0]
+        i, r, k = np.argwhere(bad.transpose(2, 1, 0))[0]
         t, series = cfg.checkpoints[i], SWEEP_SERIES[k]
     else:
         rows = ~np.isfinite(res["final_W"]).all(axis=1)

@@ -15,7 +15,7 @@ from adamabc import __version__
 from adamabc.cli import (
     ParseError,
     TRACE_COLUMNS,
-    _fmt,
+    _csv,
     _resolve,
     _SCHEMA,
     _write_text,
@@ -97,6 +97,7 @@ def test_config_file_path_is_read(tmp_path):
         ("T = eleven", "line 1: bad value for key 'T'"),
         ('{"T": 8,,}', "invalid JSON config"),
         ('{"bogus_key": 1}', "unknown key 'bogus_key'"),
+        ('{"T": 64, "T": 32, "seeds": [0]}', "duplicate key 'T'"),
     ],
 )
 def test_parse_errors_name_the_line_and_key(text, fragment):
@@ -125,15 +126,19 @@ def test_every_config_field_is_the_target_of_exactly_one_key():
     fields += [f"h.{f.name}" for f in dataclasses.fields(HyperParams) if f.name != "dim"]
     fields += [f.name for f in dataclasses.fields(ExperimentConfig)
                if f.name not in ("problem", "h")]
-    targets = [target for _, _, target in _SCHEMA.values()]
+    targets = [target for _, target in _SCHEMA.values()]
     assert sorted(targets) == sorted(fields)
 
 
-def test_fmt_round_trips_doubles():
-    assert _fmt(3) == "3"
-    assert _fmt(np.int64(5)) == "5"
-    for x in (0.1, 1.0 / 3.0, 1e-17, 123456.789, 2.0**-52):
-        assert float(_fmt(x)) == x
+def test_csv_round_trips_doubles():
+    xs = [0.1, 1.0 / 3.0, 1e-17, 123456.789, 2.0**-52]
+    text = _csv({"k": [3, np.int64(5), 6, 7, 8], "x": xs, "y": np.full(5, np.nan)})
+    lines = text.splitlines()
+    assert text.endswith("\n") and lines[0] == "k,x,y"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["3", "5", "6", "7", "8"]
+    assert [float(r[1]) for r in rows] == xs
+    assert [r[2] for r in rows] == ["nan"] * 5
 
 
 # ---------------------------------------------------------------- overrides
@@ -167,25 +172,31 @@ def test_main_rejects_bad_usage_and_bad_config(capsys):
 
 
 @pytest.mark.parametrize(
-    "text, fragment",
+    "command, text, fragment",
     [
         # raised by the problem build inside the sweep
-        ("problem = least_squares\nd = 10\nn = 3", "need n >= d"),
-        ("sigma = 1e200", "sigma^2 * d must be finite"),
-        ("eig_min = 0", "eigenvalues must be positive, got 1 of 10 <= 0 (smallest 0.0)"),
-        ("eig_min = -1\neig_max = -0.5\nd = 30", "got 30 of 30 <= 0 (smallest -1.0)"),
+        ("experiment", "problem = least_squares\nd = 10\nn = 3", "need n >= d"),
+        ("experiment", "sigma = 1e200", "sigma^2 * d must be finite"),
+        ("experiment", "eig_min = 0",
+         "eigenvalues must be positive, got 1 of 10 <= 0 (smallest 0.0)"),
+        ("experiment", "eig_min = -1\neig_max = -0.5\nd = 30",
+         "got 30 of 30 <= 0 (smallest -1.0)"),
         # raised by the probe's hypothesis gate before the sweep runs
-        ("probes = rate,last_iterate\ngamma = 1.0", "gamma > 1 and delta > 0"),
+        ("experiment", "probes = rate,last_iterate\ngamma = 1.0", "gamma > 1 and delta > 0"),
         # rejected by validate_config
-        ("probes = last_iterate\nepsilon_last = 0", "epsilon_last must be finite and > 0"),
-        ("probes = l1\nepsilon_l1 = -1", "epsilon_l1 must be finite and > 0"),
+        ("experiment", "probes = last_iterate\nepsilon_last = 0",
+         "epsilon_last must be finite and > 0"),
+        ("experiment", "probes = l1\nepsilon_l1 = -1", "epsilon_l1 must be finite and > 0"),
+        # verify builds no config problem, so its kind is checked with the config
+        ("verify", "problem = foo\nseeds = 0\nsuite = noisy_quadratic",
+         "unknown problem kind 'foo'"),
         # every moment verdict reads the final decade [T/10, T]
-        ("probes = moment\nseeds = 0,1\ncheckpoints = 1,2,3,4",
+        ("experiment", "probes = moment\nseeds = 0,1\ncheckpoints = 1,2,3,4",
          "moment probe needs a checkpoint in the final decade [6.4, 64]"),
     ],
 )
-def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, fragment):
-    argv = ["experiment", "--config", f"T = 64\n{text}", "--out", str(tmp_path / "x")]
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, text, fragment):
+    argv = [command, "--config", f"T = 64\n{text}", "--out", str(tmp_path / "x")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
@@ -305,6 +316,39 @@ def test_failed_run_with_dot_components_in_out_removes_what_it_made(tmp_path, mo
     assert list((tmp_path / "kept").iterdir()) == []
 
 
+@pytest.mark.parametrize("command, text", [
+    ("experiment", "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment"),
+    ("trace", "v = 0.25\nT = 16\nseeds = 0"),
+    ("verify", "v = 0.25\nT = 16\nseeds = 0\nsuite = noisy_quadratic"),
+])
+def test_failed_run_never_makes_a_directory(tmp_path, monkeypatch, capsys, command, text):
+    calls = []
+    monkeypatch.setattr(os, "makedirs", lambda *a, **k: calls.append(a))
+    assert main([command, "--config", text, "--out", str(tmp_path / "new" / "sub")]) == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_unmakeable_directory_after_the_run_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                                  capsys):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "out")
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    argv = ["trace", "--config", "T = 8\nseeds = 0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: [Errno 13] Permission denied: 'out'\n"
+
+
+def test_too_long_out_component_exits_2_before_making_its_parents(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = "new1/" + "x" * 300
+    assert main(["trace", "--config", "T = 16\nseeds = 0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output path component longer than "), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "new1").exists()
+
+
 def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
     argv = ["trace", "--config", "sigma = 1e200", "--seeds", "0", "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -392,7 +436,7 @@ def test_negative_rate_gap_exits_1_with_one_line_and_no_artifact(tmp_path, capsy
         "negative rate gap: seed 0, Delta_{t=1,i=0} = -4.238820e-01 materially negative\n"
     )
     assert captured.out == ""
-    assert not out.exists()  # the directory this run made is removed again
+    assert not out.exists()  # a failed run makes no directory
 
 
 def test_non_finite_trace_exits_1_with_one_line_and_no_csv(tmp_path, capsys):
