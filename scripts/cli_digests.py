@@ -13,8 +13,10 @@ fields that differ, and exits 1 if any case differs, else 0.
 
 The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
-kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Every
-horizon is at most 256 steps, so one corpus run takes seconds.
+kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Four
+cases, an ``experiment`` per problem kind and a ``trace``, run T = 4100
+steps: past the 4096-draw prefetch block, ending on a 4-step sub-block.  Every
+other horizon is at most 256 steps, so one corpus run takes seconds.
 
 Usage:
     python3 scripts/cli_digests.py PARENT_DIR CHANGE_DIR
@@ -34,6 +36,7 @@ RUNNER = "import sys; from adamabc.cli import main; sys.exit(main(sys.argv[1:]))
 
 ALL_PROBES = "rate,last_iterate,l1,summability,moment,sgd_anchor"
 LEAST_SQUARES = "problem = least_squares\nd = 5\nn = 50\ndata_seed = 7"
+LONG = "T = 4100\nseeds = 0,1,2\nprobes = rate,moment"
 
 #: (case name, argv); a comment names the exit code where it is not 0
 CORPUS = (
@@ -60,6 +63,11 @@ CORPUS = (
                                   '{"problem": "logistic", "data_seed": 3, "T": 128, '
                                   '"seeds": [0, 1], "probes": ["rate", "summability", "moment"]}',
                                   "--out", "out"]),
+    ("experiment-quadratic-T4100", ["experiment", "--config", LONG, "--out", "out"]),
+    ("experiment-least-squares-T4100", ["experiment", "--config", f"{LEAST_SQUARES}\n{LONG}",
+                                        "--out", "out"]),
+    ("experiment-logistic-T4100", ["experiment", "--config", f"problem = logistic\n{LONG}",
+                                   "--out", "out"]),
     # one checkpoint inside the final decade: every slope fit is skipped
     ("experiment-skipped-fit", ["experiment", "--config",
                                 "T = 256\nseeds = 0,1\ncheckpoints = 1,2,4,8,256\n"
@@ -78,6 +86,7 @@ CORPUS = (
                                            "T = 1000\nseeds = 0,1\nprobes = moment\n"
                                            "checkpoints = 1,2,3,4", "--out", "o1"]),
     ("trace", ["trace", "--config", "T = 64", "--seeds", "3", "--out", "out"]),
+    ("trace-T4100", ["trace", "--config", "T = 4100", "--seeds", "5", "--out", "out"]),
     ("trace-checkpoints-flag", ["trace", "--config", "T = 64", "--seeds", "0",
                                 "--checkpoints", "2,4,8", "--out", "out"]),
     ("trace-checkpoints-key", ["trace", "--config", "T = 16\ncheckpoints = 1,2", "--seeds", "0",

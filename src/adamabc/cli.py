@@ -232,19 +232,20 @@ def _write_text(out_dir: str, name: str, text: str) -> dict:
 def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int:
     """Make ``out_dir``, write each ``{name: text}`` artifact, then ``manifest.json``:
     the config echo, versions, start time and each artifact's digest.  The manifest
-    goes last, so its listing is complete.  Returns the number of files written."""
+    goes last, so its listing is complete.  Returns the number of files written;
+    an ``OSError`` on the way becomes a ConstraintViolation."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+        manifest = {
+            "config": cfg.as_dict(),
+            "code_version": __version__,
+            "rng_algorithm": RNG_ALGORITHM,
+            "started": started,
+            "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
+        }
+        _write_text(out_dir, "manifest.json", _json(manifest))
     except OSError as e:
         raise ConstraintViolation(str(e)) from e
-    manifest = {
-        "config": cfg.as_dict(),
-        "code_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "started": started,
-        "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
-    }
-    _write_text(out_dir, "manifest.json", _json(manifest))
     return len(texts) + 1
 
 
@@ -330,7 +331,8 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
     """Raise every config error ``command`` can have, and make nothing.  The output
     directory is ``out``, else the config's ``out_dir``, else the working directory
     (for ``verify``, none).  Its nearest existing path must be a writable directory,
-    and each component still to make must fit that directory's name length limit.
+    each component still to make must fit that directory's name length limit, and
+    the path, with room for one more name of that length, its path length limit.
     Returns ``(out_dir, problem)``: the built config problem, or None for ``verify``."""
     problem = None
     if command == "verify":
@@ -361,6 +363,10 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
         limit = os.pathconf(d, "PC_NAME_MAX")
         if any(len(os.fsencode(name)) > limit for name in missing):
             raise ConstraintViolation(f"output path component longer than {limit} bytes: {out_dir}")
+        # an artifact's path is out_dir/name; PC_PATH_MAX counts the closing NUL
+        room = os.pathconf(d, "PC_PATH_MAX") - 2 - limit
+        if len(os.fsencode(out_dir)) > room:
+            raise ConstraintViolation(f"output path longer than {room} bytes: {out_dir}")
     return out_dir, problem
 
 
@@ -521,7 +527,7 @@ def main(argv=None) -> int:
         rows = list(cfg.checkpoints) if args.checkpoints is not None else None
         return cmd_trace(cfg, problem, out_dir, started, rows)
     except (ParseError, ConstraintViolation) as e:
-        # from _resolve, _prepare, a check the run repeats, or _emit's makedirs
+        # from _resolve, _prepare, a check the run repeats, or _emit's writes
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteSweep, NonFiniteTrace, NegativeGap) as e:

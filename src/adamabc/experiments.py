@@ -12,7 +12,8 @@ Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
 lone run_trajectory call (each array row only ever meets its own row's data).
 The sweep reduces its statistics from the loop's ``SUB``-step ring once per
 sub-block, the exact gradient included (one stacked ``grad_batch`` call,
-bitwise per step); it reads running values only at checkpoints.
+bitwise per step, in one workspace per sweep); it reads running values only
+at checkpoints.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -34,9 +35,11 @@ from .core import ConstraintViolation, HyperParams, alpha1, validate_hyperparams
 from .problems import (
     Problem,
     grad_batch,
+    grad_workspace,
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
+    rows_view,
 )
 from .optimizer import SUB, rates, run_steps
 from .instrumentation import log_pi_series
@@ -268,7 +271,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     The steps are ``optimizer.run_steps``, so row s matches the single-seed
     trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
     sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
-    stack, and read only at checkpoints and sub-block ends.
+    stack on ``rows_view(p, S)`` in a (SUB, S) workspace built once, and read
+    only at checkpoints and sub-block ends.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
@@ -288,12 +292,13 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     sups = np.empty((SUB + 1, 2, S))
     sups[0, 0], sups[0, 1] = 0.0, d * h.v
     eta_v = np.full((SUB + 1, S, d), h.v / alpha1(h)) if collect_dsum else None
+    p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
 
     c = 0  # the next checkpoint
     for t0, k, ring in run_steps(p, h, T, seeds, rule=rule):
         W, G, V, eta = ring.W, ring.G, ring.V, ring.eta[:, None]
         r = slice(1, k + 1)
-        g = grad_batch(p, W[:k])  # at the pre-update iterates
+        g = grad_batch(p_rows, W[:k], [b[:k] for b in ws])  # at the pre-update iterates
         gn2 = np.einsum("ksd,ksd->ks", g, g)
         np.square(G[:k], out=sums[r, :, :d])
         sums[r, :, d] = gn2

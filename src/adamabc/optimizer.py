@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DimensionMismatch, HyperParams, beta2_at, eta_at, validate_hyperparams
-from .problems import Problem, oracle_draws, oracle_rows, rng_stream
+from .problems import Problem, oracle_draws, oracle_rows, rng_stream, rows_view
 
 #: oracle draws prefetched per block, per row; blocked draws consume the
 #: stream exactly as single draws do
@@ -78,8 +78,9 @@ def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
 
     ``sched = (b2, 1 - b2, eta)`` are the step's schedule values and
     ``consts = (beta1, 1 - beta1, mu)`` the run's constants: scalars, or
-    arrays shaped like g that hold the same doubles (a product or quotient
-    with such an array is bitwise the scalar one).  The new state is written
+    arrays that broadcast to g's shape (0-d ones included) and hold the same
+    doubles (a product or quotient with such an array is bitwise the scalar
+    one).  The new state is written
     into ``out = (w', m', v')``, which may be ``(w, m, v)`` themselves; every
     intermediate goes through ``tmp``, one more array shaped like g.
     Gradients are not checked here: callers that take them from outside
@@ -121,19 +122,21 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
     """The next ``take`` oracle draws of every row: ``block[j, r]`` is row r's
     draw for the j-th step, taken from ``rngs[r]`` in stream order.
 
-    Written into ``out[:take]`` when given, so a loop reuses one buffer for
-    all its blocks.  None when the oracle draws nothing (noiseless quadratic).
+    The draws live in a seed-major (rows, take, ...) buffer, each row's drawn
+    in place by ``oracle_draws``; the block is its step-major view.  Given a
+    block this returned earlier as ``out``, the draws go into the first
+    ``take`` steps of its buffer, so a loop reuses one buffer for all its
+    blocks.  None when the oracle draws nothing (noiseless quadratic).
     """
-    block = None
+    buf = None if out is None else out.swapaxes(0, 1)[:, :take]
     for r, rng in enumerate(rngs):
-        draws = oracle_draws(p, take, rng)
+        draws = oracle_draws(p, take, rng, None if buf is None else buf[r])
         if draws is None:
             return None
-        if block is None:
-            shape = (take, len(rngs)) + draws.shape[1:]
-            block = np.empty(shape, draws.dtype) if out is None else out[:take]
-        block[:, r] = draws
-    return block
+        if buf is None:  # the first row of a fresh buffer sizes it
+            buf = np.empty((len(rngs),) + draws.shape, draws.dtype)
+            buf[0] = draws
+    return buf.swapaxes(0, 1)
 
 
 class Ring(NamedTuple):
@@ -159,6 +162,11 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     Every row starts at ones with m = 0 and v = h.v, draws
     from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
     time, and only meets its own data, so it is bitwise a lone run.
+    Per-run shapes are built once: the draws go into one seed-major
+    ``prefetch_draws`` buffer, whose sub-block is copied into one step-major
+    (SUB, S, ...) buffer before its steps; the oracle runs on
+    ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows); the
+    constants, the schedule columns and ``tmp`` are arrays every step reuses.
     ``rule="sgd"`` steps w - t^(-1/2) g and leaves M unset and V at h.v.
     With ``check``, a non-finite gradient stops the loop at its step with
     NonFiniteGradient.
@@ -168,36 +176,46 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     adam = rule == "adam"
     S, d = len(seeds), h.dim
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
+    p_rows = rows_view(p, S)
     G, M = np.empty((SUB, S, d)), np.empty((SUB, S, d))
     ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB))
     ring.W[0] = 1.0
-    # The schedule is broadcast into (SUB, S, d) columns once per sub-block and
-    # the constants into (S, d) arrays once per run, so every per-step ufunc
-    # runs array by array, into a ring slot or into tmp.  Slot views are bound
-    # once per run.
-    B2, C2, ETA = (np.empty((SUB, S, d)) for _ in range(3))
+    # The schedule is written into (SUB,) columns once per sub-block and the
+    # constants into (S, d) arrays once per run.  A step reads its schedule
+    # values as 0-d views, which a ufunc takes about as cheaply as a full array
+    # and far more cheaply than a Python float, so every per-step ufunc runs
+    # array by array, into a ring slot or into tmp.  Slot views are bound once
+    # per run.
+    B2, C2 = np.empty(SUB), np.empty(SUB)
     consts = tuple(np.full((S, d), c) for c in (h.beta1, 1.0 - h.beta1, h.mu))
     tmp = np.empty((S, d))
+    scheds = [(B2[i, ...], C2[i, ...], ring.eta[i, ...]) for i in range(SUB)]
     outs = zip(ring.W[1:], ring.M, ring.V)
-    slots = list(zip(ring.W, ring.G, zip(B2, C2, ETA), outs))  # step i: w, g, sched, out
+    slots = list(zip(ring.W, ring.G, scheds, outs))  # step i: w, g, sched, out
     m, v = np.zeros((S, d)), np.full((S, d), h.v)
-    block = None
+    block = D = None
     for t0 in range(0, T, SUB):
         k = min(SUB, T - t0)
         if t0:
             ring.W[0] = ring.W[SUB]  # only the last sub-block is short
         if t0 % BLOCK == 0:
             block = prefetch_draws(p, min(BLOCK, T - t0), rngs, out=block)
-        draws = [None] * k if block is None else block[t0 % BLOCK : t0 % BLOCK + k]
+        if block is None:
+            draws = [None] * k
+        else:
+            # each step then reads one contiguous slab, not S rows strided across
+            # the block: the copy costs less than the strided reads
+            if D is None:
+                D = np.empty((SUB,) + block.shape[1:], block.dtype)
+            draws = D[:k]
+            draws[:] = block[t0 % BLOCK : t0 % BLOCK + k]
         taus = range(t0 + 1, t0 + k + 1)
         ring.eta[:k] = [eta_at(t, h) for t in taus]
         if adam:
-            b2 = np.array([beta2_at(t, h) for t in taus])
-            B2[:k] = b2[:, None, None]
+            B2[:k] = [beta2_at(t, h) for t in taus]
             np.subtract(1.0, B2[:k], out=C2[:k])
-            ETA[:k] = ring.eta[:k, None, None]
         for i, ((w, g, sched, out), dr) in enumerate(zip(slots, draws)):
-            oracle_rows(p, w, dr, g)
+            oracle_rows(p_rows, w, dr, g)
             # Python floats: cheaper than a numpy reduction over a few short rows
             if check and not all(map(math.isfinite, g.ravel().tolist())):
                 raise NonFiniteGradient(_non_finite_message(g, seeds, t0 + i + 1))

@@ -15,9 +15,12 @@ multiplicative noise), and regularized logistic regression on synthetic data
 Kernels: ``loss_batch``, ``grad_batch`` and ``oracle_rows`` evaluate many
 rows at once.  The logistic ones work on ``signed_rows = -y * a``: with
 y = +/-1 every sign flip is exact, so folding the labels in moves no bit.
-``grad_batch`` also takes (k, S, d) stacks, one gemm per (S, d) slab.
+``grad_batch`` also takes (k, S, d) stacks, one gemm per (S, d) slab, and
+runs in a ``grad_workspace`` a loop may keep for all its calls.
 ``oracle_rows`` writes into a caller's slot when given one, as the stepping
-loop's ring does.
+loop's ring does, and ``oracle_draws`` into a caller's buffer.  A loop over
+(S, d) rows passes both kernels ``rows_view(p, S)``, whose quadratic carries
+its eigenvalues tiled to the rows.
 
 Randomness: one documented, versioned algorithm (see RNG_ALGORITHM).  Streams
 are keyed by (experiment id, seed, purpose) so that branch sampling, data
@@ -26,6 +29,7 @@ generation, and trajectory noise never share or perturb each other's state.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -230,18 +234,21 @@ def make_least_squares(n: int, d: int, seed: int) -> LeastSquares:
     return _least_squares_from_data(rows, targets)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, e=None, num=None, pos=None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise.
 
     exp(-|x|) is the exponential each branch needs and never overflows, so
     both branches are evaluated elementwise without masked gathers.  The
     numerator max(e, x >= 0) is 1 where x >= 0 (there e <= 1) and e elsewhere
-    (NaN stays NaN); the denominator is formed in e's own buffer.
+    (NaN stays NaN); the denominator is formed in e's own buffer.  The buffers
+    ``e``, ``num`` (returned) and the sign mask ``pos`` are fresh when None;
+    ``e`` may be x itself, whose signs are read first.
     """
-    e = np.abs(x)
+    pos = np.greater_equal(x, 0, out=pos)
+    e = np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)
+    num = np.maximum(e, pos, out=num)
     e += 1.0
     num /= e
     return num
@@ -253,20 +260,33 @@ def _logistic_loss(signed_rows, reg, W):
     return data + 0.5 * reg * np.einsum("ij,ij->i", W, W)
 
 
-def _logistic_grad(signed_rows, reg, W):
-    """Its gradient at the rows of W, (k, d) or a stack (..., k, d)."""
-    P = _sigmoid(W @ signed_rows.T)
-    return P @ signed_rows / signed_rows.shape[0] + reg * W
+def _logistic_workspace(n: int, lead, d: int) -> tuple:
+    """Fresh buffers for ``_logistic_grad`` on n rows at W of shape lead + (d,):
+    logits, numerators and sign mask shaped lead + (n,), output and a
+    temporary shaped like W."""
+    z, w = (*lead, n), (*lead, d)
+    return np.empty(z), np.empty(z), np.empty(z, bool), np.empty(w), np.empty(w)
+
+
+def _logistic_grad(signed_rows, reg, W, ws):
+    """Its gradient at the rows of W, (k, d) or a stack (..., k, d), formed in
+    the ``_logistic_workspace`` ws and returned in its output buffer:
+    (sigmoid(W @ signed_rows.T) @ signed_rows) / n + reg * W."""
+    n = signed_rows.shape[0]
+    Z, P, pos, out, tmp = ws
+    _sigmoid(np.matmul(W, signed_rows.T, out=Z), Z, P, pos)
+    np.true_divide(np.matmul(P, signed_rows, out=out), n, out=out)
+    return np.add(out, np.multiply(reg, W, out=tmp), out=out)
 
 
 def _solve_logistic(signed_rows, reg):
     """Damped Newton on the problem's own loss and gradient kernels, with w
     as one (1, d) row; stops at |grad| <= 1e-12."""
     n, d = signed_rows.shape
-    w = np.zeros((1, d))
+    w, ws = np.zeros((1, d)), _logistic_workspace(n, (1,), d)
     f = _logistic_loss(signed_rows, reg, w)[0]
     for _ in range(200):
-        g = _logistic_grad(signed_rows, reg, w)[0]
+        g = _logistic_grad(signed_rows, reg, w, ws)[0]
         gn = float(np.linalg.norm(g))
         if gn <= 1e-12:
             return w[0], gn
@@ -284,7 +304,7 @@ def _solve_logistic(signed_rows, reg):
                 break
             alpha *= 0.5
         w, f = w_new, f_new
-    return w[0], float(np.linalg.norm(_logistic_grad(signed_rows, reg, w)))
+    return w[0], float(np.linalg.norm(_logistic_grad(signed_rows, reg, w, ws)))
 
 
 def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logistic:
@@ -398,41 +418,68 @@ def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
-def grad_batch(p: Problem, W: np.ndarray) -> np.ndarray:
+def grad_workspace(p: Problem, lead: tuple) -> tuple:
+    """Fresh buffers for ``grad_batch`` at W of shape lead + (dim,); the
+    gradient is written into the one shaped like W."""
+    if isinstance(p, Logistic):
+        return _logistic_workspace(p.signed_rows.shape[0], lead, p.dim)
+    return (np.empty((*lead, p.dim)),)
+
+
+def grad_batch(p: Problem, W: np.ndarray, ws=None) -> np.ndarray:
     """Vectorized ``grad`` over the rows of W -> same shape as W.
 
     W is (k, dim) or a stack (..., k, dim).  A stacked matmul issues the same
     gemm per (k, dim) slab as a lone 2-D call, so every slab of a stack is
-    bitwise that slab's own ``grad_batch``.
+    bitwise that slab's own ``grad_batch``.  The gradient is formed in ``ws``,
+    a ``grad_workspace(p, W.shape[:-1])``, fresh when None; a loop that keeps
+    one gets back a view of its output buffer, overwritten by the next call.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim < 2 or W.shape[-1] != p.dim:
         raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
+    if ws is None:
+        ws = grad_workspace(p, W.shape[:-1])
     if isinstance(p, NoisyQuadratic):
-        return W * p.eigenvalues
+        return np.multiply(W, p.eigenvalues, out=ws[0])
     if isinstance(p, LeastSquares):
-        return W @ p.hess.T - p.lin
+        return np.subtract(np.matmul(W, p.hess.T, out=ws[0]), p.lin, out=ws[0])
     if isinstance(p, Logistic):
-        return _logistic_grad(p.signed_rows, p.reg, W)
+        return _logistic_grad(p.signed_rows, p.reg, W, ws)
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
-def oracle_draws(p: Problem, K: int, rng: np.random.Generator):
+def rows_view(p: Problem, S: int) -> Problem:
+    """``p`` for ``oracle_rows`` and ``grad_batch`` on (S, dim) rows, or
+    stacks of them: the quadratic with its eigenvalues tiled to (S, dim), a
+    product with which is bitwise the broadcast one; other kinds as they are.
+    Its ``eigenvalues`` are no spectrum, so no other kernel takes it."""
+    if isinstance(p, NoisyQuadratic):
+        return dataclasses.replace(p, eigenvalues=_frozen(np.tile(p.eigenvalues, (S, 1))))
+    return p
+
+
+def oracle_draws(p: Problem, K: int, rng: np.random.Generator, out=None):
     """The randomness of K oracle draws, taken from ``rng`` in stream order.
 
     The additive noise sigma * N(0, I) of shape (K, dim) for the noisy
     quadratic (None when it is noiseless: no entropy is consumed), row
     indices of shape (K,) for the data problems.  Drawing a block of K
     consumes the stream exactly as K single draws do, so callers may prefetch
-    draws for many steps at once.
+    draws for many steps at once.  Written into ``out`` (float64 or int64,
+    shaped as above) when given: the noise is drawn there and scaled in place.
     """
     if isinstance(p, NoisyQuadratic):
         if p.sigma == 0.0:
             return None
-        noise = rng.standard_normal((K, p.dim))
+        noise = rng.standard_normal((K, p.dim), out=out)
         return np.multiply(p.sigma, noise, noise)
     if isinstance(p, (LeastSquares, Logistic)):
-        return rng.integers(0, p.rows.shape[0], size=K)
+        rows = rng.integers(0, p.rows.shape[0], size=K)
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 

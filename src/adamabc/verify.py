@@ -183,11 +183,12 @@ def check_momentum_bound(trace: TheoryTrace) -> CheckResult:
     _require_complete(trace)
     h = trace.h
     gsq = np.einsum("ij,ij->i", trace.G, trace.G)
-    r = np.empty(trace.T)
-    acc = 0.0
-    for k in range(trace.T):
-        acc = h.beta1 * acc + (1.0 - h.beta1) * gsq[k]
-        r[k] = acc
+    b1, c1, acc, r = h.beta1, 1.0 - h.beta1, 0.0, []
+    # Python floats: the same IEEE operations as numpy scalars, at less cost
+    for x in gsq.tolist():
+        acc = b1 * acc + c1 * x
+        r.append(acc)
+    r = np.array(r)
     msq = np.einsum("ij,ij->i", trace.M, trace.M)
     return _worst("momentum-energy-bound", (r - msq) / (1.0 + r), 1e-9, trace.seed, first=1)
 
@@ -309,11 +310,11 @@ def check_exchange(num_instances: int, rng) -> CheckResult:
         mu = float(rng.uniform(0.1, 0.95))
         sigma = mu * float(rng.uniform(0.02, 0.9))
         psi = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        r = np.empty(n)
-        acc = 0.0
-        for i in range(n):
-            acc = sigma * acc + psi[i]
-            r[i] = acc
+        acc, r = 0.0, []
+        for x in psi.tolist():  # Python floats, as in check_momentum_bound
+            acc = sigma * acc + x
+            r.append(acc)
+        r = np.array(r)
         powers = mu ** np.arange(n - 1, -1, -1, dtype=np.float64)
         lower = float(powers @ psi)
         inner = float(powers @ r)

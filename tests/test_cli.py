@@ -349,6 +349,32 @@ def test_too_long_out_component_exits_2_before_making_its_parents(tmp_path, monk
     assert not (tmp_path / "new1").exists()
 
 
+def test_too_long_out_path_exits_2_before_the_run_and_makes_nothing(tmp_path, monkeypatch,
+                                                                   capsys):
+    # every component fits the name limit; the whole path does not fit the path limit
+    import adamabc.cli as C
+
+    monkeypatch.chdir(tmp_path)
+    out = "/".join(["y" * 250] * 18)
+    monkeypatch.setattr(C, "cmd_trace", lambda *a: pytest.fail("the run started"))
+    assert main(["trace", "--config", "T = 16\nseeds = 0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output path longer than "), err[:80]
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_artifact_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # an existing directory where the trace CSV goes: os.replace fails
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "trace_seed0.csv").mkdir(parents=True)
+    assert main(["trace", "--config", "T = 16\nseeds = 0", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [Errno 21] Is a directory: "), err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["trace_seed0.csv"]
+
+
 def test_problem_build_error_in_trace_exits_2(tmp_path, capsys):
     argv = ["trace", "--config", "sigma = 1e200", "--seeds", "0", "--out", str(tmp_path)]
     assert main(argv) == 2

@@ -30,8 +30,8 @@ from adamabc.experiments import (
     run_sweep,
 )
 from adamabc.instrumentation import geometric_tail_rowsums
-from adamabc.optimizer import run_trajectory
-from adamabc.problems import oracle_sample, rng_stream
+from adamabc.optimizer import run_steps, run_trajectory
+from adamabc.problems import grad_batch, oracle_sample, rng_stream
 from reference import sweep_per_step
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +114,22 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
     assert set(got) == set(ref) | {"seeds"}
     for name, value in ref.items():
         assert got[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_sweep_exact_gradient_equals_grad_batch_slab_by_slab(kind):
+    # a checkpoint at every step; T = 4100 ends on a short sub-block of 4 steps
+    T, seeds = 4100, (0, 5, 7)
+    cfg = replace(cfg_for(kind, T, seeds), checkpoints=tuple(range(1, T + 1)))
+    res = run_sweep(cfg)
+    p = cfg.problem.build()
+    gn = np.empty((len(seeds), T))
+    for t0, k, ring in run_steps(p, cfg.h, T, seeds):
+        for i in range(k):
+            g = grad_batch(p, ring.W[i])  # one (S, d) slab, fresh buffers
+            gn[:, t0 + i] = np.sqrt(np.einsum("sd,sd->s", g, g))
+    assert res["last_grad"].tobytes() == gn.tobytes()
+    assert res["sup_grad"].tobytes() == np.maximum.accumulate(gn, axis=1).tobytes()
 
 
 def test_sweep_sorts_seeds_and_thread_split_is_equivalent():

@@ -8,16 +8,18 @@ import pytest
 
 from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams, beta2_at, eta_at
 from adamabc.optimizer import (
+    BLOCK,
     SUB,
     NonFiniteGradient,
     adam_init,
     adam_rows,
     adam_step,
+    prefetch_draws,
     run_steps,
     run_trajectories,
     run_trajectory,
 )
-from adamabc.problems import make_noisy_quadratic
+from adamabc.problems import make_noisy_quadratic, oracle_draws, rng_stream
 
 H1 = HyperParams(beta1=0.0, alpha0=0.5, gamma=1.25, delta=0.25, mu=0.0, v=1.0, dim=1)
 
@@ -93,15 +95,19 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
     def full(values):
         return tuple(np.full((S, d), c) for c in values)
 
-    scalar, columns = ([np.empty((S, d)) for _ in range(3)] for _ in range(2))
+    scalar, columns, views = ([np.empty((S, d)) for _ in range(3)] for _ in range(3))
     adam_rows(w, m, v, g, sched, consts, scalar, np.empty((S, d)))
     adam_rows(w, m, v, g, full(sched), full(consts), columns, np.empty((S, d)))
+    # as the stepping loop passes them: the schedule as 0-d views of a column
+    column = np.array(sched)
+    adam_rows(w, m, v, g, tuple(column[i, ...] for i in range(3)), full(consts), views,
+              np.empty((S, d)))
     # the update's formula, one numpy expression per line
     v_ref = b2 * v + (1.0 - b2) * (g * g)
     m_ref = h.beta1 * m + (1.0 - h.beta1) * g
     w_ref = w - eta / (np.sqrt(v_ref) + h.mu) * m_ref
-    for a, b, ref in zip(scalar, columns, (w_ref, m_ref, v_ref)):
-        assert a.tobytes() == b.tobytes() == ref.tobytes()
+    for a, b, c, ref in zip(scalar, columns, views, (w_ref, m_ref, v_ref)):
+        assert a.tobytes() == b.tobytes() == c.tobytes() == ref.tobytes()
     # in place, over the state itself
     state = [w.copy(), m.copy(), v.copy()]
     adam_rows(*state, g, sched, consts, state, np.empty((S, d)))
@@ -119,6 +125,28 @@ def test_run_steps_owns_one_bounded_ring(quad10, h10):
         assert max(len(a) for a in ring) <= SUB + 1
         rings.add(tuple(id(a) for a in ring))
     assert done == T and len(rings) == 1
+
+
+@pytest.mark.parametrize("take", [BLOCK - 5, BLOCK])
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
+def test_prefetch_draws_equal_each_seeds_own_draws(suite, kind, take):
+    p, seeds = suite[kind], (0, 4, 9)
+    rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
+    first = prefetch_draws(p, take, rngs)
+    kept = first.copy()
+    # a later, shorter block goes into the same buffer through the returned view
+    second = prefetch_draws(p, 37, rngs, out=first)
+    assert np.shares_memory(first, second)
+    assert kept.shape[:2] == (take, 3) and second.shape[:2] == (37, 3)
+    for r, seed in enumerate(seeds):
+        rng = rng_stream("trajectory", seed, "oracle")
+        assert kept[:, r].tobytes() == oracle_draws(p, take, rng).tobytes()
+        assert second[:, r].tobytes() == oracle_draws(p, 37, rng).tobytes()
+
+
+def test_prefetch_draws_of_a_noiseless_oracle_are_none(quad10_noiseless):
+    rngs = [rng_stream("trajectory", s, "oracle") for s in (0, 1)]
+    assert prefetch_draws(quad10_noiseless, BLOCK, rngs) is None
 
 
 def test_step_rejects_bad_gradients():

@@ -18,14 +18,17 @@ from adamabc.problems import (
     default_suite,
     grad,
     grad_batch,
+    grad_workspace,
     loss,
     loss_batch,
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
+    oracle_draws,
     oracle_rows,
     oracle_sample,
     rng_stream,
+    rows_view,
 )
 from reference import (
     logistic_grad_batch,
@@ -235,6 +238,10 @@ def test_sigmoid_matches_branchwise_reference():
     num = ~np.isnan(want)  # a NaN's sign bit carries nothing
     assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
     assert np.array_equal(_sigmoid(x.reshape(50, 100)), want.reshape(50, 100), equal_nan=True)
+    # in a workspace, with the exponentials formed over the input itself
+    y = x.copy()
+    assert np.array_equal(_sigmoid(y, y, np.empty_like(y), np.empty(y.shape, bool)), want,
+                          equal_nan=True)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
@@ -265,6 +272,21 @@ def test_stacked_grad_batch_is_bitwise_per_slab(suite, kind):
             assert stacked.shape == W.shape
             for j in range(k):
                 assert np.array_equal(stacked[j], grad_batch(p, W[j])), (S, k, j)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
+def test_rows_view_and_a_kept_workspace_give_the_fresh_kernels_bytes(suite, kind):
+    p = suite[kind]
+    rng = np.random.default_rng(10 + kind)
+    for S in (1, 3, 20):
+        rows, ws = rows_view(p, S), grad_workspace(p, (32, S))
+        for k in (32, 5):  # a full sub-block, then a short one in the same buffers
+            W = rng.standard_normal((k, S, p.dim))
+            got = grad_batch(rows, W, [b[:k] for b in ws])
+            assert got.tobytes() == grad_batch(p, W).tobytes(), (S, k)
+            assert any(np.shares_memory(got, b) for b in ws)
+        W, draws = rng.standard_normal((S, p.dim)), oracle_draws(p, S, rng)
+        assert oracle_rows(rows, W, draws).tobytes() == oracle_rows(p, W, draws).tobytes()
 
 
 def test_grad_batch_rejects_vectors_and_wrong_widths(suite):
