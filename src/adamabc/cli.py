@@ -25,14 +25,16 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .core import ConstraintViolation, HyperParams, beta2_at, eta_at, with_dim
+from .core import ConstraintViolation, HyperParams, beta2_steps, eta_steps, with_dim
 from .experiments import (
     ExperimentConfig,
     NonFiniteSweep,
@@ -229,9 +231,11 @@ def _write_text(out_dir: str, name: str, text: str) -> dict:
     return {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int:
+def _emit(out_dir: str, cfg: ExperimentConfig, start: tuple, texts: dict) -> int:
     """Make ``out_dir``, write each ``{name: text}`` artifact, then ``manifest.json``:
-    the config echo, versions, start time and each artifact's digest.  The manifest
+    the config echo, versions, start time, each artifact's digest, and the
+    process's peak resident memory and wall time so far.  ``start`` is the run's
+    (ISO timestamp, ``perf_counter`` at the start of ``main``).  The manifest
     goes last, so its listing is complete.  Returns the number of files written;
     an ``OSError`` on the way becomes a ConstraintViolation."""
     try:
@@ -240,8 +244,11 @@ def _emit(out_dir: str, cfg: ExperimentConfig, started: str, texts: dict) -> int
             "config": cfg.as_dict(),
             "code_version": __version__,
             "rng_algorithm": RNG_ALGORITHM,
-            "started": started,
+            "started": start[0],
             "artifacts": [_write_text(out_dir, name, text) for name, text in texts.items()],
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "wall_s": time.perf_counter() - start[1],
         }
         _write_text(out_dir, "manifest.json", _json(manifest))
     except OSError as e:
@@ -277,8 +284,8 @@ _TRACE_TABLE = {
     "f_w": lambda tr, ts, at: tr.f_w[at],
     "grad_norm_sq": lambda tr, ts, at: tr.grad_norm_sq[at],
     "f_u": lambda tr, ts, at: tr.f_u[at],
-    "eta_t": lambda tr, ts, at: np.array([eta_at(t, tr.h) for t in ts]),
-    "beta2_t": lambda tr, ts, at: np.array([beta2_at(t, tr.h) for t in ts]),
+    "eta_t": lambda tr, ts, at: np.array(eta_steps(ts, tr.h)),
+    "beta2_t": lambda tr, ts, at: np.array(beta2_steps(ts, tr.h)),
     "min_margin_prop2": lambda tr, ts, at: tr.margin2[at + 1],
     "sum_eta_v": lambda tr, ts, at: tr.eta_v.sum(axis=1)[at + 1],
     "S_total": lambda tr, ts, at: tr.S_total[at + 1],
@@ -371,7 +378,7 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails a check, not a warning
-def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, start: tuple) -> int:
     """Invariant + soundness checks over the configured suite and seeds.
 
     Prints a JSON verdict listing every check result; exit 0 iff all pass.
@@ -416,7 +423,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, started: str) -> int:
     text = _json(verdict)
     print(text, end="")
     if out_dir is not None:
-        _emit(out_dir, cfg, started, {"verify.json": text})
+        _emit(out_dir, cfg, start, {"verify.json": text})
     return 1 if failing else 0
 
 
@@ -430,7 +437,7 @@ def _series_csv(rep) -> str:
     return _csv(cols)
 
 
-def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
+def cmd_experiment(cfg: ExperimentConfig, out_dir: str, start: tuple) -> int:
     """Run the enabled probes; write CSV series, JSON report, and manifest."""
     reports = run_probes(cfg, enforce_scale=False)
     texts = {}
@@ -444,16 +451,16 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str, started: str) -> int:
     failed = any(rep.status == "fail" for rep in reports.values())
     probes = {name: rep.as_dict() for name, rep in reports.items()}
     texts["report.json"] = _json(_report("fail" if failed else "pass", cfg, probes=probes))
-    print(f"wrote {_emit(out_dir, cfg, started, texts)} files to {out_dir}")
+    print(f"wrote {_emit(out_dir, cfg, start, texts)} files to {out_dir}")
     return 1 if failed else 0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # trace_csv's non-finite guard reports overflow
-def cmd_trace(cfg: ExperimentConfig, p, out_dir: str, started: str, rows=None) -> int:
+def cmd_trace(cfg: ExperimentConfig, p, out_dir: str, start: tuple, rows=None) -> int:
     """One trajectory of ``p`` -> per-step diagnostic CSV (byte-identical on rerun)."""
     seed = int(cfg.seeds[0])
     name = f"trace_seed{seed}.csv"
-    _emit(out_dir, cfg, started, {name: trace_csv(run_trajectory(p, cfg.h, cfg.T, seed), rows)})
+    _emit(out_dir, cfg, start, {name: trace_csv(run_trajectory(p, cfg.h, cfg.T, seed), rows)})
     print(os.path.join(out_dir, name))
     return 0
 
@@ -503,6 +510,7 @@ def _resolve(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    t0 = time.perf_counter()
     parser = argparse.ArgumentParser(
         prog="adam-abc",
         description="Adaptive-moment optimizer study kit: verification, experiments, traces.",
@@ -519,13 +527,13 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         out_dir, problem = _prepare(args.command, cfg, args.out)
-        started = datetime.now(timezone.utc).isoformat()
+        start = (datetime.now(timezone.utc).isoformat(), t0)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, started)
+            return cmd_verify(cfg, out_dir, start)
         if args.command == "experiment":
-            return cmd_experiment(cfg, out_dir, started)
+            return cmd_experiment(cfg, out_dir, start)
         rows = list(cfg.checkpoints) if args.checkpoints is not None else None
-        return cmd_trace(cfg, problem, out_dir, started, rows)
+        return cmd_trace(cfg, problem, out_dir, start, rows)
     except (ParseError, ConstraintViolation) as e:
         # from _resolve, _prepare, a check the run repeats, or _emit's writes
         print(f"config error: {e}", file=sys.stderr)

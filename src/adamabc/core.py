@@ -5,6 +5,10 @@ The optimizer is Adam without bias correction, driven by two scalar schedules:
 * ``beta2_at(t)``  — second-moment decay: 1 − alpha0 at t = 1, then 1 − 1/t**gamma;
 * ``eta_at(t)``    — step size 1/t**(1/2 + delta).
 
+``beta2_steps`` and ``eta_steps`` give either schedule at a sequence of steps,
+the form a loop over many steps calls; the scalar functions are their
+one-step case, so each formula is written once.
+
 Admissible exponents are coupled: delta lies in [0, 1/2] and gamma in
 [1, 2*delta + 1] (the power-rate band), except that delta = 0 additionally
 admits gamma anywhere in [1, 2) — the slow-step regime whose running-average
@@ -84,24 +88,37 @@ def validate_hyperparams(h: HyperParams) -> HyperParams:
     return h
 
 
-def beta2_at(t: int, h: HyperParams) -> float:
-    """Second-moment decay at step t >= 1: 1 − alpha0 at t=1, else 1 − 1/t**gamma.
+def _check_steps(ts) -> None:
+    if ts and min(ts) < 1:
+        raise ValueError(f"step index must be >= 1, got {min(ts)}")
+
+
+def beta2_steps(ts, h: HyperParams) -> list:
+    """``beta2_at`` at each step of the sequence ``ts``, the exponent bound once.
 
     Powers are evaluated in double precision (exp(gamma·ln t) under the hood);
     agreement across platforms is at the 1-ulp scale, not bit-exact.
     """
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    if t == 1:
-        return 1.0 - h.alpha0
-    return 1.0 - float(t) ** (-h.gamma)
+    _check_steps(ts)
+    first, e = 1.0 - h.alpha0, -h.gamma
+    return [first if t == 1 else 1.0 - float(t) ** e for t in ts]
+
+
+def eta_steps(ts, h: HyperParams) -> list:
+    """``eta_at`` at each step of the sequence ``ts``, the exponent bound once."""
+    _check_steps(ts)
+    e = -(0.5 + h.delta)
+    return [float(t) ** e for t in ts]
+
+
+def beta2_at(t: int, h: HyperParams) -> float:
+    """Second-moment decay at step t >= 1: 1 − alpha0 at t=1, else 1 − 1/t**gamma."""
+    return beta2_steps((t,), h)[0]
 
 
 def eta_at(t: int, h: HyperParams) -> float:
     """Step size 1/t**(1/2 + delta); strictly decreasing in t."""
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    return float(t) ** (-(0.5 + h.delta))
+    return eta_steps((t,), h)[0]
 
 
 def alpha1(h: HyperParams) -> float:

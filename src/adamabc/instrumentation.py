@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import HyperParams, alpha1, beta2_at, eta_at
 from .problems import (
+    ROW_CHUNK,
     Problem,
     ProblemCertificate,
     branch_samples,
@@ -194,18 +195,53 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     }
 
 
-def _mean_sd(x: np.ndarray, axis=0):
-    """``x.mean(axis)`` and ``x.std(axis, ddof=1)``, bitwise, from one shared
-    sum pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2)."""
-    K = x.shape[axis]
-    mean = np.add.reduce(x, axis, keepdims=True)
-    np.true_divide(mean, K, mean)
-    dev = np.subtract(x, mean)
-    np.multiply(dev, dev, dev)
-    sd = np.add.reduce(dev, axis, keepdims=True)
+def _chunked_rowsum(x: np.ndarray, buf: np.ndarray, fill) -> np.ndarray:
+    """The axis-0 sum of ``fill``'s rows, ``ROW_CHUNK`` rows of x at a time:
+    ``fill(rows, out)`` writes a chunk of x, or a function of it, into
+    ``out = buf[1:]``, and the running sum rides in ``buf[0]`` above it, so
+    each reduce continues the last one's additions in row order."""
+    K, acc = x.shape[0], None
+    for s in range(0, K, ROW_CHUNK):
+        k = min(ROW_CHUNK, K - s)
+        fill(x[s : s + k], buf[1 : k + 1])
+        if acc is None:
+            acc = np.add.reduce(buf[1 : k + 1], 0)
+        else:
+            buf[0] = acc
+            np.add.reduce(buf[: k + 1], 0, out=acc)
+    return acc
+
+
+def _mean_sd(x: np.ndarray):
+    """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise, from one shared sum
+    pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2).
+
+    numpy reduces axis 0 of a C-contiguous (K, d) stack with d >= 2 one row
+    after another, in order, so such a stack runs both passes through
+    ``_chunked_rowsum`` with one (ROW_CHUNK + 1, d) buffer and never builds
+    the (K, d) deviation array.  A (K,) series and a (K, 1) stack (and a
+    stack of other layout) keep the whole-array reduce: numpy sums those
+    pairwise, which no chunking reproduces.
+    """
+    K = x.shape[0]
+    if x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous:
+        buf = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1]))
+        mean = _chunked_rowsum(x, buf, lambda rows, out: np.copyto(out, rows))
+        np.true_divide(mean, K, mean)
+
+        def sq_dev(rows, out):
+            np.multiply(np.subtract(rows, mean, out), out, out)
+
+        sd = _chunked_rowsum(x, buf, sq_dev)
+    else:
+        mean = np.add.reduce(x, 0, keepdims=True)
+        np.true_divide(mean, K, mean)
+        dev = np.subtract(x, mean)
+        np.multiply(dev, dev, dev)
+        sd = np.add.reduce(dev, 0, keepdims=True)
     np.true_divide(sd, K - 1, sd)
     np.sqrt(sd, sd)
-    return mean.squeeze(axis), sd.squeeze(axis)
+    return mean.reshape(x.shape[1:]), sd.reshape(x.shape[1:])
 
 
 def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> BranchEstimate:

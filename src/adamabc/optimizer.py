@@ -26,7 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatch, HyperParams, beta2_at, eta_at, validate_hyperparams
+from .core import (
+    DimensionMismatch,
+    HyperParams,
+    beta2_at,
+    beta2_steps,
+    eta_at,
+    eta_steps,
+    validate_hyperparams,
+)
 from .problems import Problem, oracle_draws, oracle_rows, rng_stream, rows_view
 
 #: oracle draws prefetched per block, per row; blocked draws consume the
@@ -210,9 +218,9 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
             draws = D[:k]
             draws[:] = block[t0 % BLOCK : t0 % BLOCK + k]
         taus = range(t0 + 1, t0 + k + 1)
-        ring.eta[:k] = [eta_at(t, h) for t in taus]
+        ring.eta[:k] = eta_steps(taus, h)
         if adam:
-            B2[:k] = [beta2_at(t, h) for t in taus]
+            B2[:k] = beta2_steps(taus, h)
             np.subtract(1.0, B2[:k], out=C2[:k])
         for i, ((w, g, sched, out), dr) in enumerate(zip(slots, draws)):
             oracle_rows(p_rows, w, dr, g)

@@ -20,7 +20,9 @@ runs in a ``grad_workspace`` a loop may keep for all its calls.
 ``oracle_rows`` writes into a caller's slot when given one, as the stepping
 loop's ring does, and ``oracle_draws`` into a caller's buffer.  A loop over
 (S, d) rows passes both kernels ``rows_view(p, S)``, whose quadratic carries
-its eigenvalues tiled to the rows.
+its eigenvalues tiled to the rows.  ``branch_samples`` fills its (K, dim)
+result ``ROW_CHUNK`` rows at a time through both kernels, so its memory is
+the result plus one chunk's temporaries.
 
 Randomness: one documented, versioned algorithm (see RNG_ALGORITHM).  Streams
 are keyed by (experiment id, seed, purpose) so that branch sampling, data
@@ -505,20 +507,38 @@ def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
     return g
 
 
+#: rows ``branch_samples`` draws and evaluates at a time (320 KB at dim 10);
+#: ``instrumentation._mean_sd`` reduces its stacks in chunks of the same size
+ROW_CHUNK = 4096
+
+
 def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarray:
     """K independent oracle draws at fixed w, stacked as (K, dim).
 
-    Each row is distributed exactly like one ``oracle_sample`` draw; drawing a
-    batch consumes the stream in the same order as K single draws.
+    Each row is distributed exactly like one ``oracle_sample`` draw.  The
+    result is allocated once and filled ``ROW_CHUNK`` rows at a time: a
+    chunk's draws are taken (the quadratic's noise into one reused buffer),
+    then its gradients are written straight into their rows, against one
+    (ROW_CHUNK, dim) tile of w for the data problems, so no temporary
+    outgrows a chunk whatever K is.  The bytes are those of one K-row block:
+    normal and bounded-integer draws use up the stream the same way however
+    they are blocked, and ``oracle_rows`` works row by row.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     w = _check_dim(p, w)
-    draws = oracle_draws(p, K, rng)
-    if isinstance(p, NoisyQuadratic) and draws is not None:
-        # additive noise: one gradient row broadcasts over the K draws
-        return oracle_rows(p, w[None], draws)
-    return oracle_rows(p, np.tile(w, (K, 1)), draws)
+    n = min(K, ROW_CHUNK)
+    G = np.empty((K, p.dim))
+    quad = isinstance(p, NoisyQuadratic)
+    # additive noise: one gradient row broadcasts over the draws
+    W = w[None] if quad else np.tile(w, (n, 1))
+    # rng.integers has no out, so row indices come fresh whatever is passed
+    buf = np.empty((n, p.dim)) if quad and p.sigma else None
+    for s in range(0, K, n):
+        k = min(n, K - s)
+        draws = oracle_draws(p, k, rng, None if buf is None else buf[:k])
+        oracle_rows(p, W[:k], draws, G[s : s + k])
+    return G
 
 
 def oracle_sample(p: Problem, w, rng: np.random.Generator) -> np.ndarray:

@@ -105,6 +105,12 @@ def _worst(name, margins, tol, seed=None, first=0, note="") -> CheckResult:
     return _result(name, margins[k], tol, (seed, first + int(k[0]), i), note)
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """A checker's count argument below ``low`` is a ValueError naming it."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _mean_budget(x):
     """The mean of x over its first axis and the 4-standard-error budget
     around it."""
@@ -232,6 +238,7 @@ def sample_points(p: Problem, num_points: int, rng) -> np.ndarray:
 
 def check_grad_bound(p: Problem, num_points: int, rng) -> CheckResult:
     """Smooth lower-bounded objectives satisfy |grad f|^2 <= 2 L_f (f - f*)."""
+    _at_least("num_points", num_points, 1)
     cert = p.certificate
     W = sample_points(p, num_points, rng)
     f = loss_batch(p, W)
@@ -247,6 +254,7 @@ def gradcheck(p: Problem, num_points: int, rng) -> CheckResult:
     Per point, relative error |fd - grad| / (1 + |grad|) must be <= 1e-6,
     with coordinate step 1e-6 * (1 + |w_i|).
     """
+    _at_least("num_points", num_points, 1)
     margins = []
     for w in sample_points(p, num_points, rng):
         hstep = 1e-6 * (1.0 + np.abs(w))
@@ -268,7 +276,14 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
     At each point: (a) every coordinate of the branch-mean gradient is within
     4 SE of the analytic gradient; (b) the branch mean of |g|^2 is below
     A*(f - f*) + B*|grad f|^2 + C plus 4 SE of itself.
+
+    Memory: one point's (K, d) samples at a time, each dropped before the
+    next point's are drawn; ``branch_samples`` and ``_mean_sd`` keep their
+    temporaries to ``ROW_CHUNK`` rows, so the peak is about K * d * 8 bytes
+    plus a few (K,) series.
     """
+    _at_least("num_points", num_points, 1)
+    _at_least("K", K, 2)
     cert = p.certificate
     unbiased, second = [], []
     for w in sample_points(p, num_points, rng):
@@ -285,6 +300,7 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
         )
         gn2_mean, gn2_budget = _mean_budget(np.einsum("ij,ij->i", G, G))
         second.append((bound + gn2_budget - gn2_mean) / (1.0 + bound))
+        del G
     note = f"K={K}, 4-SE budget"
     return [
         _worst("oracle-unbiasedness", unbiased, 0.0, note=note),
@@ -304,6 +320,7 @@ def check_exchange(num_instances: int, rng) -> CheckResult:
     The strict gap is accumulated as a sum of positive terms (no cancellation),
     and a 1e-9 relative slack is folded into the upper-bound margin.
     """
+    _at_least("num_instances", num_instances, 1)
     margins = []
     for _ in range(num_instances):
         n = int(rng.integers(2, 201))
@@ -363,8 +380,7 @@ def check_descent_expectation(
     checkpoint pass rate, and K < 1000 downgrades the result to informational.
     """
     _require_complete(trace)
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+    _at_least("K", K, 2)
     checkpoints = sorted(int(t) for t in checkpoints)
     if not checkpoints:
         raise ValueError("need at least one checkpoint")

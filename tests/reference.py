@@ -83,6 +83,19 @@ def logistic_oracle_rows(p, W, draws):
     return -(y * sigmoid_branchwise(-y * z))[:, None] * a + p.reg * W
 
 
+def branch_samples_whole(p, w, K, rng):
+    """``branch_samples`` as one block: all K draws at once through one
+    ``oracle_rows`` call on the whole (K, dim) stack, which the chunked
+    version must match bitwise."""
+    from adamabc.problems import NoisyQuadratic, oracle_draws, oracle_rows
+
+    w = np.asarray(w, dtype=np.float64)
+    draws = oracle_draws(p, K, rng)
+    if isinstance(p, NoisyQuadratic) and draws is not None:
+        return oracle_rows(p, w[None], draws)
+    return oracle_rows(p, np.tile(w, (K, 1)), draws)
+
+
 def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False):
     """The seed sweep one step at a time: every running statistic is updated
     in place after each step and copied out at the checkpoints.  The blocked

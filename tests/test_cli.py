@@ -687,8 +687,11 @@ def test_trace_and_verify_write_a_manifest_of_their_artifacts(tmp_path, capsys, 
     capsys.readouterr()
     assert sorted(os.listdir(tmp_path)) == sorted(listed + ["manifest.json"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert list(manifest) == ["config", "code_version", "rng_algorithm", "started", "artifacts"]
+    assert list(manifest) == ["config", "code_version", "rng_algorithm", "started", "artifacts",
+                              "peak_rss_mb", "wall_s"]
     assert manifest["code_version"] == __version__ and manifest["rng_algorithm"] == RNG_ALGORITHM
+    # the process's own peak resident memory (MiB) and its time since main began
+    assert manifest["peak_rss_mb"] > 1.0 and manifest["wall_s"] > 0.0
     assert [a["path"] for a in manifest["artifacts"]] == listed
     for a in manifest["artifacts"]:
         data = (tmp_path / a["path"]).read_bytes()

@@ -12,7 +12,9 @@ from adamabc.core import (
     HyperParams,
     alpha1,
     beta2_at,
+    beta2_steps,
     eta_at,
+    eta_steps,
     validate_hyperparams,
     with_dim,
 )
@@ -126,6 +128,11 @@ def test_step_index_below_one_rejected(t):
         beta2_at(t, h())
     with pytest.raises(ValueError, match=">= 1"):
         eta_at(t, h())
+    with pytest.raises(ValueError, match=">= 1"):
+        beta2_steps([3, t, 5], h())
+    with pytest.raises(ValueError, match=">= 1"):
+        eta_steps(range(t, 4), h())
+
 
 
 def test_alpha1_is_min_of_alpha0_and_complement():
@@ -176,3 +183,13 @@ def test_step_to_decay_coupling(hp, t):
     lhs = eta_at(t, hp)
     rhs = eta_at(t - 1, hp) * math.sqrt(beta2_at(t, hp))
     assert lhs <= rhs * (1.0 + 1e-12)
+
+
+@given(admissible, st.integers(1, 10_000), st.integers(0, 40))
+def test_block_schedules_are_the_per_step_formulas(hp, t0, k):
+    # the expressions the stepping loop evaluated one call per step, bit for bit
+    steps = range(t0, t0 + k)
+    assert eta_steps(steps, hp) == [float(t) ** (-(0.5 + hp.delta)) for t in steps]
+    assert beta2_steps(steps, hp) == [
+        1.0 - hp.alpha0 if t == 1 else 1.0 - float(t) ** (-hp.gamma) for t in steps
+    ]

@@ -18,7 +18,7 @@ from adamabc.instrumentation import (
     synthetic_eta_v0,
 )
 from adamabc.optimizer import AdamState, adam_init, adam_step, rates, run_trajectory
-from adamabc.problems import make_noisy_quadratic, rng_stream
+from adamabc.problems import ROW_CHUNK, make_noisy_quadratic, rng_stream
 from reference import (
     accumulate_S,
     delta_gap,
@@ -179,13 +179,21 @@ def test_branch_rows_are_bitwise_adam_steps(suite, kind):
         assert ba["eta_v"][k].tobytes() == eta_v.tobytes(), k
 
 
-@pytest.mark.parametrize("shape", [(100_000, 10), (20_000, 5), (100_000,), (7, 3), (2,)])
+# around the chunk size: (K, d >= 2) stacks are reduced in chunks, a (K,)
+# series and a (K, 1) stack whole
+C = ROW_CHUNK
+
+
+@pytest.mark.parametrize("shape", [(100_000, 10), (20_000, 5), (100_000,), (7, 3), (2,),
+                                   (C + 1, 10), (3 * C + 5, 5), (3 * C + 5, 1), (3 * C + 5,)])
 def test_mean_sd_is_bitwise_numpys_mean_and_std(shape):
     x = 1.0 + 3.0 * np.random.default_rng(len(shape) + shape[0]).standard_normal(shape)
-    mean, sd = _mean_sd(x)
-    for got, ref in ((mean, x.mean(axis=0)), (sd, x.std(axis=0, ddof=1))):
-        assert np.shape(got) == np.shape(ref)
-        assert got.tobytes() == ref.tobytes()
+    # a column-major stack: numpy sums its columns pairwise, so it is not chunked
+    for x in (x, np.asfortranarray(x)):
+        mean, sd = _mean_sd(x)
+        for got, ref in ((mean, x.mean(axis=0)), (sd, x.std(axis=0, ddof=1))):
+            assert np.shape(got) == np.shape(ref)
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_branch_requires_at_least_two_draws(quad10, h10):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adamabc.core import DimensionMismatch
 from adamabc.problems import (
+    ROW_CHUNK,
     ConstraintViolation,
     EmptySpectrum,
     SingularSystem,
@@ -31,6 +32,7 @@ from adamabc.problems import (
     rows_view,
 )
 from reference import (
+    branch_samples_whole,
     logistic_grad_batch,
     logistic_loss_batch,
     logistic_oracle_rows,
@@ -316,6 +318,20 @@ def test_branch_samples_consume_the_stream_in_batch_order(suite):
         S = branch_samples(p, w, 4, rng_stream("order", 9, "branch"))
         assert S.shape == (4, p.dim)
         assert np.all(np.isfinite(S))
+
+
+@pytest.mark.parametrize("K", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 5])
+def test_branch_samples_in_chunks_are_bitwise_one_block(suite, K):
+    # every suite kind, a noiseless quadratic (draws nothing) and a d = 1 one
+    problems = [*suite, make_noisy_quadratic(np.linspace(1.0, 4.0, 10), sigma=0.0),
+                make_noisy_quadratic([2.0], sigma=1.5)]
+    for p in problems:
+        w = np.linspace(-1.0, 1.0, p.dim)
+        rng, ref_rng = rng_stream("chunks", K, "branch"), rng_stream("chunks", K, "branch")
+        got, want = branch_samples(p, w, K, rng), branch_samples_whole(p, w, K, ref_rng)
+        assert got.shape == (K, p.dim) and got.tobytes() == want.tobytes(), p.name
+        # the stream is left where one block leaves it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, p.name
 
 
 def test_dimension_mismatch_raised_everywhere(suite):

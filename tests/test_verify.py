@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,47 @@ def test_oracle_soundness_flags_a_biased_oracle(quad10, monkeypatch):
     monkeypatch.setattr(V, "branch_samples", biased)
     out = V.check_oracle_soundness(quad10, 5, 20_000, rng_stream("os", 1, "branch"))
     assert any(r.status == "fail" for r in out)
+
+
+# ---------------------------------------------------------------- argument errors
+
+
+def test_oracle_soundness_rejects_too_few_draws_or_points(quad10):
+    # K = 1 leaves the 4-SE budget undefined (a 0/0 standard deviation)
+    with pytest.raises(ValueError, match="K must be >= 2, got 1"):
+        check_oracle_soundness(quad10, 2, 1, rng_stream("os", 0, "branch"))
+    with pytest.raises(ValueError, match="num_points must be >= 1, got 0"):
+        check_oracle_soundness(quad10, 0, 100, rng_stream("os", 0, "branch"))
+
+
+def test_gradcheck_rejects_zero_points(quad10):
+    with pytest.raises(ValueError, match="num_points must be >= 1, got 0"):
+        gradcheck(quad10, 0, rng_stream("fd", 0, "points"))
+
+
+def test_grad_bound_rejects_zero_points(quad10):
+    with pytest.raises(ValueError, match="num_points must be >= 1, got 0"):
+        check_grad_bound(quad10, 0, rng_stream("gb", 0, "points"))
+
+
+def test_exchange_rejects_zero_instances():
+    with pytest.raises(ValueError, match="num_instances must be >= 1, got 0"):
+        check_exchange(0, rng_stream("ex", 0, "misc"))
+
+
+def test_oracle_soundness_holds_one_point_of_samples_at_a_time(suite):
+    # numpy reports its buffers to tracemalloc; the (K, d) samples of one point
+    # are the only array of that size alive, every other temporary is a
+    # (ROW_CHUNK, d) chunk or a (K,) series
+    p = next(q for q in suite if q.name == "logistic")
+    K = 100_000
+    tracemalloc.start()
+    try:
+        check_oracle_soundness(p, 2, K, rng_stream("os-mem", 0, "branch"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * K * p.dim * 8, peak
 
 
 def test_exchange_inequalities_hold_and_match_brute_force():
