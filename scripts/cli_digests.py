@@ -76,6 +76,9 @@ CORPUS = (
     ("experiment-non-finite", ["experiment", "--config",
                                "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment",
                                "--out", "out"]),
+    # 1: the moment probe's sweep reads the gaps, and the first one is negative
+    ("experiment-negative-gap", ["experiment", "--config",
+                                 "v = 0.25\nT = 64\nseeds = 0,1\nprobes = moment", "--out", "out"]),
     # 2: outside the last-iterate hypotheses
     ("experiment-hypothesis-gate", ["experiment", "--config", "gamma = 1.0\nprobes = last_iterate",
                                     "--out", "out"]),

@@ -42,7 +42,7 @@ from .problems import (
     rows_view,
 )
 from .optimizer import SUB, rates, run_steps
-from .instrumentation import log_pi_series
+from .instrumentation import _require_gaps, log_pi_series
 
 
 class InsufficientSeeds(ValueError):
@@ -96,15 +96,16 @@ FROZEN_THRESHOLDS = {
 
 #: each probe's gates: the name its messages give it, whether its claim
 #: assumes gamma > 1 and delta > 0 and whether it compares successive
-#: checkpoints (outside either, a config error), then its acceptance scale:
-#: the minimum seed count and the minimum log2 T
+#: checkpoints (outside either, a config error), whether it fits a
+#: final-decade slope when delta > 0, then its acceptance scale: the minimum
+#: seed count and the minimum log2 T
 GATES = {
-    "rate": ("rate", False, False, 20, 14),
-    "last_iterate": ("last-iterate", True, False, 0, 0),
-    "l1": ("L1", True, True, 100, 0),
-    "summability": ("summability", False, True, 0, 0),
-    "moment": ("moment", False, False, 50, 0),
-    "sgd_anchor": ("sgd_anchor", False, False, 0, 0),
+    "rate": ("rate", False, False, True, 20, 14),
+    "last_iterate": ("last-iterate", True, False, False, 0, 0),
+    "l1": ("L1", True, True, False, 100, 0),
+    "summability": ("summability", False, True, False, 0, 0),
+    "moment": ("moment", False, False, True, 50, 0),
+    "sgd_anchor": ("sgd_anchor", False, False, False, 0, 0),
 }
 
 #: the per-checkpoint statistics of a sweep, each of shape (seeds, checkpoints)
@@ -272,7 +273,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
     sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
     stack on ``rows_view(p, S)`` in a (SUB, S) workspace built once, and read
-    only at checkpoints and sub-block ends.
+    only at checkpoints and sub-block ends.  The gaps that ``collect_dsum``
+    sums raise NegativeGap as in ``build_trace``.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
@@ -307,7 +309,9 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
         sups[r, 0], sups[r, 1] = gn2, sigv
         if collect_dsum:
             rates(eta[:k, :, None], V[:k], h.mu, out=eta_v[r])
-            out["dsum"][:, t0 : t0 + k] = (eta_v[:k] - eta_v[r]).sum(axis=2).T
+            delta = eta_v[:k] - eta_v[r]
+            _require_gaps(delta, eta_v[:k], seeds, t0)
+            out["dsum"][:, t0 : t0 + k] = delta.sum(axis=2).T
             eta_v[0] = eta_v[k]
         while c < len(cps) and cps[c] <= t0 + k:
             t, i = cps[c], cps[c] - t0
@@ -519,7 +523,7 @@ def _epsilon(cfg: ExperimentConfig, key: str, frozen: str) -> tuple:
 def _scale_gate(cfg: ExperimentConfig, probe: str, enforce: bool) -> list:
     """Messages for the acceptance-scale requirements of ``probe`` that cfg
     misses; the first one is raised instead when ``enforce`` is set."""
-    label, _, _, min_seeds, log2_T = GATES[probe]
+    label, *_, min_seeds, log2_T = GATES[probe]
     misses = []
     if len(cfg.seeds) < min_seeds:
         misses.append(
@@ -778,12 +782,12 @@ PROBE_NAMES = tuple(PROBES)
 def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
     """Every check ``run_probes`` makes before its first sweep: the config,
     then for each probe its hypothesis gate and its checkpoint gates (every
-    moment verdict reads the final decade), then
-    (with ``enforce_scale``) each probe's scale gate."""
+    moment verdict reads the final decade), then (with ``enforce_scale``)
+    each probe's scale gate and, for a slope it fits, the fit's point count."""
     validate_config(cfg)
     lo, hi = _final_decade(cfg)
     for probe in cfg.probes:
-        label, hypotheses, two_checkpoints, _, _ = GATES[probe]
+        label, hypotheses, two_checkpoints, *_ = GATES[probe]
         if hypotheses and not _in_hypotheses(cfg.h):
             raise ConstraintViolation(
                 f"{label} probe requires gamma > 1 and delta > 0 "
@@ -800,6 +804,8 @@ def check_gates(cfg: ExperimentConfig, enforce_scale: bool = True) -> None:
     if enforce_scale:
         for probe in cfg.probes:
             _scale_gate(cfg, probe, True)
+            if GATES[probe][3] and cfg.h.delta > 0:  # the fit's own rules, on flat data
+                fit_loglog_slope([(c, 1.0) for c in cfg.checkpoints], (lo, hi))
 
 
 def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:

@@ -52,6 +52,22 @@ def synthetic_eta_v0(h: HyperParams) -> np.ndarray:
     return np.full(h.dim, h.v / alpha1(h))
 
 
+def _require_gaps(delta, eta_prev, seeds, t0: int = 0) -> None:
+    """Raise NegativeGap at the first (t, seed, i), in that order, where a
+    gap of the (k, S, d) stack ``delta`` (steps t0 + 1 .. t0 + k, one row per
+    seed) lies below -1e-12 * max_i |eta_{v_{t-1},i}|, read from the same
+    place in ``eta_prev``."""
+    if not np.any(delta < 0.0):  # the usual case, no gap below zero: one compare
+        return
+    bad = delta < (-1e-12 * np.max(np.abs(eta_prev), axis=2))[..., None]
+    if np.any(bad):
+        t, r, i = np.argwhere(bad)[0]
+        raise NegativeGap(
+            f"negative rate gap: seed {seeds[r]}, Delta_{{t={t0 + t + 1},i={i}}} = "
+            f"{delta[t, r, i]:.6e} materially negative"
+        )
+
+
 def aux_iterate(w_next, w, h: HyperParams):
     """The momentum-corrected iterate u_{t+1} = (w_{t+1} - beta1 * w_t) / (1 - beta1)."""
     return (w_next - h.beta1 * w) / (1.0 - h.beta1)
@@ -195,47 +211,31 @@ def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dic
     }
 
 
-def _chunked_rowsum(x: np.ndarray, buf: np.ndarray, fill) -> np.ndarray:
-    """The axis-0 sum of ``fill``'s rows, ``ROW_CHUNK`` rows of x at a time:
-    ``fill(rows, out)`` writes a chunk of x, or a function of it, into
-    ``out = buf[1:]``, and the running sum rides in ``buf[0]`` above it, so
-    each reduce continues the last one's additions in row order."""
-    K, acc = x.shape[0], None
-    for s in range(0, K, ROW_CHUNK):
-        k = min(ROW_CHUNK, K - s)
-        fill(x[s : s + k], buf[1 : k + 1])
-        if acc is None:
-            acc = np.add.reduce(buf[1 : k + 1], 0)
-        else:
-            buf[0] = acc
-            np.add.reduce(buf[: k + 1], 0, out=acc)
-    return acc
-
-
 def _mean_sd(x: np.ndarray):
     """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise, from one shared sum
     pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2).
 
-    numpy reduces axis 0 of a C-contiguous (K, d) stack with d >= 2 one row
-    after another, in order, so such a stack runs both passes through
-    ``_chunked_rowsum`` with one (ROW_CHUNK + 1, d) buffer and never builds
-    the (K, d) deviation array.  A (K,) series and a (K, 1) stack (and a
-    stack of other layout) keep the whole-array reduce: numpy sums those
-    pairwise, which no chunking reproduces.
+    The mean is one ``np.add.reduce``, which allocates one row.  numpy
+    reduces axis 0 of a C-contiguous (K, d) stack with d >= 2 one row after
+    another, in order, so such a stack sums its squared deviations
+    ``ROW_CHUNK`` rows at a time and never builds the (K, d) deviation array.
+    A (K,) series and a (K, 1) stack (and a stack of other layout) keep the
+    whole-array reduce: numpy sums those pairwise, which no chunking
+    reproduces.
     """
     K = x.shape[0]
+    mean = np.add.reduce(x, 0, keepdims=True)
+    np.true_divide(mean, K, mean)
     if x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous:
-        buf = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1]))
-        mean = _chunked_rowsum(x, buf, lambda rows, out: np.copyto(out, rows))
-        np.true_divide(mean, K, mean)
-
-        def sq_dev(rows, out):
-            np.multiply(np.subtract(rows, mean, out), out, out)
-
-        sd = _chunked_rowsum(x, buf, sq_dev)
+        # each chunk's squares go below the running sum, which starts at an
+        # exact 0, so each reduce continues the last one's additions in order
+        buf, sd = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1])), np.zeros_like(mean)
+        for s in range(0, K, ROW_CHUNK):
+            dev = buf[1 : min(ROW_CHUNK, K - s) + 1]
+            np.multiply(np.subtract(x[s : s + len(dev)], mean, dev), dev, dev)
+            buf[0] = sd
+            np.add.reduce(buf[: len(dev) + 1], 0, out=sd, keepdims=True)
     else:
-        mean = np.add.reduce(x, 0, keepdims=True)
-        np.true_divide(mean, K, mean)
         dev = np.subtract(x, mean)
         np.multiply(dev, dev, dev)
         sd = np.add.reduce(dev, 0, keepdims=True)
@@ -355,14 +355,7 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, eta, seed=None) -> Theor
     rates(eta_sched[:, None], V, h.mu, out=eta_v[1:])
 
     delta = eta_v[:-1] - eta_v[1:]
-    scale = np.max(np.abs(eta_v[:-1]), axis=1)
-    bad = delta < (-1e-12 * scale)[:, None]
-    if np.any(bad):
-        t_bad, i_bad = np.argwhere(bad)[0]
-        raise NegativeGap(
-            f"negative rate gap: seed {seed}, Delta_{{t={t_bad + 1},i={i_bad}}} = "
-            f"{delta[t_bad, i_bad]:.6e} materially negative"
-        )
+    _require_gaps(delta[:, None], eta_v[:-1, None], [seed])
 
     # cumulative sum seeded with the v row: S_t = S_{t-1} + g_t^2, added left
     # to right per coordinate, the order the seed sweep's running sum uses

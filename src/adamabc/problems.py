@@ -508,7 +508,8 @@ def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
 
 
 #: rows ``branch_samples`` draws and evaluates at a time (320 KB at dim 10);
-#: ``instrumentation._mean_sd`` reduces its stacks in chunks of the same size
+#: the descent check's branches and ``instrumentation._mean_sd``'s deviation
+#: pass go in chunks of the same size
 ROW_CHUNK = 4096
 
 

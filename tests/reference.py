@@ -153,3 +153,60 @@ def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False)
     if collect_dsum:
         out["dsum"] = dsum
     return out
+
+
+def descent_whole(p, trace, checkpoints, K, rng):
+    """``check_descent_expectation`` with all K branches drawn at once and
+    the budget's nine terms summed as displayed, as it was written before the
+    branches were streamed.  Returns the CheckResult and each checkpoint's
+    (K,) per-branch statistic X."""
+    from adamabc.instrumentation import _branch_arrays, _mean_sd, aux_iterate
+    from adamabc.problems import grad, loss_batch
+    from adamabc.verify import _result, descent_constants
+
+    cert, h = trace.certificate, trace.h
+    cs = descent_constants(cert, h)
+    L, C1, C2, kappa = cs["L"], cs["C1"], cs["C2"], cs["kappa"]
+    checkpoints = sorted(int(t) for t in checkpoints)
+    margins, Xs = [], []
+    for t in checkpoints:
+        s = trace.state_before(t)
+        ba = _branch_arrays(p, s, h, K, rng)
+        E2 = float(np.sum((ba["eta_v_prev"] * s.m) ** 2))
+        grad_u = grad(p, trace.u[t - 1])
+        delta_row = ba["delta"].sum(axis=1)
+        fhat_next = (
+            loss_batch(p, aux_iterate(ba["W"], s.w, h))
+            - cert.f_star
+            + cert.C * ba["eta_v"].sum(axis=1)
+        )
+        fhat_t = float(trace.fhat[t - 1])
+        young = 0.5 * np.einsum("ki,i->k", ba["delta"], ba["grad_w"] ** 2) + 0.5 * np.einsum(
+            "ki,ki->k", ba["delta"], ba["G"] ** 2
+        )
+        X = (
+            C2 * E2
+            + kappa * delta_row * E2
+            + (h.beta1 / (1.0 - h.beta1)) * (ba["delta"] @ np.abs(grad_u * s.m))
+            + (L + 1.0) * np.einsum("ki,ki->k", ba["eta_v"] ** 2, ba["G"] ** 2)
+            + young
+            - fhat_next
+            + (1.0 + C1 * delta_row) * fhat_t
+        )
+        mean, sd = _mean_sd(X)
+        margins.append((mean + 4.0 * (sd / math.sqrt(K))) / (1.0 + abs(fhat_t)))
+        Xs.append(X)
+    margins = np.asarray(margins)
+    k = int(np.argmin(margins))
+    worst, worst_t = float(margins[k]), checkpoints[k]
+    n_pass = int(np.count_nonzero(margins >= 0))
+    note = (
+        f"surrogate branch means, K={K}; {n_pass}/{len(checkpoints)} checkpoints "
+        f"within 4 SE; worst checkpoint t={worst_t} margin {worst:.3e}"
+    )
+    tol = 0.0
+    if K < 1000:
+        tol = math.inf
+        note += "; low-confidence (K < 1000), informational only"
+    rate = n_pass / len(checkpoints)
+    return _result("branching-descent", rate - 0.95, tol, (trace.seed, worst_t, None), note), Xs

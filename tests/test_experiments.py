@@ -29,7 +29,7 @@ from adamabc.experiments import (
     run_probes,
     run_sweep,
 )
-from adamabc.instrumentation import geometric_tail_rowsums
+from adamabc.instrumentation import NegativeGap, geometric_tail_rowsums
 from adamabc.optimizer import run_steps, run_trajectory
 from adamabc.problems import grad_batch, oracle_sample, rng_stream
 from reference import sweep_per_step
@@ -430,6 +430,57 @@ def test_every_verdict_has_one_key_order(h, probes):
             assert keys[:2] == ["status", "observed"] and keys[-1] == "provenance", (name, keys)
             assert set(keys[2:-1]) <= {"threshold", "target", "tolerance"}, (name, keys)
             assert v["status"] in ("pass", "fail", "informational"), (name, v["status"])
+
+
+class _NoSweep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("probes, h", [
+    (("rate",), HyperParams(dim=10)),
+    (("moment",), HyperParams(dim=10)),
+    (("summability", "moment"), HyperParams(dim=10, delta=0.1, gamma=1.2)),
+])
+def test_too_few_fit_points_raise_before_any_sweep(monkeypatch, probes, h):
+    import adamabc.experiments as E
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        raise _NoSweep
+
+    monkeypatch.setattr(E, "run_sweep", counting)
+    # one checkpoint inside the final decade [1638.4, 16384]: the slope fit
+    # needs four, and the gate says so before the sweep, as the fit would after
+    cfg = replace(cfg_for("noisy_quadratic", 16384, tuple(range(50)), h=h, probes=probes),
+                  checkpoints=(1, 2, 4, 8, 16384))
+    message = r"^only 1 points inside fit range \[1638\.4, 16384\.0\]$"
+    with pytest.raises(DegenerateFit, match=message):
+        run_probes(cfg)
+    assert calls == []
+    # delta = 0 fits no slope, and below acceptance scale a skipped fit is noted
+    for cfg, enforce in ((replace(cfg, h=replace(h, delta=0.0, gamma=1.5)), True), (cfg, False)):
+        with pytest.raises(_NoSweep):
+            run_probes(cfg, enforce_scale=enforce)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_that_reads_gaps_raises_the_traces_negative_gap(threads):
+    # v = 0.6: the synthetic pre-run rate v / alpha1 lies below seed 4's first
+    # rate; seeds 0, 1 and 3 pass, and with two workers seeds 0, 1 are one part
+    h = HyperParams(dim=10, v=0.6)
+    with pytest.raises(NegativeGap) as lone:
+        run_trajectory(SPECS["noisy_quadratic"].build(), h, 64, 4)
+    assert "seed 4, Delta_{t=1," in str(lone.value)
+    cfg = cfg_for("noisy_quadratic", 64, (0, 1, 3, 4), h=h, probes=("rate", "moment"),
+                  threads=threads)
+    with pytest.raises(NegativeGap) as swept:
+        run_probes(cfg, enforce_scale=False)
+    assert str(swept.value) == str(lone.value)
+    # a sweep without the moment probe reads no gaps
+    assert run_probes(replace(cfg, probes=("rate",)), enforce_scale=False)["rate"]
 
 
 def test_every_probe_has_one_gate_entry():

@@ -8,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adamabc.core import HyperParams
+import adamabc.verify as V
+from adamabc.core import HyperParams, with_dim
 from adamabc.optimizer import run_trajectory
 from adamabc.problems import (
+    ROW_CHUNK,
     grad,
     make_noisy_quadratic,
     rng_stream,
@@ -35,6 +37,7 @@ from adamabc.verify import (
     run_trace_checks,
     sample_points,
 )
+from reference import descent_whole
 
 EXPECTED_CHECKS = [
     "rate-monotone",
@@ -353,6 +356,45 @@ def test_descent_input_validation(quad10, trace2k):
         check_descent_expectation(quad10, trace2k, [0, 5], 10, rng)
     with pytest.raises(ValueError, match="outside"):
         check_descent_expectation(quad10, trace2k, [trace2k.T + 1], 10, rng)
+
+
+@pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
+def test_streamed_descent_check_equals_the_whole_k_check(suite, kind, monkeypatch):
+    # K around the chunk size: a short chunk, one whole chunk, a lone row after
+    # one, two chunks and a ragged tail
+    p = next(q for q in suite if q.name == kind)
+    trace = run_trajectory(p, with_dim(HyperParams(), p.dim), T=300, seed=0)
+    cps = [1, 2, 50, 299]
+    seen, real = [], V._mean_budget
+    monkeypatch.setattr(V, "_mean_budget", lambda X: seen.append(X.copy()) or real(X))
+    C = ROW_CHUNK
+    for K in (C - 1, C, C + 1, 2 * C + 5):
+        seen.clear()
+        r = check_descent_expectation(p, trace, cps, K, rng_stream("stream", K, "branch"))
+        want, Xs = descent_whole(p, trace, cps, K, rng_stream("stream", K, "branch"))
+        assert r == want, K
+        for t, got, X in zip(cps, seen, Xs):
+            # the regrouped sum rounds within an ulp or so of its largest term:
+            # X itself on the quadratic, f^(u_t) where the data problems' X is
+            # a small difference of terms that size
+            scale = 1.0 + np.abs(X)
+            if kind != "noisy_quadratic":
+                scale += abs(float(trace.fhat[t - 1]))
+            assert np.all(np.abs(got - X) <= 1e-15 * scale), (K, t)
+
+
+def test_descent_check_holds_one_chunk_of_branches_at_a_time(quad10, trace2k):
+    # numpy reports its buffers to tracemalloc: about a dozen (ROW_CHUNK, d)
+    # chunk arrays and a few (K,) series, against 14 (K, d) arrays (94.7 MiB
+    # at this K) when every branch was held at once
+    K = 100_000
+    tracemalloc.start()
+    try:
+        check_descent_expectation(quad10, trace2k, [1, 1000], K, rng_stream("d-mem", 0, "branch"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * ROW_CHUNK * quad10.dim * 8 + 4 * K * 8, peak
 
 
 # ---------------------------------------------------------------- result algebra
