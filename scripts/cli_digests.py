@@ -15,8 +15,10 @@ The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
 kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Four
 cases, an ``experiment`` per problem kind and a ``trace``, run T = 4100
-steps: past the 4096-draw prefetch block, ending on a 4-step sub-block.  Every
-other horizon is at most 256 steps, so one corpus run takes seconds.
+steps: past the 4096-draw prefetch block, ending on a 4-step sub-block.  One
+``moment`` experiment runs T = 8192, past the 2^22 / 525 = 7989 steps above
+which the surrogate product's tail sums take their FFT path.  Every other
+horizon is at most 1000 steps, so one corpus run takes seconds.
 
 Usage:
     python3 scripts/cli_digests.py PARENT_DIR CHANGE_DIR
@@ -68,6 +70,9 @@ CORPUS = (
                                         "--out", "out"]),
     ("experiment-logistic-T4100", ["experiment", "--config", f"problem = logistic\n{LONG}",
                                    "--out", "out"]),
+    # the moment probe's tail sums take the FFT path
+    ("experiment-moment-fft", ["experiment", "--config", "T = 8192\nseeds = 0,1,2\nprobes = moment",
+                               "--out", "out"]),
     # one checkpoint inside the final decade: every slope fit is skipped
     ("experiment-skipped-fit", ["experiment", "--config",
                                 "T = 256\nseeds = 0,1\ncheckpoints = 1,2,4,8,256\n"

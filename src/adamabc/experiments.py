@@ -700,8 +700,7 @@ def moment_probe(
     in_dec = (cps >= lo) & (cps <= hi)
 
     # E[PiHat_T^-p] drift over the final decade, p = 1, 2, 3 (log domain)
-    log_pi = log_pi_series(_shared["dsum"], cfg.h, p_obj.certificate)
-    log_pi_cp = log_pi[:, cps - 1]
+    log_pi_cp = log_pi_series(_shared["dsum"], cfg.h, p_obj.certificate, cps - 1)
     rep.per_seed["log_pi_hat"] = log_pi_cp.tolist()
     rep.stats["log_pi_hat"] = _stats(log_pi_cp)
     for p_mom in (1, 2, 3):

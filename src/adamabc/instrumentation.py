@@ -97,26 +97,44 @@ class PiHatSeries:
     dbar_realized: np.ndarray  # (horizon,)
 
 
-def geometric_tail_rowsums(rows: np.ndarray, q: float) -> np.ndarray:
-    """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
-    TAIL_CUT and at the row end.  q = 0 returns the rows unchanged."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    S, T = rows.shape
+def _tail_rows(rows: np.ndarray, q: float):
+    """Yield, row by row, each row's geometric tail sums as a new (T,) array.
+
+    The kernel, and on the FFT path its spectrum, are built once; each row is
+    then transformed alone, so the working set is one row's, whatever S.
+    """
+    T = rows.shape[1]
     if q == 0.0:
-        return rows.copy()
+        yield from (row.copy() for row in rows)
+        return
     tau = min(int(math.floor(math.log(TAIL_CUT) / math.log(q))), T - 1)
     kernel = q ** np.arange(tau + 1, dtype=np.float64)
     if T * (tau + 1) <= 1 << 22:  # small: direct sliding dot
-        padded = np.concatenate([rows, np.zeros((S, tau))], axis=1)
-        out = np.empty((S, T))
-        for s in range(S):
-            out[s] = np.correlate(padded[s], kernel, mode="valid")
-        return out
+        padded = np.zeros(T + tau)
+        for row in rows:
+            padded[:T] = row
+            yield np.correlate(padded, kernel, mode="valid")
+        return
     nfft = 1 << (T + tau + 1).bit_length()
     Kf = np.fft.rfft(kernel[::-1], nfft)
-    Rf = np.fft.rfft(rows, nfft, axis=1)
-    conv = np.fft.irfft(Rf * Kf, nfft, axis=1)
-    return np.maximum(conv[:, tau : tau + T], 0.0)
+    for row in rows:
+        Rf = np.fft.rfft(row, nfft)
+        Rf *= Kf
+        yield np.maximum(np.fft.irfft(Rf, nfft)[tau : tau + T], 0.0)
+
+
+def geometric_tail_rowsums(rows: np.ndarray, q: float) -> np.ndarray:
+    """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
+    TAIL_CUT and at the row end.  q = 0 returns a copy of the rows.
+
+    Rows with T * (tail length) > 2^22 take an FFT path; rows are transformed
+    one at a time either way, so the only (S, T) array made is the result.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    out = np.empty(rows.shape)
+    for s, tail in enumerate(_tail_rows(rows, q)):
+        out[s] = tail
+    return out
 
 
 def _factor_weight(L_f: float, A: float, B: float, q: float) -> float:
@@ -131,9 +149,10 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     ``constants`` is the tuple (L_f, A, B, C); see ``_factor_weight``.
     Geometric weights sqrt(beta1)^(t-k) are dropped once below TAIL_CUT (and
     the tail always stops at the end of the trace).  With beta1 = 0 the tail
-    collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.  Traces with
-    T * (tail length) > 2^22 get their tail sums from the FFT path of
-    ``geometric_tail_rowsums``.  The running product stays a plain cumprod:
+    collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.  The tail
+    sums are ``geometric_tail_rowsums`` of the trace's one row of gap totals,
+    from its FFT path when T * (tail length) > 2^22; ``log_pi_series`` runs
+    the same per-row transforms.  The running product stays a plain cumprod:
     the trace CSV's pi_hat column holds its bytes.
     """
     D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
@@ -146,14 +165,28 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     return PiHatSeries(horizon=D.shape[0], values=values, dbar_realized=dbar)
 
 
-def log_pi_series(dsum: np.ndarray, h: HyperParams, cert: ProblemCertificate) -> np.ndarray:
-    """ln PiHat_t per row per step, computed in the log domain.
+def log_pi_series(
+    dsum: np.ndarray, h: HyperParams, cert: ProblemCertificate, cols
+) -> np.ndarray:
+    """ln PiHat_t per row at the steps ``cols`` (0-based, so PiHat_{cols + 1}),
+    computed in the log domain.
 
     ``dsum`` holds one row of per-step gap sums sum_i Delta_{t,i} per seed.
+    Each row's tail sums are reduced in place as soon as they are made
+    (weight, log1p, cumsum) and only ``cols`` is kept, negated: the working
+    set is one row, not (S, T).  The result is column-major, the
+    layout a column selection of a dense (S, T) series has, so reductions
+    over seeds sum in the same order.
     """
     q = math.sqrt(h.beta1)
-    dbar = geometric_tail_rowsums(dsum, q)
-    return -np.cumsum(np.log1p(_factor_weight(cert.L_f, cert.A, cert.B, q) * dbar), axis=1)
+    weight = _factor_weight(cert.L_f, cert.A, cert.B, q)
+    out = np.empty((len(cols), len(dsum))).T
+    for s, dbar in enumerate(_tail_rows(dsum, q)):
+        dbar *= weight
+        np.log1p(dbar, out=dbar)
+        np.cumsum(dbar, out=dbar)
+        np.negative(dbar[cols], out=out[s])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,38 @@ def descent_whole(p, trace, checkpoints, K, rng):
         note += "; low-confidence (K < 1000), informational only"
     rate = n_pass / len(checkpoints)
     return _result("branching-descent", rate - 0.95, tol, (trace.seed, worst_t, None), note), Xs
+
+
+def geometric_tail_whole(rows, q):
+    """``geometric_tail_rowsums`` as it was written before its rows were
+    streamed: the direct path pads an (S, T + tau) copy, the FFT path
+    transforms all S rows in one call."""
+    from adamabc.instrumentation import TAIL_CUT
+
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    S, T = rows.shape
+    if q == 0.0:
+        return rows.copy()
+    tau = min(int(math.floor(math.log(TAIL_CUT) / math.log(q))), T - 1)
+    kernel = q ** np.arange(tau + 1, dtype=np.float64)
+    if T * (tau + 1) <= 1 << 22:
+        padded = np.concatenate([rows, np.zeros((S, tau))], axis=1)
+        out = np.empty((S, T))
+        for s in range(S):
+            out[s] = np.correlate(padded[s], kernel, mode="valid")
+        return out
+    nfft = 1 << (T + tau + 1).bit_length()
+    Kf = np.fft.rfft(kernel[::-1], nfft)
+    Rf = np.fft.rfft(rows, nfft, axis=1)
+    conv = np.fft.irfft(Rf * Kf, nfft, axis=1)
+    return np.maximum(conv[:, tau : tau + T], 0.0)
+
+
+def log_pi_whole(dsum, h, cert):
+    """The dense (S, T) ln PiHat series, as ``log_pi_series`` computed it
+    before it kept only the checkpoint columns."""
+    from adamabc.instrumentation import _factor_weight
+
+    q = math.sqrt(h.beta1)
+    dbar = geometric_tail_whole(dsum, q)
+    return -np.cumsum(np.log1p(_factor_weight(cert.L_f, cert.A, cert.B, q) * dbar), axis=1)

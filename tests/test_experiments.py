@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,15 +25,16 @@ from adamabc.experiments import (
     PROBES,
     ProblemSpec,
     SUB,
+    _stats,
     default_checkpoints,
     fit_loglog_slope,
     run_probes,
     run_sweep,
 )
-from adamabc.instrumentation import NegativeGap, geometric_tail_rowsums
+from adamabc.instrumentation import NegativeGap, geometric_tail_rowsums, log_pi_series
 from adamabc.optimizer import run_steps, run_trajectory
 from adamabc.problems import grad_batch, oracle_sample, rng_stream
-from reference import sweep_per_step
+from reference import geometric_tail_whole, log_pi_whole, sweep_per_step
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = {
@@ -290,6 +292,56 @@ def test_geometric_tail_fft_path_matches_direct():
     ref = np.stack([np.correlate(padded[s], kernel, mode="valid") for s in range(2)])
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-12)
     assert np.all(out >= 0.0)
+
+
+# sqrt(0.9) keeps 525 tail weights: T = 7989 is the last direct-path horizon
+Q_TAIL = math.sqrt(0.9)
+
+
+@pytest.mark.parametrize("q, T", [(Q_TAIL, 7989), (Q_TAIL, 7990), (0.0, 7990)])
+@pytest.mark.parametrize("S", [1, 3])
+def test_row_by_row_tail_sums_equal_the_whole_array_ones(q, T, S):
+    rows = np.random.default_rng(T + S).uniform(0.0, 1e-3, size=(S, T))
+    assert np.array_equal(geometric_tail_rowsums(rows, q), geometric_tail_whole(rows, q))
+
+
+@pytest.fixture(scope="module")
+def quad_dsum():
+    """20 seeds of real quadratic gap sums, one step past the last direct-path
+    horizon; numpy sums a contiguous column in pairs only from 8 rows on."""
+    cfg = cfg_for("noisy_quadratic", 7990, tuple(range(20)))
+    return cfg, run_sweep(cfg, collect_dsum=True)["dsum"]
+
+
+@pytest.mark.parametrize("T", [7989, 7990])
+def test_log_pi_checkpoints_equal_the_dense_series_columns(quad_dsum, T):
+    cfg, dsum = quad_dsum
+    dsum = dsum[:, :T]
+    cert = cfg.problem.build().certificate
+    cols = np.asarray(default_checkpoints(T)) - 1
+    got = log_pi_series(dsum, cfg.h, cert, cols)
+    want = log_pi_whole(dsum, cfg.h, cert)[:, cols]
+    assert np.array_equal(got, want)
+    # a seed mean sums a column-major (S, n) stack in another order than a
+    # C-order one; the report's stats must keep the dense selection's order
+    assert json.dumps(_stats(got)) == json.dumps(_stats(want))
+
+
+def test_log_pi_series_holds_one_row_at_a_time():
+    # the whole-array FFT path held (S, nfft) spectra and three dense (S, T)
+    # series; one row's transforms and the (S, n) result must be all now
+    S, T = 20, 1 << 15
+    dsum = np.random.default_rng(5).uniform(0.0, 1e-3, size=(S, T))
+    cols = np.asarray(default_checkpoints(T)) - 1
+    cert = SPECS["noisy_quadratic"].build().certificate
+    nfft = 1 << (T + 525).bit_length()
+    tracemalloc.start()
+    try:
+        log_pi_series(dsum, HyperParams(), cert, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nfft * 16 + S * len(cols) * 8, peak
 
 
 # ---------------------------------------------------------------- probe gating
