@@ -7,6 +7,10 @@ checkout) declares, ``python3 perfbench/run.py``, with ``--workload W --seed S
 per run.  Pair i uses seed ``seeds[i]`` on both sides; the parent runs first
 in even pairs and the change in odd ones.  The last line a run prints is its
 JSON result; every end-to-end metric the benchmark declares is taken from it.
+Beside them each run keeps ``raw_median_s``, the raw median of its timed
+passes from its ``timing pass:`` line, summarised like ``wall_s`` and under
+its bound: the normalised ``wall_s`` divides by a calibration that can move
+when the timed operation's allocations change, the raw median cannot.
 
 The output file holds an ``end_to_end`` block, keyed by workload: the raw
 runs, each side's share of failed operations over the pairs, and per metric
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -45,8 +50,21 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+#: the raw median of the timed passes, from the line perfbench prints for them
+RAW_MEDIAN = re.compile(r"^timing pass: n=\d+ raw median (\S+) s", re.MULTILINE)
+
+
+def raw_median(stdout: str) -> float:
+    """The raw pass median a benchmark run printed."""
+    found = RAW_MEDIAN.search(stdout)
+    if found is None:
+        raise RuntimeError("no 'timing pass:' line in the benchmark's output")
+    return float(found.group(1))
+
+
 def run_once(command, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process in ``checkout``; its final JSON line, parsed."""
+    """One benchmark process in ``checkout``; its final JSON line, parsed,
+    with its raw pass median as ``raw_median_s``."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -54,7 +72,7 @@ def run_once(command, checkout: Path, workload: str, seed: int, seconds: float) 
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
                            f"{done.stderr.strip()[-400:]}")
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), raw_median_s=raw_median(done.stdout))
 
 
 def quartiles(values) -> dict:
@@ -143,8 +161,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = bench["end_to_end"]
-    names = [m["name"] for m in metrics]
+    names = [m["name"] for m in bench["end_to_end"]]
+    wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
+    metrics = bench["end_to_end"] + [dict(wall, name="raw_median_s")]
     claimed = args.claim.split(":") if args.claim else None
     sides = {"parent": args.parent, "change": args.change}
     doc = {"end_to_end": {}}
@@ -158,6 +177,7 @@ def main(argv=None) -> int:
                        "correct": res["correct"], "attempted": res["attempted"],
                        "failed": res["failed"]}
                 rec.update({n: res["metrics"][n]["value"] for n in names})
+                rec["raw_median_s"] = res["raw_median_s"]
                 runs.append(rec)
                 print(f"{workload} pair {pair} seed {seed} {side}: wall_s {rec['wall_s']:.4g}",
                       file=sys.stderr)

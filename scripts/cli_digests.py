@@ -84,6 +84,10 @@ CORPUS = (
     # 1: the moment probe's sweep reads the gaps, and the first one is negative
     ("experiment-negative-gap", ["experiment", "--config",
                                  "v = 0.25\nT = 64\nseeds = 0,1\nprobes = moment", "--out", "out"]),
+    # 1: an Adam sweep without the moment probe checks its gaps too
+    ("experiment-negative-gap-rate", ["experiment", "--config",
+                                      "v = 0.01\nT = 64\nseeds = 0,1\nprobes = rate",
+                                      "--out", "out"]),
     # 2: outside the last-iterate hypotheses
     ("experiment-hypothesis-gate", ["experiment", "--config", "gamma = 1.0\nprobes = last_iterate",
                                     "--out", "out"]),

@@ -13,7 +13,9 @@ lone run_trajectory call (each array row only ever meets its own row's data).
 The sweep reduces its statistics from the loop's ``SUB``-step ring once per
 sub-block, the exact gradient included (one stacked ``grad_batch`` call,
 bitwise per step, in one workspace per sweep); it reads running values only
-at checkpoints.
+at checkpoints.  The rate gaps come from the rates eta_v the update wrote
+into the ring: every Adam sweep checks them for a negative gap, as a trace
+does, and keeps their per-step sums only for the moment probe.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import ConstraintViolation, HyperParams, alpha1, validate_hyperparams
+from .core import ConstraintViolation, HyperParams, validate_hyperparams
 from .problems import (
     Problem,
     grad_batch,
@@ -41,7 +43,7 @@ from .problems import (
     make_noisy_quadratic,
     rows_view,
 )
-from .optimizer import SUB, rates, run_steps
+from .optimizer import SUB, run_steps
 from .instrumentation import _require_gaps, log_pi_series
 
 
@@ -273,8 +275,10 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
     sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
     stack on ``rows_view(p, S)`` in a (SUB, S) workspace built once, and read
-    only at checkpoints and sub-block ends.  The gaps that ``collect_dsum``
-    sums raise NegativeGap as in ``build_trace``.
+    only at checkpoints and sub-block ends.  An Adam sweep reads its rate
+    gaps E[:k] - E[1:k + 1] from the ring's rates, which raise NegativeGap as
+    in ``build_trace``, and sums them per step into ``dsum`` under
+    ``collect_dsum``.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
@@ -293,8 +297,8 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     sums[0, :, :d], sums[0, :, d:] = h.v, 0.0
     sups = np.empty((SUB + 1, 2, S))
     sups[0, 0], sups[0, 1] = 0.0, d * h.v
-    eta_v = np.full((SUB + 1, S, d), h.v / alpha1(h)) if collect_dsum else None
     p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
+    gaps = np.empty((SUB, S, d))
 
     c = 0  # the next checkpoint
     for t0, k, ring in run_steps(p, h, T, seeds, rule=rule):
@@ -307,12 +311,11 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
         np.multiply(eta[:k], gn2, out=sums[r, :, d + 1])
         sigv = V[:k].sum(axis=2)
         sups[r, 0], sups[r, 1] = gn2, sigv
-        if collect_dsum:
-            rates(eta[:k, :, None], V[:k], h.mu, out=eta_v[r])
-            delta = eta_v[:k] - eta_v[r]
-            _require_gaps(delta, eta_v[:k], seeds, t0)
-            out["dsum"][:, t0 : t0 + k] = delta.sum(axis=2).T
-            eta_v[0] = eta_v[k]
+        if rule == "adam":
+            delta = np.subtract(ring.E[:k], ring.E[r], out=gaps[:k])
+            _require_gaps(delta, ring.E[:k], seeds, t0)
+            if collect_dsum:
+                out["dsum"][:, t0 : t0 + k] = delta.sum(axis=2).T
         while c < len(cps) and cps[c] <= t0 + k:
             t, i = cps[c], cps[c] - t0
             run, sup = np.add.reduce(sums[: i + 1]), np.maximum.reduce(sups[: i + 1])

@@ -57,7 +57,7 @@ def _require_gaps(delta, eta_prev, seeds, t0: int = 0) -> None:
     gap of the (k, S, d) stack ``delta`` (steps t0 + 1 .. t0 + k, one row per
     seed) lies below -1e-12 * max_i |eta_{v_{t-1},i}|, read from the same
     place in ``eta_prev``."""
-    if not np.any(delta < 0.0):  # the usual case, no gap below zero: one compare
+    if delta.min() >= 0.0:  # the usual case, no gap below zero (nor a NaN): one pass
         return
     bad = delta < (-1e-12 * np.max(np.abs(eta_prev), axis=2))[..., None]
     if np.any(bad):
@@ -98,10 +98,13 @@ class PiHatSeries:
 
 
 def _tail_rows(rows: np.ndarray, q: float):
-    """Yield, row by row, each row's geometric tail sums as a new (T,) array.
+    """Yield, row by row, each (S, T) row's geometric tail sums as a new (T,)
+    array: sum_{u>=0} q^u * r[k+u] at step k, truncated at q^u < TAIL_CUT and
+    at the row end.  q = 0 yields a copy of each row.
 
-    The kernel, and on the FFT path its spectrum, are built once; each row is
-    then transformed alone, so the working set is one row's, whatever S.
+    The kernel, and on the FFT path (T * (tail length) > 2^22) its spectrum,
+    are built once; each row is then transformed alone, so the working set is
+    one row's, whatever S.
     """
     T = rows.shape[1]
     if q == 0.0:
@@ -123,20 +126,6 @@ def _tail_rows(rows: np.ndarray, q: float):
         yield np.maximum(np.fft.irfft(Rf, nfft)[tau : tau + T], 0.0)
 
 
-def geometric_tail_rowsums(rows: np.ndarray, q: float) -> np.ndarray:
-    """For each row r and step k: sum_{u>=0} q^u * r[k+u], truncated at q^u <
-    TAIL_CUT and at the row end.  q = 0 returns a copy of the rows.
-
-    Rows with T * (tail length) > 2^22 take an FFT path; rows are transformed
-    one at a time either way, so the only (S, T) array made is the result.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    out = np.empty(rows.shape)
-    for s, tail in enumerate(_tail_rows(rows, q)):
-        out[s] = tail
-    return out
-
-
 def _factor_weight(L_f: float, A: float, B: float, q: float) -> float:
     """D1/(1-q) + 1 with D1 = 2/(1-q) * (A + 2*L_f*B) * (L_f+1), q = sqrt(beta1)."""
     D1 = 2.0 / (1.0 - q) * (A + 2.0 * L_f * B) * (L_f + 1.0)
@@ -150,16 +139,16 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     Geometric weights sqrt(beta1)^(t-k) are dropped once below TAIL_CUT (and
     the tail always stops at the end of the trace).  With beta1 = 0 the tail
     collapses and dbar_realized[k-1] = sum_i Delta_{k,i} exactly.  The tail
-    sums are ``geometric_tail_rowsums`` of the trace's one row of gap totals,
-    from its FFT path when T * (tail length) > 2^22; ``log_pi_series`` runs
-    the same per-row transforms.  The running product stays a plain cumprod:
+    sums are ``_tail_rows`` of the trace's one row of gap totals, from its
+    FFT path when T * (tail length) > 2^22; ``log_pi_series`` runs the same
+    per-row transforms.  The running product stays a plain cumprod:
     the trace CSV's pi_hat column holds its bytes.
     """
     D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
     # the tail sums of the per-step gap totals sum_i Delta_{t,i}
-    dbar = geometric_tail_rowsums(D.sum(axis=1), q)[0]
+    dbar = next(_tail_rows(D.sum(axis=1)[None], q))
     factors = 1.0 / (1.0 + _factor_weight(L_f, A, B, q) * dbar)
     values = np.concatenate([[1.0], np.cumprod(factors)])
     return PiHatSeries(horizon=D.shape[0], values=values, dbar_realized=dbar)
@@ -214,34 +203,21 @@ def eta_v_at_state(s: AdamState, h: HyperParams) -> np.ndarray:
     return rates(eta_at(s.t, h), s.v_vec, h.mu)
 
 
-def _branch_arrays(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> dict:
+def _branch_step(p: Problem, s: AdamState, h: HyperParams, K: int, rng):
     """K hypothetical one-step continuations from state s (w_t fixed).
 
-    Returns the stacked branch arrays used by both branch_conditional and the
-    descent-expectation check: gradients G (K,d), second moments V, momenta M,
-    rates eta_v, next iterates W, gaps delta, plus the shared eta_v_prev and
-    the exact gradient at w_t.  The step is ``adam_rows`` on the (d,) state
-    against the (K, d) draws, so each row is bitwise ``adam_step`` of its draw.
+    Returns the draws G (K, d) from ``branch_samples`` and the rows
+    (W, M, V, E) that ``adam_rows`` steps the (d,) state to against them:
+    each row is bitwise ``adam_step`` of its draw, and E holds its rates
+    eta_{v_{t+1}}.
     """
     tau = s.t + 1
-    Gb = branch_samples(p, s.w, K, rng)
-    b2, eta = beta2_at(tau, h), eta_at(tau, h)
-    Wb, Mb, Vb, eta_vb = (np.empty_like(Gb) for _ in range(4))
-    adam_rows(s.w, s.m, s.v_vec, Gb, (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu),
-              (Wb, Mb, Vb), eta_vb)
-    rates(eta, Vb, h.mu, eta_vb)  # the scratch ends holding eta_v * m', not eta_v
-    eta_v_prev = eta_v_at_state(s, h)
-    return {
-        "tau": tau,
-        "G": Gb,
-        "V": Vb,
-        "M": Mb,
-        "eta_v": eta_vb,
-        "W": Wb,
-        "delta": eta_v_prev - eta_vb,
-        "eta_v_prev": eta_v_prev,
-        "grad_w": grad(p, s.w),
-    }
+    G = branch_samples(p, s.w, K, rng)
+    b2 = beta2_at(tau, h)
+    rows = tuple(np.empty_like(G) for _ in range(4))
+    adam_rows(s.w, s.m, s.v_vec, G, (b2, 1.0 - b2, eta_at(tau, h)),
+              (h.beta1, 1.0 - h.beta1, h.mu), rows, np.empty_like(G))
+    return (G, *rows)
 
 
 def _mean_sd(x: np.ndarray):
@@ -287,16 +263,16 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
     """
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    ba = _branch_arrays(p, s, h, K, rng)
-    gw = ba["grad_w"]
-    m1_b = (ba["eta_v_prev"] * gw * (gw - ba["G"])).sum(axis=1)
-    f_u_b = loss_batch(p, aux_iterate(ba["W"], s.w, h))
+    eta_v_prev, gw = eta_v_at_state(s, h), grad(p, s.w)
+    G, W, _, _, E = _branch_step(p, s, h, K, rng)
+    m1_b = (eta_v_prev * gw * (gw - G)).sum(axis=1)
+    f_u_b = loss_batch(p, aux_iterate(W, s.w, h))
     m1_mean, m1_sd = _mean_sd(m1_b)
-    d_mean, d_sd = _mean_sd(ba["delta"])
+    d_mean, d_sd = _mean_sd(eta_v_prev - E)
     f_mean, f_sd = _mean_sd(f_u_b)
     rk = math.sqrt(K)
     return BranchEstimate(
-        t=ba["tau"],
+        t=s.t + 1,
         K=K,
         cond_mean_m1=float(m1_mean),
         cond_mean_delta=d_mean,

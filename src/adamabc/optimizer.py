@@ -10,10 +10,11 @@ The update, per step tau = completed-steps + 1:
 No bias correction anywhere; mu sits outside the square root.  Every run
 starts at w_1 = ones with m = 0 and v = h.v.  ``adam_rows``
 is the only implementation, on a stacked (rows, d) state; it allocates
-nothing.  ``run_steps`` is the one stepping loop, on a ring of ``SUB`` steps
-that it owns; its consumers are the recording of ``run_trajectories``
-(``run_trajectory`` is its one-seed case), which copies each sub-block out,
-and the seed sweep of ``experiments``, which reduces it.  ``adam_step`` keeps
+nothing and hands its rates eta_v to the caller.  ``run_steps`` is the one
+stepping loop, on a ring of ``SUB`` steps that it owns; its consumers are the
+recording of ``run_trajectories`` (``run_trajectory`` is its one-seed case),
+which copies each sub-block out, and the seed sweep of ``experiments``, which
+reduces it and reads its rate gaps from the ring.  ``adam_step`` keeps
 states immutable: it never mutates its inputs, so replaying a step from a
 saved state reproduces the output bitwise.
 """
@@ -29,6 +30,7 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     HyperParams,
+    alpha1,
     beta2_at,
     beta2_steps,
     eta_at,
@@ -88,15 +90,16 @@ def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
     ``consts = (beta1, 1 - beta1, mu)`` the run's constants: scalars, or
     arrays that broadcast to g's shape (0-d ones included) and hold the same
     doubles (a product or quotient with such an array is bitwise the scalar
-    one).  The new state is written
-    into ``out = (w', m', v')``, which may be ``(w, m, v)`` themselves; every
-    intermediate goes through ``tmp``, one more array shaped like g.
+    one).  The new state and its rates are written into
+    ``out = (w', m', v', eta_v')``: w', m', v' may be ``(w, m, v)``
+    themselves, and eta_v' = eta / (sqrt(v') + mu) may be ``tmp``, one more
+    array shaped like g through which every other intermediate goes.
     Gradients are not checked here: callers that take them from outside
     check them first.
     """
     b2, c2, eta = sched
     b1, c1, mu = consts
-    w_out, m_out, v_out = out
+    w_out, m_out, v_out, e_out = out
     np.multiply(g, g, tmp)
     np.multiply(c2, tmp, tmp)
     np.multiply(b2, v, v_out)
@@ -104,8 +107,8 @@ def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
     np.multiply(c1, g, tmp)
     np.multiply(b1, m, m_out)
     np.add(m_out, tmp, m_out)
-    rates(eta, v_out, mu, tmp)
-    np.multiply(tmp, m_out, tmp)
+    rates(eta, v_out, mu, e_out)
+    np.multiply(e_out, m_out, tmp)
     np.subtract(w, tmp, w_out)
 
 
@@ -120,7 +123,7 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     b2 = beta2_at(tau, h)
     w, m, v, tmp = (np.empty_like(g) for _ in range(4))
     adam_rows(s.w, s.m, s.v_vec, g, (b2, 1.0 - b2, eta_at(tau, h)),
-              (h.beta1, 1.0 - h.beta1, h.mu), (w, m, v), tmp)
+              (h.beta1, 1.0 - h.beta1, h.mu), (w, m, v, tmp), tmp)
     for a in (w, m, v):
         a.setflags(write=False)
     return AdamState(t=tau, w=w, m=m, v_vec=v)
@@ -148,14 +151,17 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
 
 
 class Ring(NamedTuple):
-    """The buffers ``run_steps`` owns, step-major: W (SUB + 1, S, d) with the
-    sub-block's start iterates in W[0], G, M, V (SUB, S, d) and eta (SUB,)."""
+    """The buffers ``run_steps`` owns, step-major: W and E (SUB + 1, S, d)
+    with the sub-block's start iterates in W[0] and their rates eta_{v_t} in
+    E[0] (the pre-run rate v / alpha1 before the first step), G, M, V
+    (SUB, S, d) and eta (SUB,)."""
 
     W: np.ndarray
     G: np.ndarray
     M: np.ndarray
     V: np.ndarray
     eta: np.ndarray
+    E: np.ndarray
 
 
 def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
@@ -164,9 +170,10 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
 
     The loop owns a ``Ring`` of ``SUB`` steps and yields ``(t0, k, ring)``
     after each sub-block: the ring then holds steps t0 + 1 .. t0 + k, step i
-    reading W[i] and writing G[i], W[i + 1], M[i], V[i] and its step size
-    eta[i].  The next sub-block overwrites it, starting from W[k], so a
-    consumer copies or reduces what it needs before it resumes the loop.
+    reading W[i] and writing G[i], W[i + 1], M[i], V[i], its step size eta[i]
+    and its rates E[i + 1], the ones ``adam_rows`` forms.  The next sub-block
+    overwrites it, starting from W[k] and E[k], so a consumer copies or
+    reduces what it needs before it resumes the loop.
     Every row starts at ones with m = 0 and v = h.v, draws
     from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
     time, and only meets its own data, so it is bitwise a lone run.
@@ -175,7 +182,8 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     (SUB, S, ...) buffer before its steps; the oracle runs on
     ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows); the
     constants, the schedule columns and ``tmp`` are arrays every step reuses.
-    ``rule="sgd"`` steps w - t^(-1/2) g and leaves M unset and V at h.v.
+    ``rule="sgd"`` steps w - t^(-1/2) g, leaves M unset, V at h.v and E at
+    v / alpha1.
     With ``check``, a non-finite gradient stops the loop at its step with
     NonFiniteGradient.
     """
@@ -186,7 +194,8 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
     p_rows = rows_view(p, S)
     G, M = np.empty((SUB, S, d)), np.empty((SUB, S, d))
-    ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB))
+    ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB),
+                np.full((SUB + 1, S, d), h.v / alpha1(h)))
     ring.W[0] = 1.0
     # The schedule is written into (SUB,) columns once per sub-block and the
     # constants into (S, d) arrays once per run.  A step reads its schedule
@@ -198,14 +207,14 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     consts = tuple(np.full((S, d), c) for c in (h.beta1, 1.0 - h.beta1, h.mu))
     tmp = np.empty((S, d))
     scheds = [(B2[i, ...], C2[i, ...], ring.eta[i, ...]) for i in range(SUB)]
-    outs = zip(ring.W[1:], ring.M, ring.V)
+    outs = zip(ring.W[1:], ring.M, ring.V, ring.E[1:])
     slots = list(zip(ring.W, ring.G, scheds, outs))  # step i: w, g, sched, out
     m, v = np.zeros((S, d)), np.full((S, d), h.v)
     block = D = None
     for t0 in range(0, T, SUB):
         k = min(SUB, T - t0)
-        if t0:
-            ring.W[0] = ring.W[SUB]  # only the last sub-block is short
+        if t0:  # only the last sub-block is short
+            ring.W[0], ring.E[0] = ring.W[SUB], ring.E[SUB]
         if t0 % BLOCK == 0:
             block = prefetch_draws(p, min(BLOCK, T - t0), rngs, out=block)
         if block is None:
@@ -229,7 +238,7 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
                 raise NonFiniteGradient(_non_finite_message(g, seeds, t0 + i + 1))
             if adam:
                 adam_rows(w, m, v, g, sched, consts, out, tmp)
-                _, m, v = out
+                _, m, v, _ = out
             else:
                 np.multiply((t0 + i + 1) ** -0.5, g, tmp)
                 np.subtract(w, tmp, out[0])

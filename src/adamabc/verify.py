@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import HyperParams, alpha1
-from .instrumentation import TheoryTrace, _branch_arrays, _mean_sd, aux_iterate, eta_v_at_state
+from .instrumentation import TheoryTrace, _branch_step, _mean_sd, aux_iterate, eta_v_at_state
 from .problems import (
     ROW_CHUNK,
     Problem,
@@ -379,8 +379,9 @@ def check_descent_expectation(
     budget, so the display is implied by smoothness + the certificate alone.
     Expectations are surrogate branch means; the composite verdict is a >= 95%
     checkpoint pass rate, and K < 1000 downgrades the result to informational.
-    The branches are drawn ``ROW_CHUNK`` rows at a time, and only their K
-    per-branch statistics outlive a chunk.
+    The branches are drawn and stepped ``ROW_CHUNK`` rows at a time, and only
+    their K per-branch statistics outlive a chunk; eta_{v_{t-1}} and
+    grad f(w_t) are formed once per checkpoint.
     """
     _require_complete(trace)
     _at_least("K", K, 2)
@@ -396,7 +397,8 @@ def check_descent_expectation(
     margins, X = [], np.empty(K)
     for t in checkpoints:
         s = trace.state_before(t)
-        E2 = float(np.sum((eta_v_at_state(s, h) * s.m) ** 2))
+        eta_v_prev = eta_v_at_state(s, h)
+        E2 = float(np.sum((eta_v_prev * s.m) ** 2))
         fhat_t = float(trace.fhat[t - 1])
         # X = C2 E2 + Delta @ c + (Delta/2 + (L_f+1) eta_v^2) . g^2 - (fhat(u_{t+1}) - fhat(u_t)):
         # the display's terms regrouped, every term linear in Delta gathered into c
@@ -406,10 +408,10 @@ def check_descent_expectation(
             + 0.5 * grad(p, s.w) ** 2
         )
         for a in range(0, K, ROW_CHUNK):
-            ba = _branch_arrays(p, s, h, min(ROW_CHUNK, K - a), rng)
-            delta, eta_v = ba["delta"], ba["eta_v"]
-            g2_terms = np.einsum("ki,ki->k", 0.5 * delta + (L + 1.0) * eta_v**2, ba["G"] ** 2)
-            u_next = aux_iterate(ba["W"], s.w, h)
+            G, W, _, _, eta_v = _branch_step(p, s, h, min(ROW_CHUNK, K - a), rng)
+            delta = eta_v_prev - eta_v
+            g2_terms = np.einsum("ki,ki->k", 0.5 * delta + (L + 1.0) * eta_v**2, G**2)
+            u_next = aux_iterate(W, s.w, h)
             fhat_next = cert.C * eta_v.sum(axis=1) + loss_batch(p, u_next) - cert.f_star
             X[a : a + len(delta)] = C2 * E2 + delta @ c + g2_terms - (fhat_next - fhat_t)
         mean, budget = _mean_budget(X)

@@ -160,7 +160,7 @@ def descent_whole(p, trace, checkpoints, K, rng):
     the budget's nine terms summed as displayed, as it was written before the
     branches were streamed.  Returns the CheckResult and each checkpoint's
     (K,) per-branch statistic X."""
-    from adamabc.instrumentation import _branch_arrays, _mean_sd, aux_iterate
+    from adamabc.instrumentation import _branch_step, _mean_sd, aux_iterate, eta_v_at_state
     from adamabc.problems import grad, loss_batch
     from adamabc.verify import _result, descent_constants
 
@@ -171,24 +171,26 @@ def descent_whole(p, trace, checkpoints, K, rng):
     margins, Xs = [], []
     for t in checkpoints:
         s = trace.state_before(t)
-        ba = _branch_arrays(p, s, h, K, rng)
-        E2 = float(np.sum((ba["eta_v_prev"] * s.m) ** 2))
+        G, W, _, _, eta_v = _branch_step(p, s, h, K, rng)
+        eta_v_prev = eta_v_at_state(s, h)
+        delta = eta_v_prev - eta_v
+        E2 = float(np.sum((eta_v_prev * s.m) ** 2))
         grad_u = grad(p, trace.u[t - 1])
-        delta_row = ba["delta"].sum(axis=1)
+        delta_row = delta.sum(axis=1)
         fhat_next = (
-            loss_batch(p, aux_iterate(ba["W"], s.w, h))
+            loss_batch(p, aux_iterate(W, s.w, h))
             - cert.f_star
-            + cert.C * ba["eta_v"].sum(axis=1)
+            + cert.C * eta_v.sum(axis=1)
         )
         fhat_t = float(trace.fhat[t - 1])
-        young = 0.5 * np.einsum("ki,i->k", ba["delta"], ba["grad_w"] ** 2) + 0.5 * np.einsum(
-            "ki,ki->k", ba["delta"], ba["G"] ** 2
+        young = 0.5 * np.einsum("ki,i->k", delta, grad(p, s.w) ** 2) + 0.5 * np.einsum(
+            "ki,ki->k", delta, G**2
         )
         X = (
             C2 * E2
             + kappa * delta_row * E2
-            + (h.beta1 / (1.0 - h.beta1)) * (ba["delta"] @ np.abs(grad_u * s.m))
-            + (L + 1.0) * np.einsum("ki,ki->k", ba["eta_v"] ** 2, ba["G"] ** 2)
+            + (h.beta1 / (1.0 - h.beta1)) * (delta @ np.abs(grad_u * s.m))
+            + (L + 1.0) * np.einsum("ki,ki->k", eta_v**2, G**2)
             + young
             - fhat_next
             + (1.0 + C1 * delta_row) * fhat_t
@@ -213,9 +215,9 @@ def descent_whole(p, trace, checkpoints, K, rng):
 
 
 def geometric_tail_whole(rows, q):
-    """``geometric_tail_rowsums`` as it was written before its rows were
-    streamed: the direct path pads an (S, T + tau) copy, the FFT path
-    transforms all S rows in one call."""
+    """The tail sums ``instrumentation._tail_rows`` yields, as they were
+    computed before its rows were streamed: the direct path pads an
+    (S, T + tau) copy, the FFT path transforms all S rows in one call."""
     from adamabc.instrumentation import TAIL_CUT
 
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))

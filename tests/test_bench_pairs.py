@@ -103,3 +103,19 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     # a spread within the bound resolves the metric
     s = bench_pairs.summarise(records([1.0, 1.1, 0.9, 1.0, 1.0], parent), METRICS)
     assert s["metrics"]["wall_s"]["unresolved"] is False
+
+
+def test_the_raw_pass_median_is_read_from_its_timing_line_and_summarised():
+    stdout = (
+        "timing setup: n=1 raw median 0.2 s min 0.2 max 0.2; normalised median 0.3 s\n"
+        "timing pass: n=9 raw median 0.593412 s min 0.5 max 0.7; normalised median 0.746 s\n"
+        "timing untraced pass: n=3 raw median 0.61 s min 0.6 max 0.62; normalised median 0.8 s\n"
+    )
+    assert bench_pairs.raw_median(stdout) == 0.593412
+    with pytest.raises(RuntimeError, match="timing pass"):
+        bench_pairs.raw_median(stdout.splitlines()[0])
+    raw = {"name": "raw_median_s", "better": "lower", "bound": 0.25}
+    runs = [dict(r, raw_median_s=r["wall_s"] / 2) for r in records([1.0, 1.2, 1.1], [1.0] * 3)]
+    s = bench_pairs.summarise(runs, METRICS + [raw])
+    assert s["metrics"]["raw_median_s"]["parent"]["median"] == pytest.approx(0.55)
+    assert s["metrics"]["raw_median_s"]["change_wins"] == 2

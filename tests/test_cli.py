@@ -451,11 +451,13 @@ def test_non_finite_or_repeated_config_value_exits_2_with_one_line(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "trace", "experiment"])
-def test_negative_rate_gap_exits_1_with_one_line_and_no_artifact(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, probes", [("verify", "moment"), ("trace", "moment"),
+                                             ("experiment", "moment"), ("experiment", "rate")])
+def test_negative_rate_gap_exits_1_with_one_line_and_no_artifact(tmp_path, capsys, command,
+                                                                 probes):
     # with v = 0.25 the synthetic pre-run rate v / alpha1 lies below eta_{v_1};
-    # the moment probe's sweep is the one that reads the gaps
-    cfg = "v = 0.25\nT = 64\nsuite = noisy_quadratic\nprobes = moment"
+    # every Adam sweep reads the gaps, whether or not the moment probe sums them
+    cfg = f"v = 0.25\nT = 64\nsuite = noisy_quadratic\nprobes = {probes}"
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--seeds", "0", "--out", str(out)]) == 1
     captured = capsys.readouterr()

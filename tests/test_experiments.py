@@ -31,7 +31,7 @@ from adamabc.experiments import (
     run_probes,
     run_sweep,
 )
-from adamabc.instrumentation import NegativeGap, geometric_tail_rowsums, log_pi_series
+from adamabc.instrumentation import NegativeGap, _tail_rows, log_pi_series
 from adamabc.optimizer import run_steps, run_trajectory
 from adamabc.problems import grad_batch, oracle_sample, rng_stream
 from reference import geometric_tail_whole, log_pi_whole, sweep_per_step
@@ -266,16 +266,21 @@ def test_fit_degenerate_cases():
         fit_loglog_slope([(1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 1.0)], (1.0, 10.0))
 
 
+def tail_sums(rows, q):
+    """Every row's tail sums from ``_tail_rows``, stacked."""
+    return np.stack(list(_tail_rows(rows, q)))
+
+
 def test_geometric_tail_hand_value():
-    out = geometric_tail_rowsums(np.array([[1.0, 2.0, 3.0]]), 0.5)
+    out = tail_sums(np.array([[1.0, 2.0, 3.0]]), 0.5)
     assert np.array_equal(out, [[1.0 + 1.0 + 0.75, 2.0 + 1.5, 3.0]])
 
 
 def test_geometric_tail_q_zero_returns_independent_copy():
     rows = np.array([[1.0, 2.0]])
-    out = geometric_tail_rowsums(rows, 0.0)
-    assert np.array_equal(out, rows)
-    out[0, 0] = 99.0
+    out = next(_tail_rows(rows, 0.0))
+    assert np.array_equal(out, rows[0])
+    out[0] = 99.0
     assert rows[0, 0] == 1.0
 
 
@@ -286,7 +291,7 @@ def test_geometric_tail_fft_path_matches_direct():
     tau = min(int(math.floor(math.log(1e-12) / math.log(q))), T - 1)
     assert T * (tau + 1) > 1 << 22
     rows = rng.uniform(0.0, 1.0, size=(2, T))
-    out = geometric_tail_rowsums(rows, q)
+    out = tail_sums(rows, q)
     kernel = q ** np.arange(tau + 1)
     padded = np.concatenate([rows, np.zeros((2, tau))], axis=1)
     ref = np.stack([np.correlate(padded[s], kernel, mode="valid") for s in range(2)])
@@ -302,7 +307,7 @@ Q_TAIL = math.sqrt(0.9)
 @pytest.mark.parametrize("S", [1, 3])
 def test_row_by_row_tail_sums_equal_the_whole_array_ones(q, T, S):
     rows = np.random.default_rng(T + S).uniform(0.0, 1e-3, size=(S, T))
-    assert np.array_equal(geometric_tail_rowsums(rows, q), geometric_tail_whole(rows, q))
+    assert np.array_equal(tail_sums(rows, q), geometric_tail_whole(rows, q))
 
 
 @pytest.fixture(scope="module")
@@ -526,13 +531,14 @@ def test_a_sweep_that_reads_gaps_raises_the_traces_negative_gap(threads):
     with pytest.raises(NegativeGap) as lone:
         run_trajectory(SPECS["noisy_quadratic"].build(), h, 64, 4)
     assert "seed 4, Delta_{t=1," in str(lone.value)
-    cfg = cfg_for("noisy_quadratic", 64, (0, 1, 3, 4), h=h, probes=("rate", "moment"),
-                  threads=threads)
-    with pytest.raises(NegativeGap) as swept:
-        run_probes(cfg, enforce_scale=False)
-    assert str(swept.value) == str(lone.value)
-    # a sweep without the moment probe reads no gaps
-    assert run_probes(replace(cfg, probes=("rate",)), enforce_scale=False)["rate"]
+    cfg = cfg_for("noisy_quadratic", 64, (0, 1, 3, 4), h=h, threads=threads)
+    # every Adam sweep checks its gaps, whether or not the moment probe sums them
+    for probes in (("rate", "moment"), ("rate",)):
+        with pytest.raises(NegativeGap) as swept:
+            run_probes(replace(cfg, probes=probes), enforce_scale=False)
+        assert str(swept.value) == str(lone.value)
+    # an SGD sweep forms no rates
+    assert run_probes(replace(cfg, probes=("sgd_anchor",)), enforce_scale=False)["sgd_anchor"]
 
 
 def test_every_probe_has_one_gate_entry():

@@ -9,8 +9,9 @@ from adamabc.core import HyperParams, eta_at, with_dim
 from adamabc.instrumentation import (
     NegativeGap,
     PiHatSeries,
-    _branch_arrays,
+    _branch_step,
     _mean_sd,
+    _require_gaps,
     branch_conditional,
     build_trace,
     eta_v_at_state,
@@ -170,13 +171,13 @@ def test_branch_rows_are_bitwise_adam_steps(suite, kind):
     p = next(q for q in suite if q.name == kind)
     h = with_dim(H, p.dim)
     s = run_trajectory(p, h, T=6, seed=0).state_before(6)
-    ba = _branch_arrays(p, s, h, 16, rng_stream("branch-rows", 0, "branch"))
+    G, W, M, V, E = _branch_step(p, s, h, 16, rng_stream("branch-rows", 0, "branch"))
     for k in range(16):
-        nxt = adam_step(s, ba["G"][k], h)
-        for key, want in (("W", nxt.w), ("M", nxt.m), ("V", nxt.v_vec)):
-            assert ba[key][k].tobytes() == want.tobytes(), (key, k)
-        eta_v = rates(eta_at(s.t + 1, h), ba["V"][k], h.mu)
-        assert ba["eta_v"][k].tobytes() == eta_v.tobytes(), k
+        nxt = adam_step(s, G[k], h)
+        for key, got, want in (("W", W, nxt.w), ("M", M, nxt.m), ("V", V, nxt.v_vec)):
+            assert got[k].tobytes() == want.tobytes(), (key, k)
+        eta_v = rates(eta_at(s.t + 1, h), V[k], h.mu)
+        assert E[k].tobytes() == eta_v.tobytes(), k
 
 
 # around the chunk size: (K, d >= 2) stacks are reduced in chunks, a (K,)
@@ -356,3 +357,12 @@ def test_build_trace_flags_rate_inversion():
     V = np.array([[1.0], [0.09]])
     with pytest.raises(NegativeGap, match=r"Delta_\{t=2,i=0\}"):
         build_trace(p, h, W, G, M, V, _schedule(2, h))
+
+
+def test_a_nan_gap_does_not_hide_a_negative_one():
+    # (k, S, d) = (1, 2, 2): seed 7's gaps are NaN, seed 8's second one negative
+    eta_prev = np.ones((1, 2, 2))
+    delta = np.array([[[np.nan, np.nan], [0.0, -0.5]]])
+    with pytest.raises(NegativeGap, match=r"^negative rate gap: seed 8, Delta_\{t=4,i=1\}"):
+        _require_gaps(delta, eta_prev, [7, 8], t0=3)
+    _require_gaps(np.array([[[np.nan, np.nan], [0.0, 0.5]]]), eta_prev, [7, 8])

@@ -15,10 +15,12 @@ from adamabc.optimizer import (
     adam_rows,
     adam_step,
     prefetch_draws,
+    rates,
     run_steps,
     run_trajectories,
     run_trajectory,
 )
+from adamabc.instrumentation import synthetic_eta_v0
 from adamabc.problems import make_noisy_quadratic, oracle_draws, rng_stream
 
 H1 = HyperParams(beta1=0.0, alpha0=0.5, gamma=1.25, delta=0.25, mu=0.0, v=1.0, dim=1)
@@ -95,7 +97,7 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
     def full(values):
         return tuple(np.full((S, d), c) for c in values)
 
-    scalar, columns, views = ([np.empty((S, d)) for _ in range(3)] for _ in range(3))
+    scalar, columns, views = ([np.empty((S, d)) for _ in range(4)] for _ in range(3))
     adam_rows(w, m, v, g, sched, consts, scalar, np.empty((S, d)))
     adam_rows(w, m, v, g, full(sched), full(consts), columns, np.empty((S, d)))
     # as the stepping loop passes them: the schedule as 0-d views of a column
@@ -106,13 +108,34 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
     v_ref = b2 * v + (1.0 - b2) * (g * g)
     m_ref = h.beta1 * m + (1.0 - h.beta1) * g
     w_ref = w - eta / (np.sqrt(v_ref) + h.mu) * m_ref
-    for a, b, c, ref in zip(scalar, columns, views, (w_ref, m_ref, v_ref)):
+    e_ref = rates(eta, v_ref, h.mu)
+    for a, b, c, ref in zip(scalar, columns, views, (w_ref, m_ref, v_ref, e_ref)):
         assert a.tobytes() == b.tobytes() == c.tobytes() == ref.tobytes()
+    # the rates written into the scratch itself, as adam_step passes them
+    tmp = np.empty((S, d))
+    shared = [np.empty((S, d)) for _ in range(3)] + [tmp]
+    adam_rows(w, m, v, g, sched, consts, shared, tmp)
+    for a, ref in zip(shared[:3], (w_ref, m_ref, v_ref)):
+        assert a.tobytes() == ref.tobytes()
     # in place, over the state itself
     state = [w.copy(), m.copy(), v.copy()]
-    adam_rows(*state, g, sched, consts, state, np.empty((S, d)))
+    adam_rows(*state, g, sched, consts, state + [tmp], tmp)
     for a, ref in zip(state, (w_ref, m_ref, v_ref)):
         assert a.tobytes() == ref.tobytes()
+
+
+def test_the_rings_rates_are_the_updates_rates(quad10, h10):
+    # E[0] starts at the pre-run rate and carries the last rates of the sub-block
+    # before; E[i + 1] is step i's eta_v, bitwise the rates of its V and eta
+    T, seeds = 70, (0, 1, 2)
+    prev = np.tile(synthetic_eta_v0(h10), (len(seeds), 1))
+    for t0, k, ring in run_steps(quad10, h10, T, seeds):
+        assert ring.E.shape == (SUB + 1, len(seeds), 10)
+        assert ring.E[0].tobytes() == prev.tobytes()
+        want = rates(ring.eta[:k, None, None], ring.V[:k], h10.mu)
+        assert ring.E[1 : k + 1].tobytes() == want.tobytes()
+        prev = ring.E[k].copy()
+    assert t0 + k == T
 
 
 def test_run_steps_owns_one_bounded_ring(quad10, h10):
