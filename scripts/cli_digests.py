@@ -15,7 +15,8 @@ The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
 kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Four
 cases, an ``experiment`` per problem kind and a ``trace``, run T = 4100
-steps: past the 4096-draw prefetch block, ending on a 4-step sub-block.  One
+steps: across 16 prefetch blocks of 256 draws, ending on a 4-step block and
+sub-block (and, for the trace, a 4-row CSV chunk).  One
 ``moment`` experiment runs T = 8192, past the 2^22 / 525 = 7989 steps above
 which the surrogate product's tail sums take their FFT path.  Every other
 horizon is at most 1000 steps, so one corpus run takes seconds.

@@ -30,6 +30,7 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import starmap
 
 import numpy as np
 
@@ -212,27 +213,34 @@ def parse_config(source: str) -> ExperimentConfig:
 # output plumbing
 
 
-def _write_text(out_dir: str, name: str, text: str) -> dict:
+def _write_text(out_dir: str, name: str, text) -> dict:
     """Write ``out_dir/name`` atomically: a temp file beside it, then os.replace.
 
-    A failed write leaves any previous file of that name as it was and
-    removes the temp file.
+    ``text`` is a str or an iterable of str chunks; each chunk is encoded,
+    written and hashed in turn, so only one chunk is held at a time.  A failed
+    write, or a chunk iterator that raises, leaves any previous file of that
+    name as it was and removes the temp file.
     """
-    data = text.encode("utf-8")
+    digest, size = hashlib.sha256(), 0
     tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in [text] if isinstance(text, str) else text:
+                data = chunk.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+                size += len(data)
         os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         os.unlink(tmp)
         raise
-    return {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    return {"path": name, "sha256": digest.hexdigest(), "bytes": size}
 
 
 def _emit(out_dir: str, cfg: ExperimentConfig, start: tuple, texts: dict) -> int:
-    """Make ``out_dir``, write each ``{name: text}`` artifact, then ``manifest.json``:
+    """Make ``out_dir``, write each ``{name: text}`` artifact (a str or an
+    iterable of str chunks, see ``_write_text``), then ``manifest.json``:
     the config echo, versions, start time, each artifact's digest, and the
     process's peak resident memory and wall time so far.  ``start`` is the run's
     (ISO timestamp, ``perf_counter`` at the start of ``main``).  The manifest
@@ -266,13 +274,19 @@ def _report(status: str, cfg: ExperimentConfig, **body) -> dict:
             "config": cfg.as_dict(), **body}
 
 
-def _csv(cols: dict) -> str:
-    """CSV text of ``{header: values}``: the first column's ints verbatim, every
-    other column's floats at 17 significant digits."""
-    row = ",".join(["{}"] + ["{:.17g}"] * (len(cols) - 1)).format
-    lines = [",".join(cols)]
-    lines.extend(row(*r) for r in zip(*(np.asarray(c).tolist() for c in cols.values())))
-    return "\n".join(lines) + "\n"
+#: rows of CSV text rendered per chunk
+_CSV_ROWS = 256
+
+
+def _csv(cols: dict):
+    """CSV text of ``{header: values}`` in chunks: the header line, then the
+    lines of ``_CSV_ROWS`` rows at a time.  The first column's ints are written
+    verbatim, every other column's floats at 17 significant digits."""
+    row = (",".join(["{}"] + ["{:.17g}"] * (len(cols) - 1)) + "\n").format
+    yield ",".join(cols) + "\n"
+    cols = [np.asarray(c) for c in cols.values()]
+    for a in range(0, len(cols[0]), _CSV_ROWS):
+        yield "".join(starmap(row, zip(*(c[a : a + _CSV_ROWS].tolist() for c in cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +315,11 @@ _TRACE_TABLE = {
 TRACE_COLUMNS = ("t", *_TRACE_TABLE)
 
 
-def trace_csv(trace: TheoryTrace, rows=None) -> str:
-    """Render the per-step diagnostics as CSV text (one row per step t).
-
-    Row t mixes the theory's native indexing: f_w/grad_norm_sq/f_u/fhat/
-    zeta_sum/lambda_phi4/m1 are the step-t quantities (evaluated at w_t, u_t),
-    while min_margin_prop2/sum_eta_v/S_total/sigma_v/pi_hat describe the state
-    reached after step t.  ``rows`` restricts output to those t (checkpoint
-    subsampling); default is every step 1..T.  A non-finite cell raises
-    NonFiniteTrace naming the seed, the first such step and its column.
-    """
+def _trace_cols(trace: TheoryTrace, rows=None) -> dict:
+    """The trace CSV's columns ``{header: values}`` at steps ``rows`` (default
+    every step 1..T), checked before any of it is written: a row outside
+    [1, T] is a ConstraintViolation, and a non-finite cell raises
+    NonFiniteTrace naming the seed, the first such step and its column."""
     ts = list(range(1, trace.T + 1)) if rows is None else [int(t) for t in rows]
     for t in ts:
         if not (1 <= t <= trace.T):
@@ -322,7 +331,21 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
         r, c = np.argwhere(bad.T)[0]
         raise NonFiniteTrace(
             f"non-finite trace: seed {trace.seed}, step t={ts[r]}, column {list(cols)[c]}")
-    return _csv({"t": ts, **cols})
+    return {"t": ts, **cols}
+
+
+def trace_csv(trace: TheoryTrace, rows=None) -> str:
+    """Render the per-step diagnostics as CSV text (one row per step t).
+
+    Row t mixes the theory's native indexing: f_w/grad_norm_sq/f_u/fhat/
+    zeta_sum/lambda_phi4/m1 are the step-t quantities (evaluated at w_t, u_t),
+    while min_margin_prop2/sum_eta_v/S_total/sigma_v/pi_hat describe the state
+    reached after step t.  ``rows`` restricts output to those t (checkpoint
+    subsampling); default is every step 1..T.  A row outside [1, T] or a
+    non-finite cell raises as ``_trace_cols`` says.  ``adam-abc trace`` writes
+    the same text chunk by chunk.
+    """
+    return "".join(_csv(_trace_cols(trace, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +450,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, start: tuple) -> int:
     return 1 if failing else 0
 
 
-def _series_csv(rep) -> str:
-    """Per-checkpoint statistics of one probe as CSV (for plotting)."""
+def _series_csv(rep):
+    """Per-checkpoint statistics of one probe as CSV chunks (for plotting)."""
     cols = {"checkpoint": rep.checkpoints}
     for name, stats in rep.stats.items():
         for key in ("mean", "median", "q10", "q90"):
@@ -455,12 +478,17 @@ def cmd_experiment(cfg: ExperimentConfig, out_dir: str, start: tuple) -> int:
     return 1 if failed else 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # trace_csv's non-finite guard reports overflow
+@np.errstate(over="ignore", invalid="ignore")  # the trace's non-finite guard reports overflow
 def cmd_trace(cfg: ExperimentConfig, p, out_dir: str, start: tuple, rows=None) -> int:
-    """One trajectory of ``p`` -> per-step diagnostic CSV (byte-identical on rerun)."""
+    """One trajectory of ``p`` -> per-step diagnostic CSV (byte-identical on rerun).
+
+    The columns are checked before anything is written, and the trace is
+    freed once they are taken; the CSV then goes to disk ``_CSV_ROWS`` rows
+    at a time, so the text never exists whole."""
     seed = int(cfg.seeds[0])
     name = f"trace_seed{seed}.csv"
-    _emit(out_dir, cfg, start, {name: trace_csv(run_trajectory(p, cfg.h, cfg.T, seed), rows)})
+    cols = _trace_cols(run_trajectory(p, cfg.h, cfg.T, seed), rows)
+    _emit(out_dir, cfg, start, {name: _csv(cols)})
     print(os.path.join(out_dir, name))
     return 0
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -348,6 +347,9 @@ def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = Fa
     if nw == 1:
         res = _sweep_worker(jobs[0])
     else:
+        # deferred: the pool's modules cost every process an import it rarely uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nw) as ex:
             parts = list(ex.map(_sweep_worker, jobs))
         res = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}

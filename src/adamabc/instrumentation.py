@@ -206,18 +206,19 @@ def eta_v_at_state(s: AdamState, h: HyperParams) -> np.ndarray:
 def _branch_step(p: Problem, s: AdamState, h: HyperParams, K: int, rng):
     """K hypothetical one-step continuations from state s (w_t fixed).
 
-    Returns the draws G (K, d) from ``branch_samples`` and the rows
-    (W, M, V, E) that ``adam_rows`` steps the (d,) state to against them:
-    each row is bitwise ``adam_step`` of its draw, and E holds its rates
-    eta_{v_{t+1}}.
+    Returns the draws G (K, d) from ``branch_samples``, the iterates W that
+    ``adam_rows`` steps the (d,) state to against them and their rates E,
+    eta_{v_{t+1}}: each row is bitwise ``adam_step`` of its draw.  No caller
+    reads the new moments, so m' goes through W's buffer and v' through E's,
+    and the step holds four (K, d) arrays, scratch included.
     """
     tau = s.t + 1
     G = branch_samples(p, s.w, K, rng)
     b2 = beta2_at(tau, h)
-    rows = tuple(np.empty_like(G) for _ in range(4))
+    W, E = np.empty_like(G), np.empty_like(G)
     adam_rows(s.w, s.m, s.v_vec, G, (b2, 1.0 - b2, eta_at(tau, h)),
-              (h.beta1, 1.0 - h.beta1, h.mu), rows, np.empty_like(G))
-    return (G, *rows)
+              (h.beta1, 1.0 - h.beta1, h.mu), (W, W, E, E), np.empty_like(G))
+    return G, W, E
 
 
 def _mean_sd(x: np.ndarray):
@@ -264,7 +265,7 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     eta_v_prev, gw = eta_v_at_state(s, h), grad(p, s.w)
-    G, W, _, _, E = _branch_step(p, s, h, K, rng)
+    G, W, E = _branch_step(p, s, h, K, rng)
     m1_b = (eta_v_prev * gw * (gw - G)).sum(axis=1)
     f_u_b = loss_batch(p, aux_iterate(W, s.w, h))
     m1_mean, m1_sd = _mean_sd(m1_b)

@@ -39,9 +39,10 @@ from .core import (
 )
 from .problems import Problem, oracle_draws, oracle_rows, rng_stream, rows_view
 
-#: oracle draws prefetched per block, per row; blocked draws consume the
-#: stream exactly as single draws do
-BLOCK = 4096
+#: oracle draws prefetched per block, per row: 8 sub-blocks, so the buffer
+#: holds 256 steps of draws whatever the horizon.  Blocked draws consume the
+#: stream exactly as single draws do, so no byte depends on this size.
+BLOCK = 256
 
 #: steps per sub-block: the length of the ring ``run_steps`` owns (divides BLOCK)
 SUB = 32
@@ -93,7 +94,10 @@ def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
     one).  The new state and its rates are written into
     ``out = (w', m', v', eta_v')``: w', m', v' may be ``(w, m, v)``
     themselves, and eta_v' = eta / (sqrt(v') + mu) may be ``tmp``, one more
-    array shaped like g through which every other intermediate goes.
+    array shaped like g through which every other intermediate goes.  A
+    caller that keeps no new moments may pass w' as m' and eta_v' as v': m'
+    is read before w' is written, and the rates take v''s square root in
+    place.
     Gradients are not checked here: callers that take them from outside
     check them first.
     """
@@ -178,7 +182,8 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
     time, and only meets its own data, so it is bitwise a lone run.
     Per-run shapes are built once: the draws go into one seed-major
-    ``prefetch_draws`` buffer, whose sub-block is copied into one step-major
+    (S, BLOCK, ...) ``prefetch_draws`` buffer, so its size does not grow with
+    T, and each of its sub-blocks is copied into one step-major
     (SUB, S, ...) buffer before its steps; the oracle runs on
     ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows); the
     constants, the schedule columns and ``tmp`` are arrays every step reuses.

@@ -408,7 +408,7 @@ def check_descent_expectation(
             + 0.5 * grad(p, s.w) ** 2
         )
         for a in range(0, K, ROW_CHUNK):
-            G, W, _, _, eta_v = _branch_step(p, s, h, min(ROW_CHUNK, K - a), rng)
+            G, W, eta_v = _branch_step(p, s, h, min(ROW_CHUNK, K - a), rng)
             delta = eta_v_prev - eta_v
             g2_terms = np.einsum("ki,ki->k", 0.5 * delta + (L + 1.0) * eta_v**2, G**2)
             u_next = aux_iterate(W, s.w, h)

@@ -171,7 +171,7 @@ def descent_whole(p, trace, checkpoints, K, rng):
     margins, Xs = [], []
     for t in checkpoints:
         s = trace.state_before(t)
-        G, W, _, _, eta_v = _branch_step(p, s, h, K, rng)
+        G, W, eta_v = _branch_step(p, s, h, K, rng)
         eta_v_prev = eta_v_at_state(s, h)
         delta = eta_v_prev - eta_v
         E2 = float(np.sum((eta_v_prev * s.m) ** 2))

@@ -132,7 +132,7 @@ def test_every_config_field_is_the_target_of_exactly_one_key():
 
 def test_csv_round_trips_doubles():
     xs = [0.1, 1.0 / 3.0, 1e-17, 123456.789, 2.0**-52]
-    text = _csv({"k": [3, np.int64(5), 6, 7, 8], "x": xs, "y": np.full(5, np.nan)})
+    text = "".join(_csv({"k": [3, np.int64(5), 6, 7, 8], "x": xs, "y": np.full(5, np.nan)}))
     lines = text.splitlines()
     assert text.endswith("\n") and lines[0] == "k,x,y"
     rows = [line.split(",") for line in lines[1:]]
@@ -542,6 +542,43 @@ def test_trace_checkpoint_subsampling(tmp_path):
     assert rc == 0
     lines = (out / "trace_seed0.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in lines[1:]] == [str(t) for t in range(1, 65)]
+
+
+@pytest.mark.parametrize("checkpoints", [None, "1,255,256,257,4096,4100"])
+def test_streamed_trace_file_is_trace_csv_and_its_manifest_digest(tmp_path, checkpoints):
+    # T = 4100 rows: 16 chunks of 256 and one of 4
+    T, out = 4100, tmp_path / "run"
+    argv = ["trace", "--config", f"T = {T}", "--seeds", "2", "--out", str(out)]
+    if checkpoints is not None:
+        argv += ["--checkpoints", checkpoints]
+    assert main(argv) == 0
+    data = (out / "trace_seed2.csv").read_bytes()
+    tr = run_trajectory(ProblemSpec(kind="noisy_quadratic").build(), HyperParams(dim=10), T, 2)
+    rows = None if checkpoints is None else [int(t) for t in checkpoints.split(",")]
+    assert data == trace_csv(tr, rows).encode()
+    (info,) = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert info == {"path": "trace_seed2.csv", "sha256": hashlib.sha256(data).hexdigest(),
+                    "bytes": len(data)}
+    if checkpoints is None:
+        chunks = list(_csv({"t": range(1, T + 1), "x": np.zeros(T)}))
+        assert [c.count("\n") for c in chunks] == [1] + [256] * 16 + [4]
+
+
+def test_a_failed_chunk_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
+    _write_text(str(tmp_path), "trace.csv", "old\n")
+
+    def chunks():
+        yield "t,x\n"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        _write_text(str(tmp_path), "trace.csv", chunks())
+    assert (tmp_path / "trace.csv").read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["trace.csv"]
+    # nor does a first write leave a target behind
+    with pytest.raises(RuntimeError, match="render failed"):
+        _write_text(str(tmp_path), "new.csv", chunks())
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_trace_requires_exactly_one_seed(tmp_path, capsys):

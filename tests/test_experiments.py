@@ -26,12 +26,14 @@ from adamabc.experiments import (
     ProblemSpec,
     SUB,
     _stats,
+    _sweep_seeds,
     default_checkpoints,
     fit_loglog_slope,
     run_probes,
     run_sweep,
 )
 from adamabc.instrumentation import NegativeGap, _tail_rows, log_pi_series
+import adamabc.optimizer as O
 from adamabc.optimizer import run_steps, run_trajectory
 from adamabc.problems import grad_batch, oracle_sample, rng_stream
 from reference import geometric_tail_whole, log_pi_whole, sweep_per_step
@@ -58,7 +60,7 @@ def cfg_for(kind, T, seeds, h=None, **kw) -> ExperimentConfig:
 
 @pytest.mark.parametrize("kind", list(SPECS))
 def test_stacked_sweep_matches_single_runs(kind):
-    # T = 4100 crosses the oracle prefetch block boundary at 4096
+    # T = 4100 crosses 16 oracle prefetch blocks and ends on a 4-step block
     T, seeds = 4100, (3, 11)
     cfg = cfg_for(kind, T, seeds)
     res = run_sweep(cfg, collect_dsum=True)
@@ -104,8 +106,8 @@ def test_stacked_sweep_matches_single_runs(kind):
 @pytest.mark.parametrize("rows", [1, 3, 20])
 @pytest.mark.parametrize("rule", ["adam", "sgd"])
 def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
-    # checkpoints on both sides of the first sub-block edges and of the
-    # 4096-draw prefetch block
+    # checkpoints on both sides of the first sub-block edges and of a
+    # prefetch block edge (4096 = 16 blocks of 256 draws)
     T, seeds = 4100, tuple(range(rows))
     cps = (1, SUB - 1, SUB, SUB + 1, 2 * SUB, 4095, 4096, 4097, 4100)
     cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
@@ -116,6 +118,22 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
     assert set(got) == set(ref) | {"seeds"}
     for name, value in ref.items():
         assert got[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_draws_do_not_depend_on_the_prefetch_block(monkeypatch, kind):
+    # T = 700 ends on a short block at every size and on a 28-step sub-block
+    spec = SPECS[kind]
+    p, h = spec.build(), HyperParams(dim=spec.d)
+    T, seeds = 700, (0, 4, 9)
+    runs = []
+    for block in (SUB, 256, 4096):
+        monkeypatch.setattr(O, "BLOCK", block)
+        traces = [[getattr(tr, a).tobytes() for a in ("W", "G", "M", "V", "eta_v")]
+                  for tr in O.run_trajectories(p, h, T, seeds)]
+        sweep = _sweep_seeds(p, h, T, seeds, default_checkpoints(T), collect_dsum=True)
+        runs.append((traces, {name: a.tobytes() for name, a in sweep.items()}))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("kind", list(SPECS))
@@ -148,7 +166,7 @@ def test_sweep_sorts_seeds_and_thread_split_is_equivalent():
 
 @pytest.mark.parametrize("kind", list(SPECS))
 def test_sweep_sgd_rule_matches_sequential_reference(kind):
-    # T = 4100 crosses the oracle prefetch block boundary at 4096
+    # T = 4100 crosses 16 oracle prefetch blocks and ends on a 4-step block
     T, seeds = 4100, (3, 11)
     cfg = cfg_for(kind, T, seeds)
     res = run_sweep(cfg, rule="sgd")

@@ -122,6 +122,10 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
     adam_rows(*state, g, sched, consts, state + [tmp], tmp)
     for a, ref in zip(state, (w_ref, m_ref, v_ref)):
         assert a.tobytes() == ref.tobytes()
+    # keeping no moments, as the branch step does: m' through w', v' through eta_v'
+    w_out, e_out = np.empty((S, d)), np.empty((S, d))
+    adam_rows(w, m, v, g, sched, consts, (w_out, w_out, e_out, e_out), tmp)
+    assert w_out.tobytes() == w_ref.tobytes() and e_out.tobytes() == e_ref.tobytes()
 
 
 def test_the_rings_rates_are_the_updates_rates(quad10, h10):
