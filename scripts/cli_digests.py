@@ -15,8 +15,9 @@ The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
 kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Four
 cases, an ``experiment`` per problem kind and a ``trace``, run T = 4100
-steps: across 16 prefetch blocks of 256 draws, ending on a 4-step block and
-sub-block (and, for the trace, a 4-row CSV chunk).  One
+steps: across 16 prefetch blocks of 256 draws on the quadratic (two of 2560
+on the data problems), ending on a short block and a 4-step sub-block (and,
+for the trace, a 4-row CSV chunk).  One
 ``moment`` experiment runs T = 8192, past the 2^22 / 525 = 7989 steps above
 which the surrogate product's tail sums take their FFT path.  Every other
 horizon is at most 1000 steps, so one corpus run takes seconds.
@@ -82,6 +83,12 @@ CORPUS = (
     ("experiment-non-finite", ["experiment", "--config",
                                "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment",
                                "--out", "out"]),
+    # 0: the same run with the rate probe alone.  S_total still overflows, but
+    # no rate series reads it, so the sweep never forms it; avg_gsq, last_grad
+    # and the final iterates stay finite, and the rate verdicts are reported
+    ("experiment-non-finite-unread", ["experiment", "--config",
+                                      "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate",
+                                      "--out", "out"]),
     # 1: the moment probe's sweep reads the gaps, and the first one is negative
     ("experiment-negative-gap", ["experiment", "--config",
                                  "v = 0.25\nT = 64\nseeds = 0,1\nprobes = moment", "--out", "out"]),

@@ -13,9 +13,10 @@ lone run_trajectory call (each array row only ever meets its own row's data).
 The sweep reduces its statistics from the loop's ``SUB``-step ring once per
 sub-block, the exact gradient included (one stacked ``grad_batch`` call,
 bitwise per step, in one workspace per sweep); it reads running values only
-at checkpoints.  The rate gaps come from the rates eta_v the update wrote
-into the ring: every Adam sweep checks them for a negative gap, as a trace
-does, and keeps their per-step sums only for the moment probe.
+at checkpoints, and forms only the series its probes read (``_READS``).  The
+rate gaps come from the rates eta_v the update wrote into the ring: every
+Adam sweep checks them for a negative gap, as a trace does, and keeps their
+per-step sums only for the moment probe.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -113,6 +114,20 @@ GATES = {
 SWEEP_SERIES = (
     "avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad",
 )
+
+#: the series each probe reads from its sweep: the ones its report lists,
+#: and for the moment probe the (seeds, T) gap sums "dsum"
+_READS = {
+    "rate": ("avg_gsq", "last_grad"),
+    "last_iterate": ("last_grad",),
+    "l1": ("last_grad", "sup_grad"),
+    "summability": ("eta_gsq_sum",),
+    "moment": ("S_total", "sigma_v", "sup_sigma_v", "dsum"),
+    "sgd_anchor": ("avg_gsq", "last_grad"),
+}
+
+#: every name a sweep can form, in a fixed order
+_SERIES = SWEEP_SERIES + ("dsum",)
 
 
 # ---------------------------------------------------------------------------
@@ -267,83 +282,132 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # overflow is reported once per sweep by _require_finite, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
-                 rule: str = "adam", collect_dsum: bool = False):
-    """Advance all seeds together; return per-seed series at the checkpoints.
+                 rule: str = "adam", reads=SWEEP_SERIES):
+    """Advance all seeds together; return the series named in ``reads`` at
+    the checkpoints, the final iterates, and the per-step gap sums ``dsum``
+    when ``reads`` names it.
 
     The steps are ``optimizer.run_steps``, so row s matches the single-seed
     trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
-    sub-block at a time, the exact gradient as one (k, S, d) ``grad_batch``
-    stack on ``rows_view(p, S)`` in a (SUB, S) workspace built once, and read
-    only at checkpoints and sub-block ends.  An Adam sweep reads its rate
-    gaps E[:k] - E[1:k + 1] from the ring's rates, which raise NegativeGap as
-    in ``build_trace``, and sums them per step into ``dsum`` under
-    ``collect_dsum``.
+    sub-block at a time, and only those ``reads`` names are formed: the exact
+    gradient at every step (one (k, S, d) ``grad_batch`` stack on
+    ``rows_view(p, S)`` in a (SUB, S) workspace built once) only for
+    avg_gsq, eta_gsq_sum or sup_grad, and for last_grad alone only at the
+    checkpoint steps; the sums of V only for sigma_v or sup_sigma_v; the
+    sums of g*g only for S_total.  An Adam sweep always reads its rate gaps
+    E[:k] - E[1:k + 1] from the ring's rates, which raise NegativeGap as in
+    ``build_trace``.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
     # outputs first, so the scratch buffers freed at return lie above them in the heap
-    out = {name: np.empty((S, len(cps))) for name in SWEEP_SERIES}
+    out = {name: np.empty((S, len(cps))) for name in SWEEP_SERIES if name in reads}
     out["final_W"] = np.empty((S, d))
-    if collect_dsum:
+    if "dsum" in reads:
         out["dsum"] = np.empty((S, T))
-    # Running statistics: row 0 carries the value before the sub-block, row j + 1
-    # the term of its step j; the value after step i reduces rows 0 .. i.  The
-    # step axis is never the fast one (d + 2 columns), so numpy adds rows in step
-    # order, not pairwise: each sum is bitwise its step-by-step value (a max is
-    # exact in any order).  sums: the S vector in the trace's order (v + g_1^2) +
-    # g_2^2 + ..., |grad|^2, eta |grad|^2; sups: |grad|^2 (sqrt is monotone), sigma_v.
-    sums = np.empty((SUB + 1, S, d + 2))
-    sums[0, :, :d], sums[0, :, d:] = h.v, 0.0
-    sups = np.empty((SUB + 1, 2, S))
-    sups[0, 0], sups[0, 1] = 0.0, d * h.v
-    p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
+    every = not out.keys().isdisjoint(("avg_gsq", "eta_gsq_sum", "sup_grad"))
+    # Running sums, one (SUB + 1, S, columns) array: row 0 carries the value
+    # before the sub-block, row j + 1 the term of step j, and the value after
+    # step i reduces rows 0 .. i.  With at least two columns the step axis is
+    # never numpy's inner loop, so it adds rows in step order, not pairwise:
+    # each sum is bitwise its step-by-step value.  Columns, as read: the S
+    # vector in the trace's order (v + g_1^2) + g_2^2 + ... (S_total),
+    # |grad|^2 (avg_gsq) and eta |grad|^2 (eta_gsq_sum).  Running maxima, exact
+    # in any order, go in sups: |grad|^2 (sqrt is monotone) and sigma_v.
+    cols, n = {}, 0
+    for name, width in (("S_total", d), ("avg_gsq", 1), ("eta_gsq_sum", 1)):
+        if name in out:
+            cols[name], n = (n if width == 1 else slice(n, n + width)), n + width
+    sums = np.zeros((SUB + 1, S, max(n, 2))) if n else None
+    if "S_total" in cols:
+        sums[0, :, :d] = h.v
+    vsums = "sigma_v" in out or "sup_sigma_v" in out
+    sups = np.zeros((SUB + 1, 2, S)) if vsums or "sup_grad" in out else None
+    if sups is not None:
+        sups[0, 1] = d * h.v
+    if every or "last_grad" in out:
+        p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
+        # |grad|^2 of each step, in its column of sums when avg_gsq reads it
+        gn = sums[1:, :, cols["avg_gsq"]] if "avg_gsq" in cols else np.empty((SUB, S))
     gaps = np.empty((SUB, S, d))
 
     c = 0  # the next checkpoint
     for t0, k, ring in run_steps(p, h, T, seeds, rule=rule):
-        W, G, V, eta = ring.W, ring.G, ring.V, ring.eta[:, None]
         r = slice(1, k + 1)
-        g = grad_batch(p_rows, W[:k], [b[:k] for b in ws])  # at the pre-update iterates
-        gn2 = np.einsum("ksd,ksd->ks", g, g)
-        np.square(G[:k], out=sums[r, :, :d])
-        sums[r, :, d] = gn2
-        np.multiply(eta[:k], gn2, out=sums[r, :, d + 1])
-        sigv = V[:k].sum(axis=2)
-        sups[r, 0], sups[r, 1] = gn2, sigv
+        here = []  # (index, checkpoint, its row) of the checkpoints in this sub-block
+        while c < len(cps) and cps[c] <= t0 + k:
+            here.append((c, cps[c], cps[c] - t0))
+            c += 1
+        if every:  # at the pre-update iterates
+            g = grad_batch(p_rows, ring.W[:k], [b[:k] for b in ws])
+            np.einsum("ksd,ksd->ks", g, g, out=gn[:k])
+        elif "last_grad" in out:  # alone: at its checkpoint steps only
+            for _, _, i in here:
+                g = grad_batch(p_rows, ring.W[i - 1 : i], [b[:1] for b in ws])
+                np.einsum("ksd,ksd->ks", g, g, out=gn[i - 1 : i])
+        if "S_total" in cols:
+            np.square(ring.G[:k], out=sums[r, :, cols["S_total"]])
+        if "eta_gsq_sum" in cols:
+            np.multiply(ring.eta[:k, None], gn[:k], out=sums[r, :, cols["eta_gsq_sum"]])
+        if "sup_grad" in out:
+            sups[r, 0] = gn[:k]
+        if vsums:
+            np.add.reduce(ring.V[:k], axis=2, out=sups[r, 1])
         if rule == "adam":
             delta = np.subtract(ring.E[:k], ring.E[r], out=gaps[:k])
             _require_gaps(delta, ring.E[:k], seeds, t0)
-            if collect_dsum:
+            if "dsum" in out:
                 out["dsum"][:, t0 : t0 + k] = delta.sum(axis=2).T
-        while c < len(cps) and cps[c] <= t0 + k:
-            t, i = cps[c], cps[c] - t0
-            run, sup = np.add.reduce(sums[: i + 1]), np.maximum.reduce(sups[: i + 1])
-            out["avg_gsq"][:, c] = run[:, d] / t
-            out["last_grad"][:, c] = np.sqrt(gn2[i - 1])
-            out["eta_gsq_sum"][:, c] = run[:, d + 1]
-            out["S_total"][:, c] = run[:, :d].sum(axis=1)
-            out["sigma_v"][:, c] = sigv[i - 1]
-            out["sup_sigma_v"][:, c] = sup[1]
-            out["sup_grad"][:, c] = np.sqrt(sup[0])
-            c += 1
-        sums[0], sups[0] = np.add.reduce(sums[: k + 1]), np.maximum.reduce(sups[: k + 1])
+        for j, t, i in here:
+            if "last_grad" in out:
+                out["last_grad"][:, j] = np.sqrt(gn[i - 1])
+            if "sigma_v" in out:
+                out["sigma_v"][:, j] = sups[i, 1]
+            if sums is not None:
+                run = np.add.reduce(sums[: i + 1])
+                if "avg_gsq" in cols:
+                    out["avg_gsq"][:, j] = run[:, cols["avg_gsq"]] / t
+                if "eta_gsq_sum" in cols:
+                    out["eta_gsq_sum"][:, j] = run[:, cols["eta_gsq_sum"]]
+                if "S_total" in cols:
+                    out["S_total"][:, j] = run[:, cols["S_total"]].sum(axis=1)
+            if sups is not None:
+                sup = np.maximum.reduce(sups[: i + 1])
+                if "sup_sigma_v" in out:
+                    out["sup_sigma_v"][:, j] = sup[1]
+                if "sup_grad" in out:
+                    out["sup_grad"][:, j] = np.sqrt(sup[0])
+        if sums is not None:
+            sums[0] = np.add.reduce(sums[: k + 1])
+        if sups is not None:
+            sups[0] = np.maximum.reduce(sups[: k + 1])
 
-    out["final_W"][:] = W[k]
+    out["final_W"][:] = ring.W[k]
     return out
 
 
 def _sweep_worker(job):
-    spec, h, T, seeds, checkpoints, rule, collect_dsum = job
-    return _sweep_seeds(spec.build(), h, T, seeds, checkpoints, rule, collect_dsum)
+    spec, h, T, seeds, checkpoints, rule, reads = job
+    return _sweep_seeds(spec.build(), h, T, seeds, checkpoints, rule, reads)
 
 
-def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = False) -> dict:
-    """Run the sweep for cfg (splitting seeds across processes if threads>1)."""
+def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = False, *,
+              reads=None) -> dict:
+    """Run the sweep for cfg (splitting seeds across processes if threads>1).
+
+    It returns every series of ``SWEEP_SERIES`` (seeds, checkpoints), the
+    final iterates ``final_W`` and the sorted ``seeds``, and with
+    ``collect_dsum`` the (seeds, T) gap sums ``dsum``.  ``reads``, which only
+    ``run_probes`` passes, names the series to form instead ("dsum" among
+    them for the gap sums); the sweep then forms nothing else.
+    """
     validate_config(cfg)
+    if reads is None:
+        reads = SWEEP_SERIES + ("dsum",) * collect_dsum
     seeds = sorted(cfg.seeds)
     nw = min(cfg.threads, len(seeds))
-    jobs = [(cfg.problem, cfg.h, cfg.T, [int(s) for s in part], cfg.checkpoints, rule, collect_dsum)
-            for part in np.array_split(np.asarray(seeds), nw)]
+    jobs = [(cfg.problem, cfg.h, cfg.T, [int(s) for s in part], cfg.checkpoints, rule,
+             tuple(reads)) for part in np.array_split(np.asarray(seeds), nw)]
     if nw == 1:
         res = _sweep_worker(jobs[0])
     else:
@@ -359,12 +423,14 @@ def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = Fa
 
 
 def _require_finite(res: dict, cfg: ExperimentConfig) -> None:
-    """Raise NonFiniteSweep at the first checkpoint where a statistic of some
-    seed is not finite, or else at a seed whose final iterate is not."""
-    bad = ~np.isfinite(np.stack([res[name] for name in SWEEP_SERIES]))  # (series, seed, cp)
-    if bad.any():
+    """Raise NonFiniteSweep at the first checkpoint where a series the sweep
+    formed is not finite for some seed, or else at a seed whose final iterate
+    is not.  A series no probe read was never formed, so it is not checked."""
+    names = [name for name in SWEEP_SERIES if name in res]
+    bad = ~np.isfinite(np.stack([res[name] for name in names])) if names else np.False_
+    if bad.any():  # (series, seed, cp)
         i, r, k = np.argwhere(bad.transpose(2, 1, 0))[0]
-        t, series = cfg.checkpoints[i], SWEEP_SERIES[k]
+        t, series = cfg.checkpoints[i], names[k]
     else:
         rows = ~np.isfinite(res["final_W"]).all(axis=1)
         if not rows.any():
@@ -475,9 +541,13 @@ class ExperimentReport:
         )
 
 
-def _base_report(cfg: ExperimentConfig, probe: str, res: dict, names) -> ExperimentReport:
+def _base_report(cfg: ExperimentConfig, probe: str, res: dict) -> ExperimentReport:
+    """A report holding the per-seed values and stats of each checkpoint
+    series the probe reads."""
     rep = ExperimentReport(probe=probe, config=cfg.as_dict(), checkpoints=list(cfg.checkpoints))
-    for name in names:
+    for name in _READS[probe]:
+        if name == "dsum":
+            continue
         rep.per_seed[name] = res[name].tolist()
         rep.stats[name] = _stats(res[name])
     return rep
@@ -571,7 +641,7 @@ def rate_experiment(
     With too few final-decade checkpoints the slope fit raises DegenerateFit,
     unless ``enforce_scale`` is off: then the report notes the skipped fit.
     """
-    rep = _base_report(cfg, "rate", _shared, ["avg_gsq", "last_grad"])
+    rep = _base_report(cfg, "rate", _shared)
     cps = np.asarray(cfg.checkpoints, dtype=np.float64)
     mean_avg = _shared["avg_gsq"].mean(axis=0)
 
@@ -622,7 +692,7 @@ def last_iterate_experiment(
     cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Per-seed last-iterate gradient norm below the frozen threshold."""
-    rep = _base_report(cfg, "last_iterate", _shared, ["last_grad"])
+    rep = _base_report(cfg, "last_iterate", _shared)
     eps, provenance = _epsilon(cfg, "epsilon_last", "last_iterate_eps")
     worst = float(_shared["last_grad"][:, -3:].max())  # the last three checkpoints, or all
     rep.verdicts["last_iterate_below_eps"] = _verdict(worst < eps, worst, provenance, threshold=eps)
@@ -641,7 +711,7 @@ def l1_experiment(
     cfg: ExperimentConfig, _shared: dict, enforce_scale: bool = True
 ) -> ExperimentReport:
     """Seed-mean last-iterate gradient norm: decreasing tail, finite sup."""
-    rep = _base_report(cfg, "l1", _shared, ["last_grad", "sup_grad"])
+    rep = _base_report(cfg, "l1", _shared)
     eps, provenance = _epsilon(cfg, "epsilon_l1", "l1_eps")
     mean_last = _shared["last_grad"].mean(axis=0)
     tail = mean_last[-4:]
@@ -673,7 +743,7 @@ def summability_probe(
 
     Runs outside the gamma/delta hypotheses are reported informational.
     """
-    rep = _base_report(cfg, "summability", _shared, ["eta_gsq_sum"])
+    rep = _base_report(cfg, "summability", _shared)
     sums = _shared["eta_gsq_sum"]
     worst = float(((sums[:, -1] - sums[:, -2]) / sums[:, -1]).max())
     status = worst < 0.01
@@ -698,7 +768,7 @@ def moment_probe(
     final-decade checkpoints the S^(3/4) fit raises DegenerateFit, unless
     ``enforce_scale`` is off: then the report notes the skipped fit.
     """
-    rep = _base_report(cfg, "moment", _shared, ["S_total", "sigma_v", "sup_sigma_v"])
+    rep = _base_report(cfg, "moment", _shared)
     p_obj = cfg.problem.build()
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
     lo, hi = _final_decade(cfg)
@@ -763,7 +833,7 @@ def sgd_anchor_experiment(
     noisy: the running average plateaus at a sigma^2-proportional floor.
     Informational only — it validates the harness, not the method under study.
     """
-    rep = _base_report(cfg, "sgd_anchor", _shared, ["avg_gsq", "last_grad"])
+    rep = _base_report(cfg, "sgd_anchor", _shared)
     rep.notes.append("SGD baseline anchor; informational")
     mean_avg = _shared["avg_gsq"].mean(axis=0)
     _fit_final_decade(rep, "avg_gsq_slope", cfg, mean_avg, "slope", enforce=False)
@@ -817,18 +887,21 @@ def run_probes(cfg: ExperimentConfig, enforce_scale: bool = True) -> dict:
 
     Every gate runs before any sweep.  Each update rule's sweep runs once, on
     first need: ``sgd_anchor`` reads the SGD sweep, every other probe the
-    Adam sweep, which collects the gap sums when ``moment`` is asked for.
+    Adam sweep.  A sweep forms only the union of the series its probes read
+    (``_READS``), so a statistic no probe reads is neither formed nor checked
+    for being finite.
     With ``enforce_scale=False`` a probe below its acceptance scale still
     reports, its verdicts informational and its notes naming the missing scale.
     """
     check_gates(cfg, enforce_scale)
+    rules = {probe: "sgd" if probe == "sgd_anchor" else "adam" for probe in cfg.probes}
     sweeps = {}
     reports = {}
     for probe in cfg.probes:
-        rule = "sgd" if probe == "sgd_anchor" else "adam"
+        rule = rules[probe]
         if rule not in sweeps:
-            dsum = rule == "adam" and "moment" in cfg.probes
-            sweeps[rule] = run_sweep(cfg, rule, collect_dsum=dsum)
+            reads = {name for q in cfg.probes if rules[q] == rule for name in _READS[q]}
+            sweeps[rule] = run_sweep(cfg, rule, reads=tuple(n for n in _SERIES if n in reads))
         rep = PROBES[probe](cfg, sweeps[rule], enforce_scale)
         _mark_below_scale(rep, _scale_gate(cfg, probe, False))
         reports[probe] = rep

@@ -36,7 +36,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, adam_rows, rates
+from .optimizer import AdamState, _split, _step_coefs, adam_rows, rates
 
 
 class NegativeGap(ValueError):
@@ -207,18 +207,21 @@ def _branch_step(p: Problem, s: AdamState, h: HyperParams, K: int, rng):
     """K hypothetical one-step continuations from state s (w_t fixed).
 
     Returns the draws G (K, d) from ``branch_samples``, the iterates W that
-    ``adam_rows`` steps the (d,) state to against them and their rates E,
-    eta_{v_{t+1}}: each row is bitwise ``adam_step`` of its draw.  No caller
-    reads the new moments, so m' goes through W's buffer and v' through E's,
-    and the step holds four (K, d) arrays, scratch included.
+    ``adam_rows`` steps the state to against them and their rates E,
+    eta_{v_{t+1}}: each row is bitwise ``adam_step`` of its draw.  The
+    state's [m; v] is one (2, 1, d) row that broadcasts over the branches.
+    No caller reads the new moments, so [m'; v'] go through the (2, K, d)
+    stack of W and E, and the draws sit in a (2, K, d) stack over the
+    update's scratch: the step holds four (K, d) arrays, scratch included.
     """
     tau = s.t + 1
-    G = branch_samples(p, s.w, K, rng)
-    b2 = beta2_at(tau, h)
-    W, E = np.empty_like(G), np.empty_like(G)
-    adam_rows(s.w, s.m, s.v_vec, G, (b2, 1.0 - b2, eta_at(tau, h)),
-              (h.beta1, 1.0 - h.beta1, h.mu), (W, W, E, E), np.empty_like(G))
-    return G, W, E
+    GG = np.empty((2, K, h.dim))
+    branch_samples(p, s.w, K, rng, out=GG[0])
+    WE = np.empty_like(GG)  # after the draws, whose own buffers are freed by then
+    mv = np.stack((s.m, s.v_vec))[:, None]
+    adam_rows(s.w, mv, _split(GG), _step_coefs(h, beta2_at(tau, h), 2), (eta_at(tau, h), h.mu),
+              (WE[0], _split(WE), WE[1]), np.empty_like(mv))
+    return GG[0], WE[0], WE[1]
 
 
 def _mean_sd(x: np.ndarray):
@@ -266,7 +269,11 @@ def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) ->
         raise ValueError(f"K must be >= 2, got {K}")
     eta_v_prev, gw = eta_v_at_state(s, h), grad(p, s.w)
     G, W, E = _branch_step(p, s, h, K, rng)
-    m1_b = (eta_v_prev * gw * (gw - G)).sum(axis=1)
+    # eta_v_prev * gw * (gw - G) in one (K, d) temporary, then the draws'
+    # (2, K, d) stack is freed before the temporaries below
+    x = np.subtract(gw, G)
+    m1_b = np.multiply(eta_v_prev * gw, x, x).sum(axis=1)
+    del G, x
     f_u_b = loss_batch(p, aux_iterate(W, s.w, h))
     m1_mean, m1_sd = _mean_sd(m1_b)
     d_mean, d_sd = _mean_sd(eta_v_prev - E)

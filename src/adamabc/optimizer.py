@@ -8,15 +8,17 @@ The update, per step tau = completed-steps + 1:
     w' = w - eta_v * m'
 
 No bias correction anywhere; mu sits outside the square root.  Every run
-starts at w_1 = ones with m = 0 and v = h.v.  ``adam_rows``
-is the only implementation, on a stacked (rows, d) state; it allocates
-nothing and hands its rates eta_v to the caller.  ``run_steps`` is the one
-stepping loop, on a ring of ``SUB`` steps that it owns; its consumers are the
-recording of ``run_trajectories`` (``run_trajectory`` is its one-seed case),
-which copies each sub-block out, and the seed sweep of ``experiments``, which
-reduces it and reads its rate gaps from the ring.  ``adam_step`` keeps
-states immutable: it never mutates its inputs, so replaying a step from a
-saved state reproduces the output bitwise.
+starts at w_1 = ones with m = 0 and v = h.v.  ``adam_rows`` is the only
+implementation, on a state whose moments are stacked as [m; v] with the
+gradient as [g; g*g], each (2, rows, d), so one ufunc forms both moments'
+products and one their sums; it allocates nothing and hands its rates eta_v
+to the caller.  ``run_steps`` is the one stepping loop, on a ring of ``SUB``
+steps that it owns; its consumers are the recording of ``run_trajectories``
+(``run_trajectory`` is its one-seed case), which copies each sub-block out,
+and the seed sweep of ``experiments``, which reduces it and reads its rate
+gaps from the ring.  ``adam_step`` keeps states immutable: it never mutates
+its inputs, so replaying a step from a saved state reproduces the output
+bitwise.
 """
 
 from __future__ import annotations
@@ -37,14 +39,17 @@ from .core import (
     eta_steps,
     validate_hyperparams,
 )
-from .problems import Problem, oracle_draws, oracle_rows, rng_stream, rows_view
+from .problems import NoisyQuadratic, Problem, oracle_draws, oracle_rows, rng_stream, rows_view
 
-#: oracle draws prefetched per block, per row: 8 sub-blocks, so the buffer
-#: holds 256 steps of draws whatever the horizon.  Blocked draws consume the
-#: stream exactly as single draws do, so no byte depends on this size.
-BLOCK = 256
+#: bytes of oracle draws prefetched per row and block: 256 steps of the d = 10
+#: quadratic's noise (80 bytes a step), 2560 of a data problem's row indices
+#: (8 bytes a step), so the buffer's size does not grow with the horizon.
+#: Blocked draws consume the stream exactly as single draws do, so no byte
+#: depends on this size.
+BLOCK = 20480
 
-#: steps per sub-block: the length of the ring ``run_steps`` owns (divides BLOCK)
+#: steps per sub-block: the length of the ring ``run_steps`` owns; every draw
+#: block is a whole number of sub-blocks
 SUB = 32
 
 
@@ -84,36 +89,54 @@ def rates(eta, v, mu, out=None):
     return np.true_divide(eta, r, r)
 
 
-def adam_rows(w, m, v, g, sched, consts, out, tmp) -> None:
-    """One update of a stacked (rows, d) state, allocating nothing.
+def adam_rows(w, mv, gg, coefs, rate, out, tmp) -> None:
+    """One update of a (rows, d) state whose moments are stacked, allocating
+    nothing.
 
-    ``sched = (b2, 1 - b2, eta)`` are the step's schedule values and
-    ``consts = (beta1, 1 - beta1, mu)`` the run's constants: scalars, or
-    arrays that broadcast to g's shape (0-d ones included) and hold the same
+    ``mv`` is the (2, rows, d) stack [m; v].  The stack [g; scratch] comes as
+    ``gg = _split(stack)``, the stack with views of its halves, and takes g*g,
+    then eta_v' * m', in its scratch half.  ``coefs = (b, c)`` hold
+    [beta1; b2] and [1 - beta1; 1 - b2] for the step's b2, and
+    ``rate = (eta, mu)``: scalars, or arrays that broadcast and hold the same
     doubles (a product or quotient with such an array is bitwise the scalar
-    one).  The new state and its rates are written into
-    ``out = (w', m', v', eta_v')``: w', m', v' may be ``(w, m, v)``
-    themselves, and eta_v' = eta / (sqrt(v') + mu) may be ``tmp``, one more
-    array shaped like g through which every other intermediate goes.  A
-    caller that keeps no new moments may pass w' as m' and eta_v' as v': m'
-    is read before w' is written, and the rates take v''s square root in
-    place.
+    one).  Four ufuncs form both moments, each product the same IEEE
+    operation as in the formula on its own, each sum the same operands.
+    Full-shape coefficient arrays keep numpy on its fast loop, and halves
+    formed once by the caller spare each step the indexing, which costs
+    about a third of a ufunc.
+    The new state and its rates are written into
+    ``out = (w', _split(mv'), eta_v')``; ``tmp`` is shaped like ``b * mv``.
+    mv' may be mv, w' may be w, and eta_v' may be tmp[1] or v'; a caller
+    that keeps no new moments may pass m' as w' and v' as eta_v': m' is read
+    before w' is written, and the rates take v''s square root in place.  A
+    state broadcast from one row, as in the branch step, passes a (2, 1, d)
+    mv and tmp against (2, K, d) stacks.
     Gradients are not checked here: callers that take them from outside
     check them first.
     """
-    b2, c2, eta = sched
-    b1, c1, mu = consts
-    w_out, m_out, v_out, e_out = out
-    np.multiply(g, g, tmp)
-    np.multiply(c2, tmp, tmp)
-    np.multiply(b2, v, v_out)
-    np.add(v_out, tmp, v_out)
-    np.multiply(c1, g, tmp)
-    np.multiply(b1, m, m_out)
-    np.add(m_out, tmp, m_out)
+    b, c = coefs
+    eta, mu = rate
+    G, g, scratch = gg
+    w_out, (mv_out, m_out, v_out), e_out = out
+    np.multiply(g, g, scratch)
+    np.multiply(b, mv, tmp)
+    np.multiply(c, G, mv_out)
+    np.add(tmp, mv_out, mv_out)
     rates(eta, v_out, mu, e_out)
-    np.multiply(e_out, m_out, tmp)
-    np.subtract(w, tmp, w_out)
+    np.multiply(e_out, m_out, scratch)
+    np.subtract(w, scratch, w_out)
+
+
+def _split(stack):
+    """A (2, ...) stack with views of its two halves, as ``adam_rows`` takes it."""
+    return stack, stack[0], stack[1]
+
+
+def _step_coefs(h: HyperParams, b2, ndim: int = 1):
+    """A step's stacked coefficients ([beta1; b2], [1 - beta1; 1 - b2]),
+    shaped to broadcast against a (2, ...) stack of ``ndim`` more axes."""
+    shape = (2,) + (1,) * ndim
+    return np.reshape((h.beta1, b2), shape), np.reshape((1.0 - h.beta1, 1.0 - b2), shape)
 
 
 def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
@@ -124,13 +147,13 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient(f"non-finite gradient component at t={s.t + 1}")
     tau = s.t + 1
-    b2 = beta2_at(tau, h)
-    w, m, v, tmp = (np.empty_like(g) for _ in range(4))
-    adam_rows(s.w, s.m, s.v_vec, g, (b2, 1.0 - b2, eta_at(tau, h)),
-              (h.beta1, 1.0 - h.beta1, h.mu), (w, m, v, tmp), tmp)
-    for a in (w, m, v):
+    w, mv, gg = np.empty_like(g), np.stack((s.m, s.v_vec)), np.stack((g, g))
+    tmp = np.empty_like(mv)
+    adam_rows(s.w, mv, _split(gg), _step_coefs(h, beta2_at(tau, h)), (eta_at(tau, h), h.mu),
+              (w, _split(mv), tmp[1]), tmp)
+    for a in (w, mv):
         a.setflags(write=False)
-    return AdamState(t=tau, w=w, m=m, v_vec=v)
+    return AdamState(t=tau, w=w, m=mv[0], v_vec=mv[1])
 
 
 def prefetch_draws(p: Problem, take: int, rngs, out=None):
@@ -157,15 +180,36 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
 class Ring(NamedTuple):
     """The buffers ``run_steps`` owns, step-major: W and E (SUB + 1, S, d)
     with the sub-block's start iterates in W[0] and their rates eta_{v_t} in
-    E[0] (the pre-run rate v / alpha1 before the first step), G, M, V
-    (SUB, S, d) and eta (SUB,)."""
+    E[0] (the pre-run rate v / alpha1 before the first step), the moment
+    stacks MV (SUB + 1, 2, S, d) with the start moments [m; v] in MV[0], the
+    gradient stacks GG (SUB, 2, S, d), whose GG[:, 1] is the update's
+    scratch, and eta (SUB,).  G, M and V are views of the stacks, one row per
+    step."""
 
     W: np.ndarray
-    G: np.ndarray
-    M: np.ndarray
-    V: np.ndarray
+    GG: np.ndarray
+    MV: np.ndarray
     eta: np.ndarray
     E: np.ndarray
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.GG[:, 0]
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.MV[1:, 0]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.MV[1:, 1]
+
+
+def _block_steps(p: Problem) -> int:
+    """Steps of draws per prefetched block: ``BLOCK`` bytes a row, in whole
+    sub-blocks, at least one."""
+    per_step = 8 * p.dim if isinstance(p, NoisyQuadratic) else 8  # noise or a row index
+    return max(SUB, BLOCK // per_step // SUB * SUB)
 
 
 def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
@@ -174,20 +218,23 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
 
     The loop owns a ``Ring`` of ``SUB`` steps and yields ``(t0, k, ring)``
     after each sub-block: the ring then holds steps t0 + 1 .. t0 + k, step i
-    reading W[i] and writing G[i], W[i + 1], M[i], V[i], its step size eta[i]
-    and its rates E[i + 1], the ones ``adam_rows`` forms.  The next sub-block
-    overwrites it, starting from W[k] and E[k], so a consumer copies or
-    reduces what it needs before it resumes the loop.
-    Every row starts at ones with m = 0 and v = h.v, draws
-    from the ("trajectory", seeds[r], "oracle") stream, ``BLOCK`` steps at a
+    reading W[i] and MV[i] and writing G[i], W[i + 1], MV[i + 1] (so M[i] and
+    V[i]), its step size eta[i] and its rates E[i + 1], the ones
+    ``adam_rows`` forms.  The next sub-block overwrites it, starting from
+    W[k], MV[k] and E[k], so a consumer copies or reduces what it needs
+    before it resumes the loop.
+    Every row starts at ones with m = 0 and v = h.v, draws from the
+    ("trajectory", seeds[r], "oracle") stream a block of ``BLOCK`` bytes at a
     time, and only meets its own data, so it is bitwise a lone run.
     Per-run shapes are built once: the draws go into one seed-major
-    (S, BLOCK, ...) ``prefetch_draws`` buffer, so its size does not grow with
+    (S, steps, ...) ``prefetch_draws`` buffer, so its size does not grow with
     T, and each of its sub-blocks is copied into one step-major
-    (SUB, S, ...) buffer before its steps; the oracle runs on
-    ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows); the
-    constants, the schedule columns and ``tmp`` are arrays every step reuses.
-    ``rule="sgd"`` steps w - t^(-1/2) g, leaves M unset, V at h.v and E at
+    (SUB, S, ...) buffer before its steps; the oracle writes g into GG[i, 0]
+    on ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows).
+    The coefficients [beta1; beta2_t] and [1 - beta1; 1 - beta2_t] are
+    full (SUB, 2, S, d) columns, whose beta2 halves are written once per
+    sub-block; mu, ``tmp`` and the slot views are built once per run.
+    ``rule="sgd"`` steps w - t^(-1/2) g, leaves M at 0, V at h.v and E at
     v / alpha1.
     With ``check``, a non-finite gradient stops the loop at its step with
     NonFiniteGradient.
@@ -198,55 +245,53 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     S, d = len(seeds), h.dim
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
     p_rows = rows_view(p, S)
-    G, M = np.empty((SUB, S, d)), np.empty((SUB, S, d))
-    ring = Ring(np.empty((SUB + 1, S, d)), G, M, np.full((SUB, S, d), h.v), np.empty(SUB),
+    ring = Ring(np.empty((SUB + 1, S, d)), np.empty((SUB, 2, S, d)),
+                np.zeros((SUB + 1, 2, S, d)), np.empty(SUB),
                 np.full((SUB + 1, S, d), h.v / alpha1(h)))
-    ring.W[0] = 1.0
-    # The schedule is written into (SUB,) columns once per sub-block and the
-    # constants into (S, d) arrays once per run.  A step reads its schedule
-    # values as 0-d views, which a ufunc takes about as cheaply as a full array
-    # and far more cheaply than a Python float, so every per-step ufunc runs
-    # array by array, into a ring slot or into tmp.  Slot views are bound once
-    # per run.
-    B2, C2 = np.empty(SUB), np.empty(SUB)
-    consts = tuple(np.full((S, d), c) for c in (h.beta1, 1.0 - h.beta1, h.mu))
-    tmp = np.empty((S, d))
-    scheds = [(B2[i, ...], C2[i, ...], ring.eta[i, ...]) for i in range(SUB)]
-    outs = zip(ring.W[1:], ring.M, ring.V, ring.E[1:])
-    slots = list(zip(ring.W, ring.G, scheds, outs))  # step i: w, g, sched, out
-    m, v = np.zeros((S, d)), np.full((S, d), h.v)
+    ring.W[0], ring.MV[:, 1] = 1.0, h.v
+    # A step reads its step size as a 0-d view, which a ufunc takes about as
+    # cheaply as a full array and far more cheaply than a Python float, and its
+    # coefficients as full slices: broadcast operands take numpy's slower
+    # general loop.  So every per-step ufunc runs array by array, into a ring
+    # slot or into tmp.
+    B, C = np.empty((SUB, 2, S, d)), np.empty((SUB, 2, S, d))
+    B[:, 0], C[:, 0] = h.beta1, 1.0 - h.beta1
+    mu, tmp = np.full((S, d), h.mu), np.empty((2, S, d))
+    rates_in = [(ring.eta[i, ...], mu) for i in range(SUB)]
+    outs = zip(ring.W[1:], map(_split, ring.MV[1:]), ring.E[1:])
+    # step i: w, mv, gg, coefs, rate, out
+    slots = list(zip(ring.W, ring.MV, map(_split, ring.GG), zip(B, C), rates_in, outs))
+    steps = _block_steps(p)
     block = D = None
+    draws = [None] * SUB  # each step's draws, as views bound once
     for t0 in range(0, T, SUB):
         k = min(SUB, T - t0)
         if t0:  # only the last sub-block is short
-            ring.W[0], ring.E[0] = ring.W[SUB], ring.E[SUB]
-        if t0 % BLOCK == 0:
-            block = prefetch_draws(p, min(BLOCK, T - t0), rngs, out=block)
-        if block is None:
-            draws = [None] * k
-        else:
+            ring.W[0], ring.MV[0], ring.E[0] = ring.W[SUB], ring.MV[SUB], ring.E[SUB]
+        if t0 % steps == 0:
+            block = prefetch_draws(p, min(steps, T - t0), rngs, out=block)
+        if block is not None:
             # each step then reads one contiguous slab, not S rows strided across
             # the block: the copy costs less than the strided reads
             if D is None:
                 D = np.empty((SUB,) + block.shape[1:], block.dtype)
-            draws = D[:k]
-            draws[:] = block[t0 % BLOCK : t0 % BLOCK + k]
+                draws = list(D)
+            D[:k] = block[t0 % steps : t0 % steps + k]
         taus = range(t0 + 1, t0 + k + 1)
         ring.eta[:k] = eta_steps(taus, h)
         if adam:
-            B2[:k] = beta2_steps(taus, h)
-            np.subtract(1.0, B2[:k], out=C2[:k])
-        for i, ((w, g, sched, out), dr) in enumerate(zip(slots, draws)):
-            oracle_rows(p_rows, w, dr, g)
+            B[:k, 1] = np.reshape(beta2_steps(taus, h), (k, 1, 1))
+            np.subtract(1.0, B[:k, 1], out=C[:k, 1])
+        for i, (w, mv, gg, coefs, rate, out), dr in zip(range(k), slots, draws):
+            g = oracle_rows(p_rows, w, dr, gg[1])
             # Python floats: cheaper than a numpy reduction over a few short rows
             if check and not all(map(math.isfinite, g.ravel().tolist())):
                 raise NonFiniteGradient(_non_finite_message(g, seeds, t0 + i + 1))
             if adam:
-                adam_rows(w, m, v, g, sched, consts, out, tmp)
-                _, m, v, _ = out
+                adam_rows(w, mv, gg, coefs, rate, out, tmp)
             else:
-                np.multiply((t0 + i + 1) ** -0.5, g, tmp)
-                np.subtract(w, tmp, out[0])
+                np.multiply((t0 + i + 1) ** -0.5, g, gg[2])
+                np.subtract(w, gg[2], out[0])
         yield t0, k, ring
 
 

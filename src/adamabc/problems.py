@@ -513,11 +513,12 @@ def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
 ROW_CHUNK = 4096
 
 
-def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarray:
+def branch_samples(p: Problem, w, K: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """K independent oracle draws at fixed w, stacked as (K, dim).
 
     Each row is distributed exactly like one ``oracle_sample`` draw.  The
-    result is allocated once and filled ``ROW_CHUNK`` rows at a time: a
+    result is allocated once (or is ``out``, a C-contiguous (K, dim) array)
+    and filled ``ROW_CHUNK`` rows at a time: a
     chunk's draws are taken (the quadratic's noise into one reused buffer),
     then its gradients are written straight into their rows, against one
     (ROW_CHUNK, dim) tile of w for the data problems, so no temporary
@@ -529,7 +530,7 @@ def branch_samples(p: Problem, w, K: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError(f"K must be >= 1, got {K}")
     w = _check_dim(p, w)
     n = min(K, ROW_CHUNK)
-    G = np.empty((K, p.dim))
+    G = np.empty((K, p.dim)) if out is None else out
     quad = isinstance(p, NoisyQuadratic)
     # additive noise: one gradient row broadcasts over the draws
     W = w[None] if quad else np.tile(w, (n, 1))

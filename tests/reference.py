@@ -96,12 +96,34 @@ def branch_samples_whole(p, w, K, rng):
     return oracle_rows(p, np.tile(w, (K, 1)), draws)
 
 
+def adam_rows_unstacked(w, m, v, g, sched, consts, out, tmp):
+    """The update as seven ufuncs on separate m and v, each product into its
+    own output: ``sched = (b2, 1 - b2, eta)``, ``consts = (beta1, 1 - beta1,
+    mu)``, ``out = (w', m', v', eta_v')``.  The stacked ``adam_rows`` must
+    match it bitwise."""
+    b2, c2, eta = sched
+    b1, c1, mu = consts
+    w_out, m_out, v_out, e_out = out
+    np.multiply(g, g, tmp)
+    np.multiply(c2, tmp, tmp)
+    np.multiply(b2, v, v_out)
+    np.add(v_out, tmp, v_out)
+    np.multiply(c1, g, tmp)
+    np.multiply(b1, m, m_out)
+    np.add(m_out, tmp, m_out)
+    np.sqrt(v_out, e_out)
+    np.add(e_out, mu, e_out)
+    np.true_divide(eta, e_out, e_out)
+    np.multiply(e_out, m_out, tmp)
+    np.subtract(w, tmp, w_out)
+
+
 def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False):
     """The seed sweep one step at a time: every running statistic is updated
     in place after each step and copied out at the checkpoints.  The blocked
     sweep of ``experiments.run_sweep`` must match it bitwise."""
     from adamabc.core import alpha1, beta2_at, eta_at
-    from adamabc.optimizer import BLOCK, prefetch_draws
+    from adamabc.optimizer import prefetch_draws
     from adamabc.problems import grad_batch, oracle_rows, rng_stream
 
     S, d = len(seeds), p.dim
@@ -115,18 +137,15 @@ def sweep_per_step(p, h, T, seeds, checkpoints, rule="adam", collect_dsum=False)
     dsum = np.empty((S, T))
     names = ("avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad")
     out = {name: np.empty((S, len(cps))) for name in names}
-    block, c = None, 0
+    block, c = prefetch_draws(p, T, rngs), 0  # all T steps' draws at once
     for t in range(1, T + 1):
-        j = (t - 1) % BLOCK
-        if j == 0:
-            block = prefetch_draws(p, min(BLOCK, T - t + 1), rngs, out=block)
         grad_now = grad_batch(p, W)
         gn2 = np.einsum("sd,sd->s", grad_now, grad_now)
         eta_t = eta_at(t, h)
         run_gsq += gn2
         eta_gsq += eta_t * gn2
         np.maximum(sup_gsq, gn2, out=sup_gsq)
-        G = oracle_rows(p, W, None if block is None else block[j])
+        G = oracle_rows(p, W, None if block is None else block[t - 1])
         if rule == "adam":
             b2 = beta2_at(t, h)
             V = b2 * V + (1.0 - b2) * (G * G)

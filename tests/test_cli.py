@@ -284,6 +284,21 @@ def test_non_finite_sweep_exits_1_with_one_line_and_no_report(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_sweep_checks_only_the_series_its_probes_read(tmp_path, capsys):
+    # the run above with the rate probe alone: S_total still overflows, but no
+    # rate series reads it, so the sweep never forms it and the run reports
+    cfg = "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate"
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("probe rate: pass\n  rate_slope: informational\n")
+    assert captured.out.endswith(f"wrote 3 files to {tmp_path}\n")
+    rep = json.loads((tmp_path / "report.json").read_text())["probes"]["rate"]
+    assert set(rep["per_seed"]) == {"avg_gsq", "last_grad"}
+    # a non-finite value would be written as null
+    assert all(None not in row for rows in rep["per_seed"].values() for row in rows)
+
+
 @pytest.mark.parametrize("command, text", [
     ("experiment", "sigma = 1e153\nT = 256\nseeds = 0,1\nprobes = rate,moment"),
     # v = 0.25 makes the first rate gap negative

@@ -33,6 +33,7 @@ from adamabc.experiments import (
     run_sweep,
 )
 from adamabc.instrumentation import NegativeGap, _tail_rows, log_pi_series
+import adamabc.experiments as E
 import adamabc.optimizer as O
 from adamabc.optimizer import run_steps, run_trajectory
 from adamabc.problems import grad_batch, oracle_sample, rng_stream
@@ -60,7 +61,8 @@ def cfg_for(kind, T, seeds, h=None, **kw) -> ExperimentConfig:
 
 @pytest.mark.parametrize("kind", list(SPECS))
 def test_stacked_sweep_matches_single_runs(kind):
-    # T = 4100 crosses 16 oracle prefetch blocks and ends on a 4-step block
+    # T = 4100 crosses oracle prefetch blocks (16 of 256 steps on the quadratic,
+    # one of 2560 on the data problems) and ends on a short block and sub-block
     T, seeds = 4100, (3, 11)
     cfg = cfg_for(kind, T, seeds)
     res = run_sweep(cfg, collect_dsum=True)
@@ -106,8 +108,8 @@ def test_stacked_sweep_matches_single_runs(kind):
 @pytest.mark.parametrize("rows", [1, 3, 20])
 @pytest.mark.parametrize("rule", ["adam", "sgd"])
 def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
-    # checkpoints on both sides of the first sub-block edges and of a
-    # prefetch block edge (4096 = 16 blocks of 256 draws)
+    # checkpoints on both sides of the first sub-block edges and of the
+    # quadratic's prefetch block edge (4096 = 16 blocks of 256 draws)
     T, seeds = 4100, tuple(range(rows))
     cps = (1, SUB - 1, SUB, SUB + 1, 2 * SUB, 4095, 4096, 4097, 4100)
     cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
@@ -121,19 +123,54 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
 
 
 @pytest.mark.parametrize("kind", list(SPECS))
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("rule", ["adam", "sgd"])
+def test_a_sweep_forms_each_read_set_bitwise(kind, rows, rule):
+    # each probe's series and their union, formed alone, against the sweep
+    # that forms every series, which matches the per-step reference; T = 4100
+    # ends on a short block and on a short sub-block, and the checkpoints lie
+    # on both sides of sub-block and prefetch block edges (2560 steps of row
+    # indices, 4096 = 16 blocks of the quadratic's 256)
+    T, seeds = 4100, tuple(range(rows))
+    cps = (1, 2, SUB - 1, SUB, SUB + 1, 2 * SUB, 2559, 2560, 2561, 4095, 4096, 4097, 4100)
+    cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
+                           seeds=seeds, checkpoints=cps)
+    dsum = rule == "adam"  # an SGD sweep has no rate gaps
+    full = run_sweep(cfg, rule=rule, collect_dsum=dsum)
+    ref = sweep_per_step(cfg.problem.build(), cfg.h, T, seeds, cps, rule, dsum)
+    for name, value in ref.items():
+        assert full[name].tobytes() == value.tobytes(), name
+    union = tuple(name for name in E._SERIES if dsum or name != "dsum")
+    for reads in {*(tuple(n for n in r if n in union) for r in E._READS.values()), union}:
+        got = run_sweep(cfg, rule=rule, reads=reads)
+        assert set(got) == set(reads) | {"final_W", "seeds"}, reads
+        for name, value in got.items():
+            assert value.tobytes() == full[name].tobytes(), (reads, name)
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
 def test_draws_do_not_depend_on_the_prefetch_block(monkeypatch, kind):
-    # T = 700 ends on a short block at every size and on a 28-step sub-block
+    # BLOCK bytes a row: 32, 32, 256 and 4096 steps of the d = 10 quadratic's
+    # noise, 32, 320, 2560 and 40960 of a data problem's row indices.  T = 2600
+    # ends on a short block at every size and on an 8-step sub-block.
     spec = SPECS[kind]
     p, h = spec.build(), HyperParams(dim=spec.d)
-    T, seeds = 700, (0, 4, 9)
+    T, seeds = 2600, (0, 4, 9)
     runs = []
-    for block in (SUB, 256, 4096):
+    for block in (8 * SUB, 80 * SUB, 20480, 80 * 4096):
         monkeypatch.setattr(O, "BLOCK", block)
         traces = [[getattr(tr, a).tobytes() for a in ("W", "G", "M", "V", "eta_v")]
                   for tr in O.run_trajectories(p, h, T, seeds)]
-        sweep = _sweep_seeds(p, h, T, seeds, default_checkpoints(T), collect_dsum=True)
+        sweep = _sweep_seeds(p, h, T, seeds, default_checkpoints(T), reads=E._SERIES)
         runs.append((traces, {name: a.tobytes() for name, a in sweep.items()}))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_draw_blocks_are_sized_in_bytes():
+    # whole sub-blocks: 256 steps of d = 10 noise, 2560 of row indices
+    assert [O._block_steps(SPECS[k].build()) for k in SPECS] == [256, 2560, 2560]
+    assert O._block_steps(ProblemSpec(kind="noisy_quadratic", d=5).build()) == 512
+    assert O._block_steps(ProblemSpec(kind="noisy_quadratic", d=100).build()) == SUB
 
 
 @pytest.mark.parametrize("kind", list(SPECS))
@@ -166,7 +203,8 @@ def test_sweep_sorts_seeds_and_thread_split_is_equivalent():
 
 @pytest.mark.parametrize("kind", list(SPECS))
 def test_sweep_sgd_rule_matches_sequential_reference(kind):
-    # T = 4100 crosses 16 oracle prefetch blocks and ends on a 4-step block
+    # T = 4100 crosses oracle prefetch blocks (16 of 256 steps on the quadratic,
+    # one of 2560 on the data problems) and ends on a short block and sub-block
     T, seeds = 4100, (3, 11)
     cfg = cfg_for(kind, T, seeds)
     res = run_sweep(cfg, rule="sgd")
@@ -466,21 +504,23 @@ def test_moment_probe_small_scale_mechanics():
 
 
 def test_run_probes_shares_one_sweep_and_keys_reports_by_probe(monkeypatch):
-    import adamabc.experiments as E
-
     calls = []
     real = E.run_sweep
 
-    def counting(cfg, rule="adam", collect_dsum=False):
-        calls.append((rule, collect_dsum))
-        return real(cfg, rule, collect_dsum)
+    def counting(cfg, rule="adam", collect_dsum=False, *, reads=None):
+        calls.append((rule, collect_dsum, reads))
+        return real(cfg, rule, collect_dsum, reads=reads)
 
     monkeypatch.setattr(E, "run_sweep", counting)
-    # one shared Adam sweep, with the gap sums only when moment reads them,
-    # plus one separate sgd-rule sweep
+    # one shared Adam sweep forming the union of its probes' series, the gap
+    # sums only when moment reads them, plus one separate sgd-rule sweep
+    sgd = ("sgd", False, ("avg_gsq", "last_grad"))
     for probes, sweeps in [
-        (("rate", "summability", "sgd_anchor"), [("adam", False), ("sgd", False)]),
-        (("moment", "sgd_anchor"), [("adam", True), ("sgd", False)]),
+        (("rate", "summability", "sgd_anchor"),
+         [("adam", False, ("avg_gsq", "last_grad", "eta_gsq_sum")), sgd]),
+        (("moment", "sgd_anchor"),
+         [("adam", False, ("S_total", "sigma_v", "sup_sigma_v", "dsum")), sgd]),
+        (("l1", "last_iterate", "sgd_anchor"), [("adam", False, ("last_grad", "sup_grad")), sgd]),
     ]:
         calls.clear()
         reports = E.run_probes(cfg_for("noisy_quadratic", 512, tuple(range(4)), probes=probes),
@@ -517,8 +557,6 @@ class _NoSweep(Exception):
     (("summability", "moment"), HyperParams(dim=10, delta=0.1, gamma=1.2)),
 ])
 def test_too_few_fit_points_raise_before_any_sweep(monkeypatch, probes, h):
-    import adamabc.experiments as E
-
     calls = []
 
     def counting(*args, **kwargs):
@@ -564,8 +602,6 @@ def test_every_probe_has_one_gate_entry():
 
 
 def test_probes_only_reduce_the_sweep_they_are_given(monkeypatch):
-    import adamabc.experiments as E
-
     cfg = cfg_for("noisy_quadratic", 256, tuple(range(4)))  # below every acceptance scale
     sweeps = {"adam": run_sweep(cfg, collect_dsum=True), "sgd": run_sweep(cfg, rule="sgd")}
 
@@ -589,8 +625,6 @@ def test_probes_only_reduce_the_sweep_they_are_given(monkeypatch):
     ],
 )
 def test_sweep_guard_names_the_first_non_finite_value(monkeypatch, spoil, message):
-    import adamabc.experiments as E
-
     real = E._sweep_seeds
 
     def spoiled(*args):
@@ -616,8 +650,6 @@ def test_sweep_guard_names_the_first_non_finite_value(monkeypatch, spoil, messag
     ],
 )
 def test_run_probes_checks_scale_gates_before_any_sweep(monkeypatch, probes, T, n_seeds, exc):
-    import adamabc.experiments as E
-
     calls = []
     monkeypatch.setattr(E, "run_sweep", lambda *a, **kw: calls.append(a))
     with pytest.raises(exc):
@@ -631,8 +663,6 @@ class _SweepReached(Exception):
 
 @pytest.mark.parametrize("name", list(ACCEPTANCE_PLAN))
 def test_acceptance_plan_passes_every_gate(monkeypatch, name):
-    import adamabc.experiments as E
-
     def sentinel(*args, **kwargs):
         raise _SweepReached
 

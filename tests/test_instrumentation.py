@@ -1,6 +1,7 @@
 """Derived series: auxiliary iterates, gaps, energies, the product surrogate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,22 @@ def test_branch_rows_are_bitwise_adam_steps(suite, kind):
         # the rates of the stepped v: v' went through E's buffer
         eta_v = rates(eta_at(s.t + 1, h), nxt.v_vec, h.mu)
         assert E[k].tobytes() == eta_v.tobytes(), k
+
+
+def test_a_branch_step_holds_four_arrays(quad10, h10):
+    # numpy reports its buffers to tracemalloc.  One (K, d) array at K = 10^5
+    # is 7.6 MiB: the step holds four, the draws' and the iterates' (2, K, d)
+    # stacks, and branch_conditional one temporary more at a time
+    s = run_trajectory(quad10, h10, 130, 0).state_before(121)
+    peaks = []
+    for fn in (_branch_step, branch_conditional):
+        tracemalloc.start()
+        try:
+            fn(quad10, s, h10, 100_000, rng_stream("branch-peak", 0, "branch"))
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 30.6 and peaks[1] <= 39.7, peaks
 
 
 # around the chunk size: (K, d >= 2) stacks are reduced in chunks, a (K,)

@@ -8,9 +8,9 @@ import pytest
 
 from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams, beta2_at, eta_at
 from adamabc.optimizer import (
-    BLOCK,
     SUB,
     NonFiniteGradient,
+    _split,
     adam_init,
     adam_rows,
     adam_step,
@@ -22,6 +22,7 @@ from adamabc.optimizer import (
 )
 from adamabc.instrumentation import synthetic_eta_v0
 from adamabc.problems import make_noisy_quadratic, oracle_draws, rng_stream
+from reference import adam_rows_unstacked
 
 H1 = HyperParams(beta1=0.0, alpha0=0.5, gamma=1.25, delta=0.25, mu=0.0, v=1.0, dim=1)
 
@@ -84,48 +85,96 @@ def test_beta1_zero_copies_gradient_into_momentum():
     assert np.array_equal(s.m, g)
 
 
-def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
-    # an array holding the same double multiplies and divides bitwise like the scalar
-    rng = np.random.default_rng(5)
-    S, d = 7, 5
-    h = HyperParams(dim=d)
+def _stacked_case(S, d, seed=5):
+    rng = np.random.default_rng(seed)
     w, m, g = rng.standard_normal((3, S, d)) * 10.0 ** rng.integers(-8, 8, (3, S, d))
     v = rng.random((S, d)) * 10.0 ** rng.integers(-8, 8, (S, d))
+    return w, m, v, g
+
+
+def _gg(g):
+    gg = np.empty((2,) + g.shape)
+    gg[0] = g
+    return _split(gg)
+
+
+def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
+    # an array holding the same double multiplies and divides bitwise like the scalar
+    S, d = 7, 5
+    h = HyperParams(dim=d)
+    w, m, v, g = _stacked_case(S, d)
+    mv = np.stack((m, v))
     b2, eta = beta2_at(7, h), eta_at(7, h)
-    sched, consts = (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu)
+    bc = (np.reshape((h.beta1, b2), (2, 1, 1)), np.reshape((1.0 - h.beta1, 1.0 - b2), (2, 1, 1)))
 
-    def full(values):
-        return tuple(np.full((S, d), c) for c in values)
+    def full(c):
+        return np.broadcast_to(c, (2, S, d)).copy()
 
-    scalar, columns, views = ([np.empty((S, d)) for _ in range(4)] for _ in range(3))
-    adam_rows(w, m, v, g, sched, consts, scalar, np.empty((S, d)))
-    adam_rows(w, m, v, g, full(sched), full(consts), columns, np.empty((S, d)))
-    # as the stepping loop passes them: the schedule as 0-d views of a column
-    column = np.array(sched)
-    adam_rows(w, m, v, g, tuple(column[i, ...] for i in range(3)), full(consts), views,
-              np.empty((S, d)))
+    def fresh():
+        return np.empty((S, d)), _split(np.empty((2, S, d))), np.empty((S, d))
+
+    scalar, columns, views = fresh(), fresh(), fresh()
+    adam_rows(w, mv, _gg(g), bc, (eta, h.mu), scalar, np.empty((2, S, d)))
+    adam_rows(w, mv, _gg(g), tuple(map(full, bc)), (np.full((S, d), eta), np.full((S, d), h.mu)),
+              columns, np.empty((2, S, d)))
+    # as the stepping loop passes them: the step size as a 0-d view of a column
+    column = np.array([eta])
+    adam_rows(w, mv, _gg(g), tuple(map(full, bc)), (column[0, ...], np.full((S, d), h.mu)),
+              views, np.empty((2, S, d)))
     # the update's formula, one numpy expression per line
     v_ref = b2 * v + (1.0 - b2) * (g * g)
     m_ref = h.beta1 * m + (1.0 - h.beta1) * g
     w_ref = w - eta / (np.sqrt(v_ref) + h.mu) * m_ref
     e_ref = rates(eta, v_ref, h.mu)
-    for a, b, c, ref in zip(scalar, columns, views, (w_ref, m_ref, v_ref, e_ref)):
-        assert a.tobytes() == b.tobytes() == c.tobytes() == ref.tobytes()
+    for case in (scalar, columns, views):
+        (w_out, (_, m_out, v_out), e_out) = case
+        for a, ref in zip((w_out, m_out, v_out, e_out), (w_ref, m_ref, v_ref, e_ref)):
+            assert a.tobytes() == ref.tobytes()
     # the rates written into the scratch itself, as adam_step passes them
-    tmp = np.empty((S, d))
-    shared = [np.empty((S, d)) for _ in range(3)] + [tmp]
-    adam_rows(w, m, v, g, sched, consts, shared, tmp)
-    for a, ref in zip(shared[:3], (w_ref, m_ref, v_ref)):
+    tmp = np.empty((2, S, d))
+    w_out, mv_out = np.empty((S, d)), np.empty((2, S, d))
+    adam_rows(w, mv, _gg(g), bc, (eta, h.mu), (w_out, _split(mv_out), tmp[1]), tmp)
+    for a, ref in zip((w_out, mv_out[0], mv_out[1], tmp[1]), (w_ref, m_ref, v_ref, e_ref)):
         assert a.tobytes() == ref.tobytes()
     # in place, over the state itself
-    state = [w.copy(), m.copy(), v.copy()]
-    adam_rows(*state, g, sched, consts, state + [tmp], tmp)
-    for a, ref in zip(state, (w_ref, m_ref, v_ref)):
+    w_in, mv_in = w.copy(), mv.copy()
+    adam_rows(w_in, mv_in, _gg(g), bc, (eta, h.mu), (w_in, _split(mv_in), tmp[1]), tmp)
+    for a, ref in zip((w_in, mv_in[0], mv_in[1]), (w_ref, m_ref, v_ref)):
         assert a.tobytes() == ref.tobytes()
-    # keeping no moments, as the branch step does: m' through w', v' through eta_v'
-    w_out, e_out = np.empty((S, d)), np.empty((S, d))
-    adam_rows(w, m, v, g, sched, consts, (w_out, w_out, e_out, e_out), tmp)
-    assert w_out.tobytes() == w_ref.tobytes() and e_out.tobytes() == e_ref.tobytes()
+    # keeping no moments, as the branch step does: one broadcast state row,
+    # m' through w', v' through eta_v'
+    for r in range(S):
+        mv_row = np.stack((m[r], v[r]))[:, None]
+        WE = np.empty((2, S, d))
+        adam_rows(w[r], mv_row, _gg(g), bc, (eta, h.mu), (WE[0], _split(WE), WE[1]),
+                  np.empty_like(mv_row))
+        v_r = b2 * v[r] + (1.0 - b2) * (g * g)
+        m_r = h.beta1 * m[r] + (1.0 - h.beta1) * g
+        assert WE[0].tobytes() == (w[r] - eta / (np.sqrt(v_r) + h.mu) * m_r).tobytes()
+        assert WE[1].tobytes() == rates(eta, v_r, h.mu).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 20])
+def test_stacked_step_is_the_seven_ufunc_step(rows):
+    # the stacked [m; v] update against the separate m and v formulas, ufunc by ufunc
+    d = 10
+    h = HyperParams(dim=d)
+    w, m, v, g = _stacked_case(rows, d, seed=rows)
+    for t in (1, 2, 7, 4097):
+        b2, eta = beta2_at(t, h), eta_at(t, h)
+        ref = [np.empty((rows, d)) for _ in range(4)]
+        adam_rows_unstacked(w, m, v, g, (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu),
+                            ref, np.empty((rows, d)))
+        # the coefficients as the stepping loop fills them: full columns
+        B, C = np.empty((2, rows, d)), np.empty((2, rows, d))
+        B[0], B[1], C[0] = h.beta1, b2, 1.0 - h.beta1
+        np.subtract(1.0, B[1], out=C[1])
+        w_out, mv_out, e_out = np.empty((rows, d)), np.empty((2, rows, d)), np.empty((rows, d))
+        adam_rows(w, np.stack((m, v)), _gg(g), (B, C),
+                  (np.array([eta])[0, ...], np.full((rows, d), h.mu)),
+                  (w_out, _split(mv_out), e_out), np.empty((2, rows, d)))
+        for a, b in zip((w_out, mv_out[0], mv_out[1], e_out), ref):
+            assert a.tobytes() == b.tobytes(), t
 
 
 def test_the_rings_rates_are_the_updates_rates(quad10, h10):
@@ -154,7 +203,7 @@ def test_run_steps_owns_one_bounded_ring(quad10, h10):
     assert done == T and len(rings) == 1
 
 
-@pytest.mark.parametrize("take", [BLOCK - 5, BLOCK])
+@pytest.mark.parametrize("take", [251, 256])
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
 def test_prefetch_draws_equal_each_seeds_own_draws(suite, kind, take):
     p, seeds = suite[kind], (0, 4, 9)
@@ -173,7 +222,7 @@ def test_prefetch_draws_equal_each_seeds_own_draws(suite, kind, take):
 
 def test_prefetch_draws_of_a_noiseless_oracle_are_none(quad10_noiseless):
     rngs = [rng_stream("trajectory", s, "oracle") for s in (0, 1)]
-    assert prefetch_draws(quad10_noiseless, BLOCK, rngs) is None
+    assert prefetch_draws(quad10_noiseless, 256, rngs) is None
 
 
 def test_step_rejects_bad_gradients():
@@ -204,7 +253,7 @@ def test_trajectory_matches_manual_composition(suite, kind):
         for name, a in zip("WGMV", (s.w, g, s.m, s.v_vec)):
             ref[name].append(a)
     # horizons on both sides of the 32-step ring's first edge, and one that
-    # crosses the 4096-draw prefetch block
+    # crosses prefetch blocks
     for T in (1, 31, 32, 33, 4100):
         tr = run_trajectory(p, h, T=T, seed=42)
         assert np.array_equal(tr.W, ref["W"][: T + 1]), T
@@ -214,7 +263,7 @@ def test_trajectory_matches_manual_composition(suite, kind):
 
 @pytest.mark.parametrize("kind", ["noisy_quadratic", "least_squares", "logistic"])
 def test_stacked_recording_matches_lone_runs(suite, kind):
-    # T = 4100 crosses the 4096-draw prefetch block of the recording loop
+    # T = 4100 crosses prefetch blocks of the recording loop
     p = next(q for q in suite if q.name == kind)
     h = HyperParams(dim=p.dim)
     seeds = (3, 11, 12)
