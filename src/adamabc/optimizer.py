@@ -280,8 +280,8 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
         taus = range(t0 + 1, t0 + k + 1)
         ring.eta[:k] = eta_steps(taus, h)
         if adam:
-            B[:k, 1] = np.reshape(beta2_steps(taus, h), (k, 1, 1))
-            np.subtract(1.0, B[:k, 1], out=C[:k, 1])
+            b2 = np.reshape(beta2_steps(taus, h), (k, 1, 1))
+            B[:k, 1], C[:k, 1] = b2, np.subtract(1.0, b2)
         for i, (w, mv, gg, coefs, rate, out), dr in zip(range(k), slots, draws):
             g = oracle_rows(p_rows, w, dr, gg[1])
             # Python floats: cheaper than a numpy reduction over a few short rows
