@@ -7,9 +7,11 @@ the checkout's ``src``, BLAS pinned to one thread) inside an empty temporary
 working directory, with relative ``--out`` names.  A case's record is its exit
 code, its stdout, its stderr, every directory it left in that directory (empty
 ones included) and the SHA-256 of every file it left there, ``manifest.json``
-excepted (it holds the start time).  The script
-prints each case whose record differs between the two sides, naming the
-fields that differ, and exits 1 if any case differs, else 0.
+excepted (it holds the start time).  Both checkouts' cases run
+``os.cpu_count()`` at a time from one thread pool; each still has its own
+process and directory, so no record depends on what runs beside it.  The
+script prints each case whose record differs between the two sides, naming
+the fields that differ, and exits 1 if any case differs, else 0.
 
 The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
@@ -34,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RUNNER = "import sys; from adamabc.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -163,10 +166,6 @@ def run_case(checkout: Path, argv) -> dict:
     }
 
 
-def run_corpus(checkout: Path) -> dict:
-    return {name: run_case(checkout, argv) for name, argv in CORPUS}
-
-
 def differences(a: dict, b: dict) -> list:
     """[(case, [differing fields])] for every case whose records differ."""
     out = []
@@ -186,7 +185,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="parent checkout directory")
     parser.add_argument("change", type=Path, help="change checkout directory")
     args = parser.parse_args(argv)
-    diffs = differences(run_corpus(args.parent), run_corpus(args.change))
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        runs = [{name: pool.submit(run_case, side, argv) for name, argv in CORPUS}
+                for side in (args.parent, args.change)]
+        parent, change = ({name: run.result() for name, run in side.items()} for side in runs)
+    diffs = differences(parent, change)
     for name, fields in diffs:
         print(f"differs: {name}: {', '.join(fields)}")
     print(f"{len(diffs)} of {len(CORPUS)} cases differ")

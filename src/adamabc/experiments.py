@@ -10,13 +10,13 @@ every gate, runs each sweep once and marks reports below acceptance scale.
 Engine: all seeds advance in lockstep as the rows of ``optimizer.run_steps``
 — one process, disjoint per-seed rng streams, bitwise-identical per seed to a
 lone run_trajectory call (each array row only ever meets its own row's data).
-The sweep reduces its statistics from the loop's ``SUB``-step ring once per
-sub-block, the exact gradient included (one stacked ``grad_batch`` call,
-bitwise per step, in one workspace per sweep); it reads running values only
-at checkpoints, and forms only the series its probes read (``_READS``).  The
-rate gaps come from the rates eta_v the update wrote into the ring: every
-Adam sweep checks them for a negative gap, as a trace does, and keeps their
-per-step sums only for the moment probe.
+Each series a sweep can form is one row of ``_SWEEP_TABLE``: its per-step
+term, the reduction that keeps its running value, its value before step 1
+and its reading at a checkpoint.  A sweep forms only the rows its probes
+read (``_READS``), each term once per ``SUB``-step sub-block of the loop's
+ring, and every running sum in step order (``instrumentation._carried``).
+Every Adam sweep checks the rate gaps of the rates eta_v in the ring, as a
+trace does, and keeps their per-step sums only for the moment probe.
 `threads > 1` splits the seed list across processes and concatenates rows.
 
 Expectations are estimated by seed means over the declared seed set;
@@ -44,7 +44,7 @@ from .problems import (
     rows_view,
 )
 from .optimizer import SUB, run_steps
-from .instrumentation import _require_gaps, log_pi_series
+from .instrumentation import _carried, _require_gaps, log_pi_series
 
 
 class InsufficientSeeds(ValueError):
@@ -110,10 +110,33 @@ GATES = {
     "sgd_anchor": ("sgd_anchor", False, False, False, 0, 0),
 }
 
-#: the per-checkpoint statistics of a sweep, each of shape (seeds, checkpoints)
-SWEEP_SERIES = (
-    "avg_gsq", "last_grad", "eta_gsq_sum", "S_total", "sigma_v", "sup_sigma_v", "sup_grad",
-)
+#: the per-step terms of the sweep series: whether each has one column per
+#: coordinate (else one), and how it fills rows :k of its (SUB, S, columns)
+#: buffer from a sub-block's ring and the terms before it: |grad f(w_t)|^2 (the
+#: sweep forms it), eta_t |grad f(w_t)|^2, g_t^2 and sum_i v_{t,i}
+_TERMS = {
+    "grad_sq": (False, None),
+    "eta_grad_sq": (False, lambda ring, k, terms, out: np.multiply(
+        ring.eta[:k, None, None], terms["grad_sq"][:k], out)),
+    "g_sq": (True, lambda ring, k, terms, out: np.square(ring.G[:k], out)),
+    "v_sum": (False, lambda ring, k, terms, out: np.sum(ring.V[:k], 2, out=out, keepdims=True)),
+}
+
+#: each (seeds, checkpoints) series of a sweep, in the order ``_require_finite``
+#: checks them: its term; the reduction that keeps its running value (a sum in
+#: step order, a maximum, or None for the step's own term); its value before
+#: step 1, from h; and its reading at checkpoint t from its (S, columns) value
+_SWEEP_TABLE = {
+    "avg_gsq": ("grad_sq", np.add, lambda h: 0.0, lambda x, t: x[:, 0] / t),
+    "last_grad": ("grad_sq", None, None, lambda x, t: np.sqrt(x[:, 0])),
+    "eta_gsq_sum": ("eta_grad_sq", np.add, lambda h: 0.0, lambda x, t: x[:, 0]),
+    "S_total": ("g_sq", np.add, lambda h: h.v, lambda x, t: x.sum(axis=1)),
+    "sigma_v": ("v_sum", None, None, lambda x, t: x[:, 0]),
+    "sup_sigma_v": ("v_sum", np.maximum, lambda h: h.dim * h.v, lambda x, t: x[:, 0]),
+    "sup_grad": ("grad_sq", np.maximum, lambda h: 0.0, lambda x, t: np.sqrt(x[:, 0])),
+}
+
+SWEEP_SERIES = tuple(_SWEEP_TABLE)
 
 #: the series each probe reads from its sweep: the ones its report lists,
 #: and for the moment probe the (seeds, T) gap sums "dsum"
@@ -288,52 +311,43 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
     when ``reads`` names it.
 
     The steps are ``optimizer.run_steps``, so row s matches the single-seed
-    trajectory bitwise.  Statistics are reduced from its ``SUB``-step ring a
-    sub-block at a time, and only those ``reads`` names are formed: the exact
-    gradient at every step (one (k, S, d) ``grad_batch`` stack on
-    ``rows_view(p, S)`` in a (SUB, S) workspace built once) only for
-    avg_gsq, eta_gsq_sum or sup_grad, and for last_grad alone only at the
-    checkpoint steps; the sums of V only for sigma_v or sup_sigma_v; the
-    sums of g*g only for S_total.  An Adam sweep always reads its rate gaps
+    trajectory bitwise.  The terms of the ``_SWEEP_TABLE`` rows in ``reads``
+    are formed once a sub-block, the exact gradient (one (k, S, d)
+    ``grad_batch`` stack on ``rows_view(p, S)`` in a (SUB, S) workspace) at
+    every step when a running series reads it, else at last_grad's
+    checkpoint steps only.  An Adam sweep always reads its rate gaps
     E[:k] - E[1:k + 1] from the ring's rates, which raise NegativeGap as in
     ``build_trace``.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
+    rows = {name: row for name, row in _SWEEP_TABLE.items() if name in reads}
     # outputs first, so the scratch buffers freed at return lie above them in the heap
-    out = {name: np.empty((S, len(cps))) for name in SWEEP_SERIES if name in reads}
+    out = {name: np.empty((S, len(cps))) for name in rows}
     out["final_W"] = np.empty((S, d))
     if "dsum" in reads:
         out["dsum"] = np.empty((S, T))
-    every = not out.keys().isdisjoint(("avg_gsq", "eta_gsq_sum", "sup_grad"))
-    # Running sums, one (SUB + 1, S, columns) array: row 0 carries the value
-    # before the sub-block, row j + 1 the term of step j, and the value after
-    # step i reduces rows 0 .. i.  With at least two columns the step axis is
-    # never numpy's inner loop, so it adds rows in step order, not pairwise:
-    # each sum is bitwise its step-by-step value.  Columns, as read: the S
-    # vector in the trace's order (v + g_1^2) + g_2^2 + ... (S_total),
-    # |grad|^2 (avg_gsq) and eta |grad|^2 (eta_gsq_sum).  Running maxima, exact
-    # in any order, go in sups: |grad|^2 (sqrt is monotone) and sigma_v.
-    cols, n = {}, 0
-    for name, width in (("S_total", d), ("avg_gsq", 1), ("eta_gsq_sum", 1)):
-        if name in out:
-            cols[name], n = (n if width == 1 else slice(n, n + width)), n + width
-    sums = np.zeros((SUB + 1, S, max(n, 2))) if n else None
-    if "S_total" in cols:
-        sums[0, :, :d] = h.v
-    vsums = "sigma_v" in out or "sup_sigma_v" in out
-    sups = np.zeros((SUB + 1, 2, S)) if vsums or "sup_grad" in out else None
-    if sups is not None:
-        sups[0, 1] = d * h.v
-    if every or "last_grad" in out:
+    every = any(red and term in ("grad_sq", "eta_grad_sq") for term, red, *_ in rows.values())
+    used = {term for term, *_ in rows.values()} | ({"grad_sq"} if every else set())
+    # each term fills rows 1.. of a padded stack; its first running reader carries in row 0
+    cols = {term: d if wide else 1 for term, (wide, _) in _TERMS.items() if term in used}
+    stacks = {term: np.zeros((SUB + 1, S, max(w, 2))) for term, w in cols.items()}
+    terms = {term: stacks[term][1:, :, :w] for term, w in cols.items()}
+    fills = [(fill, terms[term]) for term, (_, fill) in _TERMS.items() if fill and term in terms]
+    series = []  # (name, its terms, reduction, carry stack or None, reading)
+    for name, (term, red, start, read) in rows.items():
+        carry = None
+        if red:  # a later running series of the term copies it into a stack of its own
+            carry = stacks.pop(term) if term in stacks else np.zeros_like(terms[term].base)
+            carry[0] = start(h)
+        series.append((name, terms[term], red, carry, read))
+    if "grad_sq" in terms:
         p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
-        # |grad|^2 of each step, in its column of sums when avg_gsq reads it
-        gn = sums[1:, :, cols["avg_gsq"]] if "avg_gsq" in cols else np.empty((SUB, S))
+        gn = terms["grad_sq"][..., 0]
     gaps = np.empty((SUB, S, d))
 
     c = 0  # the next checkpoint
     for t0, k, ring in run_steps(p, h, T, seeds, rule=rule):
-        r = slice(1, k + 1)
         here = []  # (index, checkpoint, its row) of the checkpoints in this sub-block
         while c < len(cps) and cps[c] <= t0 + k:
             here.append((c, cps[c], cps[c] - t0))
@@ -341,46 +355,25 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
         if every:  # at the pre-update iterates
             g = grad_batch(p_rows, ring.W[:k], [b[:k] for b in ws])
             np.einsum("ksd,ksd->ks", g, g, out=gn[:k])
-        elif "last_grad" in out:  # alone: at its checkpoint steps only
+        elif "grad_sq" in terms:  # last_grad alone: at its checkpoint steps only
             for _, _, i in here:
                 g = grad_batch(p_rows, ring.W[i - 1 : i], [b[:1] for b in ws])
                 np.einsum("ksd,ksd->ks", g, g, out=gn[i - 1 : i])
-        if "S_total" in cols:
-            np.square(ring.G[:k], out=sums[r, :, cols["S_total"]])
-        if "eta_gsq_sum" in cols:
-            np.multiply(ring.eta[:k, None], gn[:k], out=sums[r, :, cols["eta_gsq_sum"]])
-        if "sup_grad" in out:
-            sups[r, 0] = gn[:k]
-        if vsums:
-            np.add.reduce(ring.V[:k], axis=2, out=sups[r, 1])
+        for fill, buf in fills:
+            fill(ring, k, terms, buf[:k])
         if rule == "adam":
-            delta = np.subtract(ring.E[:k], ring.E[r], out=gaps[:k])
+            delta = np.subtract(ring.E[:k], ring.E[1 : k + 1], out=gaps[:k])
             _require_gaps(delta, ring.E[:k], seeds, t0)
             if "dsum" in out:
                 out["dsum"][:, t0 : t0 + k] = delta.sum(axis=2).T
-        for j, t, i in here:
-            if "last_grad" in out:
-                out["last_grad"][:, j] = np.sqrt(gn[i - 1])
-            if "sigma_v" in out:
-                out["sigma_v"][:, j] = sups[i, 1]
-            if sums is not None:
-                run = np.add.reduce(sums[: i + 1])
-                if "avg_gsq" in cols:
-                    out["avg_gsq"][:, j] = run[:, cols["avg_gsq"]] / t
-                if "eta_gsq_sum" in cols:
-                    out["eta_gsq_sum"][:, j] = run[:, cols["eta_gsq_sum"]]
-                if "S_total" in cols:
-                    out["S_total"][:, j] = run[:, cols["S_total"]].sum(axis=1)
-            if sups is not None:
-                sup = np.maximum.reduce(sups[: i + 1])
-                if "sup_sigma_v" in out:
-                    out["sup_sigma_v"][:, j] = sup[1]
-                if "sup_grad" in out:
-                    out["sup_grad"][:, j] = np.sqrt(sup[0])
-        if sums is not None:
-            sums[0] = np.add.reduce(sums[: k + 1])
-        if sups is not None:
-            sups[0] = np.maximum.reduce(sups[: k + 1])
+        for name, buf, red, carry, read in series:
+            if red and buf.base is not carry:
+                carry[1 : k + 1, :, : buf.shape[2]] = buf[:k]
+            for j, t, i in here:
+                x = _carried(red, carry, i)[:, : buf.shape[2]] if red else buf[i - 1]
+                out[name][:, j] = read(x, t)
+            if red:
+                carry[0] = _carried(red, carry, k)
 
     out["final_W"][:] = ring.W[k]
     return out
@@ -399,11 +392,14 @@ def run_sweep(cfg: ExperimentConfig, rule: str = "adam", collect_dsum: bool = Fa
     final iterates ``final_W`` and the sorted ``seeds``, and with
     ``collect_dsum`` the (seeds, T) gap sums ``dsum``.  ``reads``, which only
     ``run_probes`` passes, names the series to form instead ("dsum" among
-    them for the gap sums); the sweep then forms nothing else.
+    them for the gap sums); the sweep then forms nothing else.  The SGD rule
+    has no rate gaps: asking it for ``dsum`` is a ValueError, before any step.
     """
     validate_config(cfg)
     if reads is None:
         reads = SWEEP_SERIES + ("dsum",) * collect_dsum
+    if rule == "sgd" and "dsum" in reads:
+        raise ValueError("an SGD sweep has no rate gaps to sum (dsum)")
     seeds = sorted(cfg.seeds)
     nw = min(cfg.threads, len(seeds))
     jobs = [(cfg.problem, cfg.h, cfg.T, [int(s) for s in part], cfg.checkpoints, rule,
@@ -545,9 +541,7 @@ def _base_report(cfg: ExperimentConfig, probe: str, res: dict) -> ExperimentRepo
     """A report holding the per-seed values and stats of each checkpoint
     series the probe reads."""
     rep = ExperimentReport(probe=probe, config=cfg.as_dict(), checkpoints=list(cfg.checkpoints))
-    for name in _READS[probe]:
-        if name == "dsum":
-            continue
+    for name in (n for n in _READS[probe] if n in _SWEEP_TABLE):
         rep.per_seed[name] = res[name].tolist()
         rep.stats[name] = _stats(res[name])
     return rep
@@ -764,7 +758,7 @@ def moment_probe(
 ) -> ExperimentReport:
     """Reciprocal-product moments, S_T^(3/4) growth, second-moment-mass sup.
 
-    Reads the gap sums of a sweep run with ``collect_dsum``.  With too few
+    Reads the sweep's per-step gap sums ``dsum``.  With too few
     final-decade checkpoints the S^(3/4) fit raises DegenerateFit, unless
     ``enforce_scale`` is off: then the report notes the skipped fit.
     """

@@ -224,30 +224,35 @@ def _branch_step(p: Problem, s: AdamState, h: HyperParams, K: int, rng):
     return GG[0], WE[0], WE[1]
 
 
+def _carried(ufunc, stack: np.ndarray, k: int, out=None) -> np.ndarray:
+    """``ufunc`` over rows 0 .. k of a carry stack: the running value after its
+    k-th term.  Row 0 holds the value before a block of terms, rows 1 .. k the
+    terms; written back to row 0, the result carries into the next block.
+    numpy reduces axis 0 of a C-contiguous stack of two or more columns one
+    row after another, so a sum is bitwise its step-by-step value however the
+    steps are blocked; one column it sums pairwise, so a lone one is padded."""
+    return ufunc.reduce(stack[: k + 1], 0, out=out)
+
+
 def _mean_sd(x: np.ndarray):
     """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise, from one shared sum
     pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2).
 
-    The mean is one ``np.add.reduce``, which allocates one row.  numpy
-    reduces axis 0 of a C-contiguous (K, d) stack with d >= 2 one row after
-    another, in order, so such a stack sums its squared deviations
-    ``ROW_CHUNK`` rows at a time and never builds the (K, d) deviation array.
-    A (K,) series and a (K, 1) stack (and a stack of other layout) keep the
-    whole-array reduce: numpy sums those pairwise, which no chunking
-    reproduces.
+    The mean is one ``np.add.reduce``, which allocates one row.  A
+    C-contiguous (K, d >= 2) stack sums its squared deviations ``ROW_CHUNK``
+    rows at a time by ``_carried``, never building the (K, d) deviations.
+    Other inputs keep the whole-array reduce, which no chunking reproduces.
     """
     K = x.shape[0]
     mean = np.add.reduce(x, 0, keepdims=True)
     np.true_divide(mean, K, mean)
     if x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous:
-        # each chunk's squares go below the running sum, which starts at an
-        # exact 0, so each reduce continues the last one's additions in order
         buf, sd = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1])), np.zeros_like(mean)
         for s in range(0, K, ROW_CHUNK):
             dev = buf[1 : min(ROW_CHUNK, K - s) + 1]
             np.multiply(np.subtract(x[s : s + len(dev)], mean, dev), dev, dev)
             buf[0] = sd
-            np.add.reduce(buf[: len(dev) + 1], 0, out=sd, keepdims=True)
+            _carried(np.add, buf, len(dev), out=sd[0])
     else:
         dev = np.subtract(x, mean)
         np.multiply(dev, dev, dev)

@@ -3,9 +3,11 @@
 ``pytest tests/test_acceptance.py -v`` prints one PASSED/FAILED/XFAIL line
 per criterion.  The heavy seed sweeps are the entries of
 ``adamabc.experiments.ACCEPTANCE_PLAN``, shared through module-scoped
-fixtures; the whole gate runs in a few minutes on one core.  Every test here
-carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs
-the fast module tests alone.
+fixtures; the whole gate runs in a few minutes on one core.  A last test pins
+the fixtures' reports to ``pilot.json``, summarised as
+``scripts/run_convergence_pilot.py`` writes them.  Every test here carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the fast
+module tests alone.
 
 Criterion 4a is recorded as a strict expected failure, not skipped and not
 loosened: on the noisy quadratic the final decade is noise-dominated, the
@@ -18,7 +20,10 @@ reading.  If the band check ever starts passing, the strict xfail turns into
 a hard failure so the analysis gets revisited.
 """
 
+import importlib.util
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +41,13 @@ from adamabc.verify import (
 )
 
 pytestmark = pytest.mark.acceptance
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "run_convergence_pilot", ROOT / "scripts" / "run_convergence_pilot.py"
+)
+pilot_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pilot_script)
 
 
 INVARIANT_GRID = ((0.25, 1.25), (0.0, 1.0), (0.0, 1.5))
@@ -236,3 +248,26 @@ def test_criterion_10_trace_rerun_byte_identical(tmp_path):
         outs.append((out / "trace_seed7.csv").read_bytes())
     print(f"criterion 10: two runs, {len(outs[0])} bytes each, identical")
     assert outs[0] == outs[1]
+
+
+def test_the_gate_reproduces_pilot_json(
+    rate_slope_reports, rate_ratio_reports, last_iterate_report, quad_hundred_reports,
+    logistic_moment_report,
+):
+    # every plan entry's summary, as the pilot script writes it, equals its
+    # pilot.json entry exactly: a one-ulp move in any observed value fails
+    reports = {
+        "rate_slope_delta0.1": {"rate": rate_slope_reports[0]},
+        "rate_slope_delta0.25": {"rate": rate_slope_reports[1]},
+        "rate_ratio_gamma1.5": {"rate": rate_ratio_reports[0]},
+        "rate_ratio_gamma1.0": {"rate": rate_ratio_reports[1]},
+        "last_iterate_T1e6": {"last_iterate": last_iterate_report},
+        "l1_100seeds": quad_hundred_reports,
+        "moment_logistic": {"moment": logistic_moment_report},
+    }
+    pilot = json.loads((ROOT / "pilot.json").read_text())
+    assert list(reports) == list(ACCEPTANCE_PLAN) == list(pilot)
+    for name, reps in reports.items():
+        got = {probe: pilot_script._probe_summary(rep) for probe, rep in reps.items()}
+        assert json.loads(json.dumps(got)) == pilot[name]["probes"], name
+    print(f"pilot.json: all {len(pilot)} plan entries reproduced")

@@ -126,11 +126,11 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("rule", ["adam", "sgd"])
 def test_a_sweep_forms_each_read_set_bitwise(kind, rows, rule):
-    # each probe's series and their union, formed alone, against the sweep
-    # that forms every series, which matches the per-step reference; T = 4100
-    # ends on a short block and on a short sub-block, and the checkpoints lie
-    # on both sides of sub-block and prefetch block edges (2560 steps of row
-    # indices, 4096 = 16 blocks of the quadratic's 256)
+    # each probe's series, each series alone and their union, formed alone,
+    # against the sweep that forms every series, which matches the per-step
+    # reference; T = 4100 ends on a short block and on a short sub-block, and
+    # the checkpoints lie on both sides of sub-block and prefetch block edges
+    # (2560 steps of row indices, 4096 = 16 blocks of the quadratic's 256)
     T, seeds = 4100, tuple(range(rows))
     cps = (1, 2, SUB - 1, SUB, SUB + 1, 2 * SUB, 2559, 2560, 2561, 4095, 4096, 4097, 4100)
     cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
@@ -141,7 +141,8 @@ def test_a_sweep_forms_each_read_set_bitwise(kind, rows, rule):
     for name, value in ref.items():
         assert full[name].tobytes() == value.tobytes(), name
     union = tuple(name for name in E._SERIES if dsum or name != "dsum")
-    for reads in {*(tuple(n for n in r if n in union) for r in E._READS.values()), union}:
+    for reads in {*(tuple(n for n in r if n in union) for r in E._READS.values()), union,
+                  *((name,) for name in E.SWEEP_SERIES)}:
         got = run_sweep(cfg, rule=rule, reads=reads)
         assert set(got) == set(reads) | {"final_W", "seeds"}, reads
         for name, value in got.items():
@@ -216,6 +217,17 @@ def test_sweep_sgd_rule_matches_sequential_reference(kind):
             w = w - t**-0.5 * oracle_sample(p, w, rng)
         assert np.all(np.isfinite(w))
         assert np.array_equal(res["final_W"][si], w)
+
+
+@pytest.mark.parametrize("ask", [dict(collect_dsum=True), dict(reads=("avg_gsq", "dsum"))])
+def test_an_sgd_sweep_refuses_gap_sums_before_any_step(monkeypatch, ask):
+    # the SGD rule has no rate gaps, so there is no dsum to return
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(E, "run_steps", no_step)
+    with pytest.raises(ValueError, match="no rate gaps"):
+        run_sweep(cfg_for("noisy_quadratic", 64, (0, 1)), rule="sgd", **ask)
 
 
 def test_sweep_rejects_unknown_rule():
