@@ -25,6 +25,12 @@ wins at least nine tenths of the pairs, the medians differ by more than the
 parent's interquartile range, and the change failed no larger share of its
 operations than the parent.  The file is rewritten after every pair.
 
+``setup_s`` times the interpreter from spawn, so a checkout that imports
+from cached bytecode starts faster than one that compiles.  Every run is
+made with ``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to start,
+naming the directories, while either checkout holds a ``__pycache__`` under
+``src/`` or ``perfbench/``; it deletes nothing.
+
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-wide \\
         --seeds 301-310 --claim sweep-wide:wall_s --out bench_pairs.json
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -62,12 +69,20 @@ def raw_median(stdout: str) -> float:
     return float(found.group(1))
 
 
+def bytecode_caches(checkout: Path) -> list:
+    """The ``__pycache__`` directories under a checkout's src/ and perfbench/,
+    whose bytecode would speed that side's set-up."""
+    return sorted(d for top in ("src", "perfbench") for d in (checkout / top).rglob("__pycache__"))
+
+
 def run_once(command, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark process in ``checkout``; its final JSON line, parsed,
     with its raw pass median as ``raw_median_s``."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
@@ -159,6 +174,11 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
+    if caches:
+        print("compiled bytecode would time one checkout's set-up apart from the other's; "
+              "remove these and rerun:", *caches, sep="\n  ", file=sys.stderr)
+        return 2
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [m["name"] for m in bench["end_to_end"]]

@@ -20,9 +20,11 @@ runs in a ``grad_workspace`` a loop may keep for all its calls.
 ``oracle_rows`` writes into a caller's slot when given one, as the stepping
 loop's ring does, and ``oracle_draws`` into a caller's buffer.  A loop over
 (S, d) rows passes both kernels ``rows_view(p, S)``, whose quadratic carries
-its eigenvalues tiled to the rows.  ``branch_samples`` fills its (K, dim)
-result ``ROW_CHUNK`` rows at a time through both kernels, so its memory is
-the result plus one chunk's temporaries.
+its eigenvalues tiled to the rows.  ``branch_samples`` forms each distinct
+gradient at its fixed w once, through ``oracle_rows``, and fills its
+(K, dim) result from it ``ROW_CHUNK`` rows at a time, so its memory is the
+result plus an m-row table (one row for the quadratic) and one chunk's
+row indices.
 
 Randomness: one documented, versioned algorithm (see RNG_ALGORITHM).  Streams
 are keyed by (experiment id, seed, purpose) so that branch sampling, data
@@ -507,7 +509,7 @@ def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
     return g
 
 
-#: rows ``branch_samples`` draws and evaluates at a time (320 KB at dim 10);
+#: rows ``branch_samples`` draws and fills at a time (320 KB at dim 10);
 #: the descent check's branches and ``instrumentation._mean_sd``'s deviation
 #: pass go in chunks of the same size
 ROW_CHUNK = 4096
@@ -516,36 +518,46 @@ ROW_CHUNK = 4096
 def branch_samples(p: Problem, w, K: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """K independent oracle draws at fixed w, stacked as (K, dim).
 
-    Each row is distributed exactly like one ``oracle_sample`` draw.  The
-    result is allocated once (or is ``out``, a C-contiguous (K, dim) array)
-    and filled ``ROW_CHUNK`` rows at a time: a
-    chunk's draws are taken (the quadratic's noise into one reused buffer),
-    then its gradients are written straight into their rows, against one
-    (ROW_CHUNK, dim) tile of w for the data problems, so no temporary
-    outgrows a chunk whatever K is.  The bytes are those of one K-row block:
-    normal and bounded-integer draws use up the stream the same way however
-    they are blocked, and ``oracle_rows`` works row by row.
+    Each row is distributed exactly like one ``oracle_sample`` draw, and is
+    bitwise that draw.  The result is allocated once (or is ``out``, a
+    C-contiguous (K, dim) array) and filled ``ROW_CHUNK`` rows at a time.
+    At a fixed w the oracle takes few distinct values, and each is formed
+    once: the quadratic's noiseless gradient row, to which each chunk's
+    noise, drawn straight into its rows, is added; or the data problems' m
+    per-row gradients, one table that each chunk's row indices gather from.
+    So the memory is the result, the m-row table and one chunk's indices
+    whatever K is.  The bytes are those of one K-row block: normal and
+    bounded-integer draws use up the stream the same way however they are
+    blocked, ``oracle_rows`` works row by row, and IEEE addition commutes.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     w = _check_dim(p, w)
-    n = min(K, ROW_CHUNK)
     G = np.empty((K, p.dim)) if out is None else out
-    quad = isinstance(p, NoisyQuadratic)
-    # additive noise: one gradient row broadcasts over the draws
-    W = w[None] if quad else np.tile(w, (n, 1))
-    # rng.integers has no out, so row indices come fresh whatever is passed
-    buf = np.empty((n, p.dim)) if quad and p.sigma else None
-    for s in range(0, K, n):
-        k = min(n, K - s)
-        draws = oracle_draws(p, k, rng, None if buf is None else buf[:k])
-        oracle_rows(p, W[:k], draws, G[s : s + k])
+    if isinstance(p, NoisyQuadratic):
+        row = oracle_rows(p, w[None], None)
+        for s in range(0, K, ROW_CHUNK):
+            g = G[s : s + ROW_CHUNK]
+            if oracle_draws(p, len(g), rng, g) is None:
+                g[...] = row
+            else:
+                g += row
+        return G
+    m = p.rows.shape[0]
+    table = oracle_rows(p, np.tile(w, (m, 1)), np.arange(m))
+    for s in range(0, K, ROW_CHUNK):
+        g = G[s : s + ROW_CHUNK]
+        # the default mode="raise" gathers through a buffer; indices drawn
+        # in [0, m) leave "clip" nothing to clip
+        np.take(table, oracle_draws(p, len(g), rng), axis=0, out=g, mode="clip")
     return G
 
 
 def oracle_sample(p: Problem, w, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic gradient with conditional mean grad(p, w)."""
-    return branch_samples(p, w, 1, rng)[0]
+    """One stochastic gradient with conditional mean grad(p, w): one
+    ``oracle_rows`` row, bitwise ``branch_samples(p, w, 1, rng)[0]``."""
+    w = _check_dim(p, w)
+    return oracle_rows(p, w[None], oracle_draws(p, 1, rng))[0]
 
 
 def default_suite() -> list[Problem]:

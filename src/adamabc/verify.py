@@ -279,9 +279,10 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
     A*(f - f*) + B*|grad f|^2 + C plus 4 SE of itself.
 
     Memory: one point's (K, d) samples at a time, each dropped before the
-    next point's are drawn; ``branch_samples`` and ``_mean_sd`` keep their
-    temporaries to ``ROW_CHUNK`` rows, so the peak is about K * d * 8 bytes
-    plus a few (K,) series.
+    next point's are drawn; ``branch_samples`` adds only the data problems'
+    m-row gradient table and ``_mean_sd`` keeps its temporaries to
+    ``ROW_CHUNK`` rows, so the peak is about K * d * 8 bytes plus a few (K,)
+    series.
     """
     _at_least("num_points", num_points, 1)
     _at_least("K", K, 2)

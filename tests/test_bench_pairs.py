@@ -1,6 +1,8 @@
 """The summary that scripts/bench_pairs.py writes, on synthetic run records."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,34 @@ def test_the_raw_pass_median_is_read_from_its_timing_line_and_summarised():
     s = bench_pairs.summarise(runs, METRICS + [raw])
     assert s["metrics"]["raw_median_s"]["parent"]["median"] == pytest.approx(0.55)
     assert s["metrics"]["raw_median_s"]["change_wins"] == 2
+
+
+def test_runs_start_only_when_neither_checkout_holds_bytecode_caches(tmp_path, monkeypatch,
+                                                                     capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "pairs.json"
+    for checkout in (parent, change):
+        (checkout / "src" / "adamabc").mkdir(parents=True)
+        (checkout / "perfbench").mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "perfbench/run.py"], "end_to_end": METRICS}))
+    started = []
+
+    def fake_run(cmd, cwd, env, **kw):
+        started.append((cwd, env.get("PYTHONDONTWRITEBYTECODE")))
+        result = {"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}, "ok_frac": {"value": 1.0}}}
+        stdout = f"timing pass: n=3 raw median 0.5 s\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert started == [(parent, "1"), (change, "1")] and out.exists()
+
+    out.unlink()
+    started.clear()
+    for cache in (parent / "src" / "adamabc" / "__pycache__", change / "perfbench" / "__pycache__"):
+        cache.mkdir()
+        assert bench_pairs.main(argv) == 2
+        assert str(cache) in capsys.readouterr().err
+        assert started == [] and not out.exists() and cache.is_dir()

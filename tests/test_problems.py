@@ -310,21 +310,24 @@ def test_oracle_sample_equals_first_branch_draw(suite):
 
 
 def test_branch_samples_consume_the_stream_in_batch_order(suite):
-    # K draws from one generator must equal the stacked K=1 draws from a
-    # stream advanced identically — i.e. sampling is vectorized over a single
-    # contiguous block, not re-keyed per row.
-    for p in suite:
+    # K draws from one generator must equal K successive single draws from
+    # it, i.e. sampling is vectorized over a single contiguous block, not
+    # re-keyed per row, and leaves the stream where the single draws do
+    for p in [*suite, make_noisy_quadratic(np.linspace(1.0, 4.0, 10), sigma=0.0)]:
         w = np.linspace(-1.0, 1.0, p.dim)
-        S = branch_samples(p, w, 4, rng_stream("order", 9, "branch"))
-        assert S.shape == (4, p.dim)
-        assert np.all(np.isfinite(S))
+        rng, one_rng = rng_stream("order", 9, "branch"), rng_stream("order", 9, "branch")
+        S = branch_samples(p, w, 5, rng)
+        ones = np.stack([oracle_sample(p, w, one_rng) for _ in range(5)])
+        assert S.shape == (5, p.dim) and S.tobytes() == ones.tobytes(), p.name
+        assert rng.bit_generator.state == one_rng.bit_generator.state, p.name
 
 
 @pytest.mark.parametrize("K", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 5])
 def test_branch_samples_in_chunks_are_bitwise_one_block(suite, K):
-    # every suite kind, a noiseless quadratic (draws nothing) and a d = 1 one
+    # every suite kind, a noiseless quadratic (draws nothing), a d = 1 one and
+    # least squares on more data rows than a chunk
     problems = [*suite, make_noisy_quadratic(np.linspace(1.0, 4.0, 10), sigma=0.0),
-                make_noisy_quadratic([2.0], sigma=1.5)]
+                make_noisy_quadratic([2.0], sigma=1.5), make_least_squares(ROW_CHUNK + 100, 3, 1)]
     for p in problems:
         w = np.linspace(-1.0, 1.0, p.dim)
         rng, ref_rng = rng_stream("chunks", K, "branch"), rng_stream("chunks", K, "branch")
@@ -332,6 +335,29 @@ def test_branch_samples_in_chunks_are_bitwise_one_block(suite, K):
         assert got.shape == (K, p.dim) and got.tobytes() == want.tobytes(), p.name
         # the stream is left where one block leaves it
         assert rng.bit_generator.state == ref_rng.bit_generator.state, p.name
+        # into the first half of a (2, K, d) stack, as the branch step passes
+        GG = np.full((2, K, p.dim), np.nan)
+        branch_samples(p, w, K, rng_stream("chunks", K, "branch"), out=GG[0])
+        assert GG[0].tobytes() == want.tobytes() and np.isnan(GG[1]).all(), p.name
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_branch_samples_form_each_data_gradient_once(suite, kind, monkeypatch):
+    # a data draw is a row index: one oracle_rows call forms all m gradients,
+    # however many chunks the draws take
+    import adamabc.problems as P
+
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(len(args[1]))
+        return oracle_rows(*args, **kw)
+
+    monkeypatch.setattr(P, "oracle_rows", counted)
+    p = next(q for q in suite if q.name == kind)
+    K = 3 * ROW_CHUNK + 5
+    G = branch_samples(p, np.linspace(-1.0, 1.0, p.dim), K, rng_stream("once", 0, "branch"))
+    assert calls == [p.rows.shape[0]] and G.shape == (K, p.dim)
 
 
 def test_dimension_mismatch_raised_everywhere(suite):
