@@ -31,9 +31,26 @@ made with ``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to start,
 naming the directories, while either checkout holds a ``__pycache__`` under
 ``src/`` or ``perfbench/``; it deletes nothing.
 
+``--setup-probes N`` also times, per workload, N alternating fresh
+``perfbench/run.py --setup-probe`` processes a side (probe i at seed
+``seeds[i]``, cycled, or 0), raw: spawn to ready, as perfbench's ``setup_s``
+times them but with no calibration.  Each workload's ``setup_probes`` block
+holds the raw seconds and the comparison (each side's median and quartiles,
+wins and ties, the relative change of the medians, the parent's
+interquartile range), beside the pairs' normalised ``setup_s``.
+
+``--tier1 N`` alternates N parent and change runs of the tier-1 command,
+``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
+``PYTHONPATH``, each with ``--junitxml`` (the pass, fail, error, skip and
+xfail counts) and ``--durations=0 --durations-min=0`` (each test's setup and
+call seconds).  The ``tier1`` block holds the runs and the comparison of the
+whole run's wall time, of each acceptance test's setup (a module fixture's
+set-up is booked to the first test that uses it) and of criterion 2's call.
+
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-wide \\
         --seeds 301-310 --claim sweep-wide:wall_s --out bench_pairs.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --tier1 1 --out tier1.json
 """
 
 from __future__ import annotations
@@ -45,6 +62,9 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 
@@ -90,12 +110,131 @@ def run_once(command, checkout: Path, workload: str, seed: int, seconds: float) 
     return dict(json.loads(lines[-1]), raw_median_s=raw_median(done.stdout))
 
 
+def setup_probe(command, checkout: Path, workload: str, seed: int) -> float:
+    """Raw seconds from spawning one ``--setup-probe`` process in ``checkout``
+    to its workload being ready: the CLOCK_MONOTONIC reading it prints last,
+    less the one taken just before the spawn."""
+    cmd = [*command, "--setup-probe", "--workload", workload, "--seed", str(seed)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    t0 = time.monotonic_ns()
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
+    if done.returncode != 0 or not done.stdout.split():
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-400:]}")
+    return (int(done.stdout.split()[-1]) - t0) / 1e9
+
+
+#: the tier-1 command, run in a checkout with its src/ first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+#: one line of pytest's ``--durations`` report: seconds, phase, test id
+DURATION = re.compile(r"^\s*(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*?)\s*$", re.MULTILINE)
+
+
+def parse_junit(text: str) -> dict:
+    """The outcome counts of a pytest ``--junitxml`` report: a test case with
+    a failure or error element failed or errored, one with a skipped element
+    of type pytest.xfail is an xfail, any other skipped element a skip, and
+    the rest passed."""
+    counts = dict.fromkeys(("tests", "passed", "failed", "errors", "skipped", "xfailed"), 0)
+    for case in ET.fromstring(text).iter("testcase"):
+        counts["tests"] += 1
+        if case.find("failure") is not None:
+            counts["failed"] += 1
+        elif case.find("error") is not None:
+            counts["errors"] += 1
+        elif (skip := case.find("skipped")) is not None:
+            counts["xfailed" if skip.get("type") == "pytest.xfail" else "skipped"] += 1
+        else:
+            counts["passed"] += 1
+    return counts
+
+
+def parse_durations(stdout: str) -> dict:
+    """{phase: {test id: seconds}} from pytest's ``--durations`` report."""
+    out = {"setup": {}, "call": {}, "teardown": {}}
+    for seconds, phase, test in DURATION.findall(stdout):
+        out[phase][test] = float(seconds)
+    return out
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run in ``checkout``: its wall time, exit code, outcome
+    counts and per-test setup and call seconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        xml = Path(tmp) / "junit.xml"
+        cmd = [*TIER1, f"--junitxml={xml}", "--durations=0", "--durations-min=0"]
+        t0 = time.perf_counter()
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=False)
+        wall = time.perf_counter() - t0
+        if done.returncode not in (0, 1) or not xml.exists():
+            raise RuntimeError(f"tier-1 in {checkout} exited {done.returncode}: "
+                               f"{(done.stdout + done.stderr).strip()[-400:]}")
+        counts = parse_junit(xml.read_text())
+    acceptance = {phase: {test[len(ACCEPTANCE):]: sec for test, sec in times.items()
+                          if test.startswith(ACCEPTANCE)}
+                  for phase, times in parse_durations(done.stdout).items()}
+    return {"wall_s": wall, "exit_code": done.returncode, "counts": counts,
+            "setup_s": acceptance["setup"], "call_s": acceptance["call"]}
+
+
+#: a run keeps the acceptance tests' times: each one's setup, which books the
+#: module fixtures' sweeps to the first test that uses them, and its call
+ACCEPTANCE = "tests/test_acceptance.py::"
+CRITERION_2 = "test_criterion_02_oracle_soundness"
+
+
+def paired(runs) -> list:
+    """{side: run} for every pair both sides of which have run, in pair order."""
+    by_pair = {}
+    for r in runs:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r
+    return [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
+
+
+def tier1_summary(runs) -> dict:
+    """The tier-1 block: its runs, and the paired comparison of the wall
+    time, of every acceptance test's setup and of criterion 2's call."""
+    pairs = paired(runs)
+    figures = {"wall_s": lambda r: r["wall_s"],
+               "call_s." + CRITERION_2: lambda r: r["call_s"].get(CRITERION_2)}
+    for t in sorted({t for r in runs for t in r["setup_s"]}):
+        figures["setup_s." + t] = lambda r, t=t: r["setup_s"].get(t)
+    out = {"pairs": len(pairs), "runs": runs, "metrics": {}}
+    for name, read in figures.items():
+        values = [(read(p["parent"]), read(p["change"])) for p in pairs]
+        if pairs and all(v is not None for pc in values for v in pc):
+            out["metrics"][name] = compare(*zip(*values))
+    return out
+
+
 def quartiles(values) -> dict:
     values = sorted(values)
     if len(values) == 1:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": med, "q3": q3}
+
+
+def compare(parent, change, better: str = "lower") -> dict:
+    """Paired values of one metric, parent[i] against change[i]: each side's
+    median and quartiles, the change's wins and ties, the relative change of
+    the medians and the parent's interquartile range."""
+    sign = 1.0 if better == "higher" else -1.0
+    diffs = [sign * (c - p) for p, c in zip(parent, change)]
+    qp, qc = quartiles(parent), quartiles(change)
+    return {
+        "parent": qp,
+        "change": qc,
+        "change_wins": sum(d > 0 for d in diffs),
+        "ties": sum(d == 0 for d in diffs),
+        "median_change_rel": (qc["median"] - qp["median"]) / qp["median"] if qp["median"] else 0.0,
+        "parent_iqr": qp["q3"] - qp["q1"],
+    }
 
 
 def summarise(runs, metrics) -> dict:
@@ -105,10 +244,7 @@ def summarise(runs, metrics) -> dict:
     ``failed`` and one value per metric); ``metrics`` are BENCHMARK.json's
     end-to-end entries.
     """
-    by_pair = {}
-    for r in runs:
-        by_pair.setdefault(r["pair"], {})[r["side"]] = r
-    pairs = [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
+    pairs = paired(runs)
     out = {"pairs": len(pairs), "seeds": [p["parent"]["seed"] for p in pairs],
            "runs": runs, "failed_share": {}, "metrics": {}}
     if not pairs:
@@ -120,22 +256,15 @@ def summarise(runs, metrics) -> dict:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        diffs = [sign * (c - p) for p, c in zip(parent, change)]
-        qp, qc = quartiles(parent), quartiles(change)
-        rel = (qc["median"] - qp["median"]) / qp["median"] if qp["median"] else 0.0
-        iqr = qp["q3"] - qp["q1"]
+        c = compare(parent, change, m["better"])
         separated = min(sign * c for c in change) > max(sign * p for p in parent)
-        out["metrics"][name] = {
-            "parent": qp,
-            "change": qc,
-            "change_wins": sum(d > 0 for d in diffs),
-            "ties": sum(d == 0 for d in diffs),
-            "median_change_rel": rel,
-            "parent_iqr": iqr,
-            "bound": m["bound"],
-            "worse_than_bound": -sign * rel > m["bound"],
-            "unresolved": iqr > m["bound"] * abs(qp["median"]) and not separated,
-        }
+        out["metrics"][name] = dict(
+            c,
+            bound=m["bound"],
+            worse_than_bound=-sign * c["median_change_rel"] > m["bound"],
+            unresolved=c["parent_iqr"] > m["bound"] * abs(c["parent"]["median"])
+            and not separated,
+        )
     return out
 
 
@@ -166,34 +295,44 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", action="append", required=True,
+    ap.add_argument("--workload", action="append", default=[],
                     help="workload name; repeat for several")
-    ap.add_argument("--seeds", required=True, type=parse_seeds,
+    ap.add_argument("--seeds", type=parse_seeds, default=[],
                     help="one seed per pair, e.g. 301-310")
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
+    ap.add_argument("--setup-probes", type=int, default=0, metavar="N",
+                    help="also time N raw set-up probes a side per workload")
+    ap.add_argument("--tier1", type=int, default=0, metavar="N",
+                    help="also run N tier-1 pairs")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if not (args.workload and (args.seeds or args.setup_probes)) and not args.tier1:
+        ap.error("nothing to run: give --workload with --seeds or --setup-probes, or --tier1")
     caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
     if caches:
         print("compiled bytecode would time one checkout's set-up apart from the other's; "
               "remove these and rerun:", *caches, sep="\n  ", file=sys.stderr)
         return 2
 
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in bench["end_to_end"]]
-    wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
-    metrics = bench["end_to_end"] + [dict(wall, name="raw_median_s")]
+    if args.workload:
+        bench = json.loads((args.change / "BENCHMARK.json").read_text())
+        names = [m["name"] for m in bench["end_to_end"]]
+        wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
+        metrics = bench["end_to_end"] + [dict(wall, name="raw_median_s")]
     claimed = args.claim.split(":") if args.claim else None
     sides = {"parent": args.parent, "change": args.change}
+
+    def order(pair):  # the parent first in even pairs, the change in odd ones
+        return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
     doc = {"end_to_end": {}}
     for workload in args.workload:
         runs = []
         for pair, seed in enumerate(args.seeds):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
+            for side in order(pair):
                 res = run_once(bench["command"], sides[side], workload, seed, args.seconds)
-                rec = {"side": side, "seed": seed, "pair": pair, "first": order[0],
+                rec = {"side": side, "seed": seed, "pair": pair, "first": order(pair)[0],
                        "correct": res["correct"], "attempted": res["attempted"],
                        "failed": res["failed"]}
                 rec.update({n: res["metrics"][n]["value"] for n in names})
@@ -205,6 +344,25 @@ def main(argv=None) -> int:
             if claimed and claimed[0] in doc["end_to_end"]:
                 doc["claim"] = claim(doc["end_to_end"], *claimed)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        if args.setup_probes:
+            raw = {"parent": [], "change": []}
+            for i in range(args.setup_probes):
+                seed = args.seeds[i % len(args.seeds)] if args.seeds else 0
+                for side in order(i):
+                    raw[side].append(setup_probe(bench["command"], sides[side], workload, seed))
+            block = doc["end_to_end"].setdefault(workload, {})
+            block["setup_probes"] = dict(compare(raw["parent"], raw["change"]), raw_s=raw)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.tier1:
+        runs = []
+        for pair in range(args.tier1):
+            for side in order(pair):
+                res = run_tier1(sides[side])
+                runs.append(dict(res, side=side, pair=pair, first=order(pair)[0]))
+                print(f"tier-1 pair {pair} {side}: {res['wall_s']:.1f} s {res['counts']}",
+                      file=sys.stderr)
+                doc["tier1"] = tier1_summary(runs)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

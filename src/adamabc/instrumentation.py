@@ -228,9 +228,16 @@ def _carried(ufunc, stack: np.ndarray, k: int, out=None) -> np.ndarray:
     """``ufunc`` over rows 0 .. k of a carry stack: the running value after its
     k-th term.  Row 0 holds the value before a block of terms, rows 1 .. k the
     terms; written back to row 0, the result carries into the next block.
-    numpy reduces axis 0 of a C-contiguous stack of two or more columns one
-    row after another, so a sum is bitwise its step-by-step value however the
-    steps are blocked; one column it sums pairwise, so a lone one is padded."""
+
+    On a C-contiguous stack of two or more columns every row is combined into
+    the running value in row order, so a sum is bitwise its step-by-step
+    value however the steps are blocked.  A sum runs through ``np.einsum``'s
+    one-operand kernel, rows outer and columns inner: the same additions as
+    ``np.add.reduce`` over axis 0, at a fraction of its per-row cost.  One
+    column is summed pairwise by either kernel, so a lone one is padded.
+    """
+    if ufunc is np.add:
+        return np.einsum("i...->...", stack[: k + 1], out=out)
     return ufunc.reduce(stack[: k + 1], 0, out=out)
 
 
@@ -238,15 +245,17 @@ def _mean_sd(x: np.ndarray):
     """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise, from one shared sum
     pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2).
 
-    The mean is one ``np.add.reduce``, which allocates one row.  A
-    C-contiguous (K, d >= 2) stack sums its squared deviations ``ROW_CHUNK``
-    rows at a time by ``_carried``, never building the (K, d) deviations.
-    Other inputs keep the whole-array reduce, which no chunking reproduces.
+    A C-contiguous (K, d >= 2) stack is summed in row order by ``_carried``:
+    its mean over all K rows, which allocates one row, and its squared
+    deviations ``ROW_CHUNK`` rows at a time, never building the (K, d)
+    deviations.  Other inputs, which numpy sums pairwise, keep one
+    whole-array ``np.add.reduce`` per pass, which no chunking reproduces.
     """
     K = x.shape[0]
-    mean = np.add.reduce(x, 0, keepdims=True)
+    rows = x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous
+    mean = _carried(np.add, x, K - 1)[None] if rows else np.add.reduce(x, 0, keepdims=True)
     np.true_divide(mean, K, mean)
-    if x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous:
+    if rows:
         buf, sd = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1])), np.zeros_like(mean)
         for s in range(0, K, ROW_CHUNK):
             dev = buf[1 : min(ROW_CHUNK, K - s) + 1]

@@ -282,7 +282,10 @@ def check_oracle_soundness(p: Problem, num_points: int, K: int, rng) -> list[Che
     next point's are drawn; ``branch_samples`` adds only the data problems'
     m-row gradient table and ``_mean_sd`` keeps its temporaries to
     ``ROW_CHUNK`` rows, so the peak is about K * d * 8 bytes plus a few (K,)
-    series.
+    series.  Time: the samples' pinned draws, then ``_mean_sd``'s two
+    passes over them, each a step-order sum through the carry rule's
+    one-operand einsum, bitwise the axis-0 reduce at a fraction of its
+    per-row cost.
     """
     _at_least("num_points", num_points, 1)
     _at_least("K", K, 2)

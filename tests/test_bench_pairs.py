@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,102 @@ def test_runs_start_only_when_neither_checkout_holds_bytecode_caches(tmp_path, m
         assert bench_pairs.main(argv) == 2
         assert str(cache) in capsys.readouterr().err
         assert started == [] and not out.exists() and cache.is_dir()
+
+
+JUNIT = """<?xml version="1.0" encoding="utf-8"?>
+<testsuites name="pytest tests"><testsuite name="pytest" errors="1" failures="1" skipped="2"
+ tests="6" time="12.5">
+<testcase classname="tests.test_a" name="test_pass" time="0.1"/>
+<testcase classname="tests.test_a" name="test_fail" time="0.2"><failure message="no"/></testcase>
+<testcase classname="tests.test_a" name="test_error" time="0.0"><error message="x"/></testcase>
+<testcase classname="tests.test_a" name="test_xfail" time="0.3">
+ <skipped type="pytest.xfail" message="known"/></testcase>
+<testcase classname="tests.test_a" name="test_skip" time="0.0">
+ <skipped type="pytest.skip" message="off"/></testcase>
+<testcase classname="tests.test_acceptance" name="test_criterion_02_oracle_soundness"
+ time="0.8"/>
+</testsuite></testsuites>
+"""
+
+
+def durations(setup_4a, call_2):
+    return ("=== slowest durations ===\n"
+            f"{setup_4a:.2f}s setup    tests/test_acceptance.py::"
+            "test_criterion_04a_rate_slope_delta_positive\n"
+            f"{call_2:.2f}s call     tests/test_acceptance.py::test_criterion_02_oracle_soundness\n"
+            "0.01s call     tests/test_a.py::test_pass[1-2]\n"
+            "0.00s teardown tests/test_a.py::test_pass[1-2]\n"
+            "1 passed in 1.00s\n")
+
+
+def test_tier1_counts_and_times_are_read_from_junit_xml_and_durations():
+    assert bench_pairs.parse_junit(JUNIT) == {"tests": 6, "passed": 2, "failed": 1, "errors": 1,
+                                              "skipped": 1, "xfailed": 1}
+    phases = bench_pairs.parse_durations(durations(34.7, 0.83))
+    assert phases["setup"] == {
+        "tests/test_acceptance.py::test_criterion_04a_rate_slope_delta_positive": 34.7}
+    assert phases["call"] == {"tests/test_acceptance.py::test_criterion_02_oracle_soundness": 0.83,
+                              "tests/test_a.py::test_pass[1-2]": 0.01}
+    assert phases["teardown"] == {"tests/test_a.py::test_pass[1-2]": 0.0}
+
+
+def test_tier1_pairs_alternate_and_compare_wall_setup_and_call(tmp_path, monkeypatch):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "tier1.json"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    started = []
+
+    def fake_run(cmd, cwd, env, **kw):  # no pytest is started: the reports are written here
+        side = "parent" if cwd == parent else "change"
+        started.append((side, env["PYTHONDONTWRITEBYTECODE"], env["PYTHONPATH"].split(os.pathsep)[0]))
+        xml = next(a for a in cmd if a.startswith("--junitxml=")).split("=", 1)[1]
+        Path(xml).write_text(JUNIT)
+        slow = 2.0 if side == "parent" else 1.0
+        return subprocess.CompletedProcess(cmd, 1, durations(30.0 * slow, 0.8 * slow), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(parent), str(change), "--tier1", "2", "--out", str(out)]) == 0
+    assert started == [("parent", "1", "src"), ("change", "1", "src"),
+                       ("change", "1", "src"), ("parent", "1", "src")]
+    tier1 = json.loads(out.read_text())["tier1"]
+    assert tier1["pairs"] == 2 and [r["first"] for r in tier1["runs"]] == ["parent"] * 2 + ["change"] * 2
+    assert all(r["exit_code"] == 1 and r["counts"]["xfailed"] == 1 for r in tier1["runs"])
+    m = tier1["metrics"]
+    assert set(m) == {"wall_s", "call_s.test_criterion_02_oracle_soundness",
+                      "setup_s.test_criterion_04a_rate_slope_delta_positive"}
+    setup = m["setup_s.test_criterion_04a_rate_slope_delta_positive"]
+    assert setup["parent"]["median"] == 60.0 and setup["change"]["median"] == 30.0
+    assert setup["change_wins"] == 2 and setup["median_change_rel"] == pytest.approx(-0.5)
+    assert m["call_s.test_criterion_02_oracle_soundness"]["change_wins"] == 2
+
+
+STUB_RUN = """import sys, time
+args = sys.argv[1:]
+assert args[:3] == ["--setup-probe", "--workload", "w"], args
+time.sleep({delay})
+print("set up", args[4])
+print(time.monotonic_ns())
+"""
+
+
+def test_setup_probes_time_fresh_stub_processes_raw(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "probes.json"
+    for checkout, delay in ((parent, 0.2), (change, 0.0)):
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(delay=delay))
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": [sys.executable, "perfbench/run.py"], "end_to_end": METRICS}))
+    argv = [str(parent), str(change), "--workload", "w", "--setup-probes", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    probes = json.loads(out.read_text())["end_to_end"]["w"]["setup_probes"]
+    assert [len(probes["raw_s"][side]) for side in ("parent", "change")] == [3, 3]
+    # spawn to ready: at least the parent stub's 0.2 s sleep, every probe
+    assert min(probes["raw_s"]["parent"]) >= 0.2 > 0.0 < min(probes["raw_s"]["change"])
+    assert probes["change_wins"] == 3 and probes["median_change_rel"] < 0
+    assert probes["parent"]["median"] == sorted(probes["raw_s"]["parent"])[1]
+
+
+def test_a_run_with_nothing_to_do_is_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                          "--out", str(tmp_path / "x.json")])

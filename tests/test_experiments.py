@@ -122,6 +122,33 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
         assert got[name].tobytes() == value.tobytes(), name
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_every_sweep_sum_runs_on_a_c_contiguous_stack_of_two_or_more_columns(monkeypatch,
+                                                                             rows):
+    # the carry rule sums step by step only on such stacks (one column is
+    # summed pairwise), so every running sum of every read set must hand one
+    handed, carried = [], E._carried
+
+    def checked(ufunc, stack, k, out=None):
+        if ufunc is np.add:
+            part = stack[: k + 1]
+            handed.append((part.flags.c_contiguous, part.shape[-1]))
+        return carried(ufunc, stack, k, out)
+
+    monkeypatch.setattr(E, "_carried", checked)
+    T, seeds, cps = 2 * SUB + 5, tuple(range(rows)), (1, SUB, SUB + 1, 2 * SUB + 5)
+    for kind, spec in SPECS.items():
+        cfg = ExperimentConfig(problem=spec, h=HyperParams(dim=spec.d), T=T, seeds=seeds,
+                               checkpoints=cps)
+        for reads in (*((name,) for name in E.SWEEP_SERIES), E.SWEEP_SERIES):
+            for rule in ("adam", "sgd"):
+                handed.clear()
+                run_sweep(cfg, rule=rule, reads=reads)
+                summed = [name for name in reads if E._SWEEP_TABLE[name][1] is np.add]
+                assert bool(handed) == bool(summed), (kind, reads, rule)
+                assert all(c and cols >= 2 for c, cols in handed), (kind, reads, rule, handed)
+
+
 @pytest.mark.parametrize("kind", list(SPECS))
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("rule", ["adam", "sgd"])

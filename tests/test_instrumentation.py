@@ -11,6 +11,7 @@ from adamabc.instrumentation import (
     NegativeGap,
     PiHatSeries,
     _branch_step,
+    _carried,
     _mean_sd,
     _require_gaps,
     branch_conditional,
@@ -197,21 +198,59 @@ def test_a_branch_step_holds_four_arrays(quad10, h10):
     assert peaks[0] <= 30.6 and peaks[1] <= 39.7, peaks
 
 
+def wide(shape, seed):
+    """Normal draws scaled by 10^u, u uniform on (-12, 12), every other row
+    negated and scaled by 1e10: sums whose bits depend on the order of their
+    additions."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12.0, 12.0, shape)
+    x[1::2] *= -1e10
+    return x
+
+
+def step_sum(rows):
+    """The rows of a stack added one after another, as a step loop would."""
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc = acc + row
+    return acc
+
+
 # around the chunk size: (K, d >= 2) stacks are reduced in chunks, a (K,)
 # series and a (K, 1) stack whole
 C = ROW_CHUNK
 
 
+@pytest.mark.parametrize("shape", [(1 + k, d) for d in (2, 5, 10) for k in (0, 1, 31, 32, C)]
+                         + [(1 + k, S, c) for S in (1, 20, 50) for c in (2, 10)
+                            for k in (0, 1, 31, 32)])
+def test_a_carried_sum_is_bitwise_its_step_loop(shape):
+    stack = wide(shape, sum(shape))
+    k = shape[0] - 1
+    ref = step_sum(stack)
+    assert _carried(np.add, stack, k).tobytes() == ref.tobytes()
+    out = np.full(shape[1:], np.nan)
+    assert _carried(np.add, stack, k, out=out) is out and out.tobytes() == ref.tobytes()
+    # the rows after k are not read
+    assert _carried(np.add, np.concatenate([stack, stack]), k).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(100_000, 10), (20_000, 5), (100_000,), (7, 3), (2,),
                                    (C + 1, 10), (3 * C + 5, 5), (3 * C + 5, 1), (3 * C + 5,)])
 def test_mean_sd_is_bitwise_numpys_mean_and_std(shape):
-    x = 1.0 + 3.0 * np.random.default_rng(len(shape) + shape[0]).standard_normal(shape)
-    # a column-major stack: numpy sums its columns pairwise, so it is not chunked
-    for x in (x, np.asfortranarray(x)):
-        mean, sd = _mean_sd(x)
-        for got, ref in ((mean, x.mean(axis=0)), (sd, x.std(axis=0, ddof=1))):
-            assert np.shape(got) == np.shape(ref)
-            assert got.tobytes() == ref.tobytes()
+    seed = len(shape) + shape[0]
+    narrow = 1.0 + 3.0 * np.random.default_rng(seed).standard_normal(shape)
+    spread = wide(shape, seed)
+    if shape[0] > C:  # the wide data tells a pairwise sum from a step loop
+        col = spread.reshape(shape[0], -1)[:, 0].copy()
+        assert np.add.reduce(col).tobytes() != step_sum(col).tobytes()
+    for x in (narrow, spread):
+        # a column-major stack: numpy sums its columns pairwise, so it is not chunked
+        for x in (x, np.asfortranarray(x)):
+            mean, sd = _mean_sd(x)
+            for got, ref in ((mean, x.mean(axis=0)), (sd, x.std(axis=0, ddof=1))):
+                assert np.shape(got) == np.shape(ref)
+                assert got.tobytes() == ref.tobytes()
 
 
 def test_branch_requires_at_least_two_draws(quad10, h10):
