@@ -201,7 +201,8 @@ def test_tier1_pairs_alternate_and_compare_wall_setup_and_call(tmp_path, monkeyp
 
     def fake_run(cmd, cwd, env, **kw):  # no pytest is started: the reports are written here
         side = "parent" if cwd == parent else "change"
-        started.append((side, env["PYTHONDONTWRITEBYTECODE"], env["PYTHONPATH"].split(os.pathsep)[0]))
+        path = env["PYTHONPATH"].split(os.pathsep)[0]
+        started.append((side, env["PYTHONDONTWRITEBYTECODE"], path))
         xml = next(a for a in cmd if a.startswith("--junitxml=")).split("=", 1)[1]
         Path(xml).write_text(JUNIT)
         slow = 2.0 if side == "parent" else 1.0
@@ -212,7 +213,8 @@ def test_tier1_pairs_alternate_and_compare_wall_setup_and_call(tmp_path, monkeyp
     assert started == [("parent", "1", "src"), ("change", "1", "src"),
                        ("change", "1", "src"), ("parent", "1", "src")]
     tier1 = json.loads(out.read_text())["tier1"]
-    assert tier1["pairs"] == 2 and [r["first"] for r in tier1["runs"]] == ["parent"] * 2 + ["change"] * 2
+    assert tier1["pairs"] == 2
+    assert [r["first"] for r in tier1["runs"]] == ["parent", "parent", "change", "change"]
     assert all(r["exit_code"] == 1 and r["counts"]["xfailed"] == 1 for r in tier1["runs"])
     m = tier1["metrics"]
     assert set(m) == {"wall_s", "call_s.test_criterion_02_oracle_soundness",
