@@ -30,7 +30,6 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import starmap
 
 import numpy as np
 
@@ -280,13 +279,14 @@ _CSV_ROWS = 256
 
 def _csv(cols: dict):
     """CSV text of ``{header: values}`` in chunks: the header line, then the
-    lines of ``_CSV_ROWS`` rows at a time.  The first column's ints are written
-    verbatim, every other column's floats at 17 significant digits."""
-    row = (",".join(["{}"] + ["{:.17g}"] * (len(cols) - 1)) + "\n").format
+    lines of ``_CSV_ROWS`` rows at a time, each rendered by one ``%`` format.
+    The first column's ints are written verbatim, every other column's floats
+    at 17 significant digits."""
+    row = ",".join(["%s"] + ["%.17g"] * (len(cols) - 1)) + "\n"
     yield ",".join(cols) + "\n"
     cols = [np.asarray(c) for c in cols.values()]
     for a in range(0, len(cols[0]), _CSV_ROWS):
-        yield "".join(starmap(row, zip(*(c[a : a + _CSV_ROWS].tolist() for c in cols))))
+        yield "".join([row % t for t in zip(*(c[a : a + _CSV_ROWS].tolist() for c in cols))])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ multiplicative noise), and regularized logistic regression on synthetic data
 Kernels: ``loss_batch``, ``grad_batch`` and ``oracle_rows`` evaluate many
 rows at once.  The logistic ones work on ``signed_rows = -y * a``: with
 y = +/-1 every sign flip is exact, so folding the labels in moves no bit.
-``grad_batch`` also takes (k, S, d) stacks, one gemm per (S, d) slab, and
-runs in a ``grad_workspace`` a loop may keep for all its calls.
+``loss_batch`` and ``grad_batch`` also take (..., k, d) stacks, one gemm or
+gemv per (k, d) slab and each row's sums in the same order, so a slab is
+bitwise its own 2-D call; ``grad_batch`` runs in a ``grad_workspace`` a
+loop may keep for all its calls.
 ``oracle_rows`` writes into a caller's slot when given one, as the stepping
 loop's ring does, and ``oracle_draws`` into a caller's buffer.  A loop over
 (S, d) rows passes both kernels ``rows_view(p, S)``, whose quadratic carries
@@ -259,9 +261,10 @@ def _sigmoid(x: np.ndarray, e=None, num=None, pos=None) -> np.ndarray:
 
 
 def _logistic_loss(signed_rows, reg, W):
-    """Regularized logistic loss at the rows of W (k, d), on ``signed_rows``."""
-    data = np.mean(np.logaddexp(0.0, W @ signed_rows.T), axis=1)
-    return data + 0.5 * reg * np.einsum("ij,ij->i", W, W)
+    """Regularized logistic loss at the rows of W, (k, d) or a stack
+    (..., k, d), on ``signed_rows``."""
+    data = np.mean(np.logaddexp(0.0, W @ signed_rows.T), axis=-1)
+    return data + 0.5 * reg * np.einsum("...ij,...ij->...i", W, W)
 
 
 def _logistic_workspace(n: int, lead, d: int) -> tuple:
@@ -408,15 +411,21 @@ def grad(p: Problem, w) -> np.ndarray:
 
 
 def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:
-    """Vectorized ``loss`` over the rows of W (shape (k, dim)) -> (k,)."""
+    """Vectorized ``loss`` over the rows of W -> W.shape[:-1].
+
+    W is (k, dim) or a stack (..., k, dim), as for ``grad_batch``: each
+    (k, dim) slab goes through the same gemm or gemv as a lone 2-D call and
+    each row's sums run in the same order, so every slab of a stack is
+    bitwise that slab's own ``loss_batch``.
+    """
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != p.dim:
-        raise DimensionMismatch(f"{p.name}: expected (k, {p.dim}), got {W.shape}")
+    if W.ndim < 2 or W.shape[-1] != p.dim:
+        raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
     if isinstance(p, NoisyQuadratic):
         return 0.5 * (W * W) @ p.eigenvalues
     if isinstance(p, LeastSquares):
         R = W @ p.rows.T - p.targets
-        return 0.5 * np.einsum("ij,ij->i", R, R) / p.rows.shape[0]
+        return 0.5 * np.einsum("...ij,...ij->...i", R, R) / p.rows.shape[0]
     if isinstance(p, Logistic):
         return _logistic_loss(p.signed_rows, p.reg, W)
     raise TypeError(f"unknown problem type {type(p).__name__}")

@@ -254,20 +254,32 @@ def gradcheck(p: Problem, num_points: int, rng) -> CheckResult:
 
     Per point, relative error |fd - grad| / (1 + |grad|) must be <= 1e-6,
     with coordinate step 1e-6 * (1 + |w_i|).
+
+    The points go ``ROW_CHUNK // (2 dim)`` at a time.  A chunk of n points
+    makes one (n, 2 dim, dim) stack, whose slab for point w holds w stepped
+    up (row 2i) and down (row 2i + 1) coordinate i, and takes its losses in
+    one ``loss_batch`` call and its gradients in one ``grad_batch`` call on
+    the (n, 1, dim) points.  Every slab is bitwise that point's own call, so
+    the result is a point-by-point loop's, and the memory is one chunk's
+    stack of ``ROW_CHUNK`` perturbed rows, plus, for the logistic problem,
+    their logits on every data row.
     """
     _at_least("num_points", num_points, 1)
-    margins = []
-    for w in sample_points(p, num_points, rng):
+    d = p.dim
+    per, idx = max(1, ROW_CHUNK // (2 * d)), np.arange(d)
+    points, margins = sample_points(p, num_points, rng), []
+    for a in range(0, num_points, per):
+        w = points[a : a + per]
         hstep = 1e-6 * (1.0 + np.abs(w))
-        P = np.repeat(w[None, :], 2 * p.dim, axis=0)
-        idx = np.arange(p.dim)
-        P[2 * idx, idx] += hstep
-        P[2 * idx + 1, idx] -= hstep
+        P = np.repeat(w[:, None, :], 2 * d, axis=1)
+        P[:, 2 * idx, idx] += hstep
+        P[:, 2 * idx + 1, idx] -= hstep
         f = loss_batch(p, P)
-        fd = (f[0::2] - f[1::2]) / (2.0 * hstep)
-        g = grad(p, w)
-        rel_err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
-        margins.append(1e-6 - rel_err)
+        fd = (f[:, 0::2] - f[:, 1::2]) / (2.0 * hstep)
+        G = grad_batch(p, w[:, None])[:, 0]
+        for e, g in zip(fd - G, G):
+            rel_err = float(np.linalg.norm(e)) / (1.0 + float(np.linalg.norm(g)))
+            margins.append(1e-6 - rel_err)
     return _worst("finite-difference-gradcheck", margins, 0.0)
 
 
@@ -324,25 +336,39 @@ def check_exchange(num_instances: int, rng) -> CheckResult:
 
     The strict gap is accumulated as a sum of positive terms (no cancellation),
     and a 1e-9 relative slack is folded into the upper-bound margin.
+
+    The instances go ``ROW_CHUNK // 8`` at a time, in two phases.  Each
+    one's n, mu, sigma and psi are drawn in stream order.  Then the inner
+    sums r_i = sigma * r_{i-1} + psi_i, from r_0 = 0, run for the whole
+    chunk in lockstep, one row of a zero-padded (max n + 1, chunk) array a
+    step: the same two IEEE operations per element as a scalar loop.  Each
+    instance's dot products read its contiguous row of the transposed sums,
+    so the memory is a few (201, chunk) arrays whatever ``num_instances`` is.
     """
     _at_least("num_instances", num_instances, 1)
-    margins = []
-    for _ in range(num_instances):
-        n = int(rng.integers(2, 201))
-        mu = float(rng.uniform(0.1, 0.95))
-        sigma = mu * float(rng.uniform(0.02, 0.9))
-        psi = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        acc, r = 0.0, []
-        for x in psi.tolist():  # Python floats, as in check_momentum_bound
-            acc = sigma * acc + x
-            r.append(acc)
-        r = np.array(r)
-        powers = mu ** np.arange(n - 1, -1, -1, dtype=np.float64)
-        lower = float(powers @ psi)
-        inner = float(powers @ r)
-        gap = float(powers[1:] @ (sigma * r[:-1]))  # inner - lower, positively
-        upper = lower / (1.0 - sigma / mu)
-        margins.append((gap / inner, (upper * (1.0 + 1e-9) - inner) / upper))
+    chunk, margins = ROW_CHUNK // 8, []
+    for a in range(0, num_instances, chunk):
+        draws = []
+        for _ in range(min(chunk, num_instances - a)):
+            n = int(rng.integers(2, 201))
+            mu = float(rng.uniform(0.1, 0.95))
+            sigma = mu * float(rng.uniform(0.02, 0.9))
+            draws.append((n, mu, sigma, 10.0 ** rng.uniform(-3.0, 3.0, size=n)))
+        R = np.zeros((max(n for n, *_ in draws) + 1, len(draws)))
+        for j, (n, _, _, psi) in enumerate(draws):
+            R[1 : n + 1, j] = psi
+        sigmas = np.array([sigma for _, _, sigma, _ in draws])
+        for t in range(1, len(R)):
+            R[t] += sigmas * R[t - 1]
+        R = R[1:].T.copy()
+        for (n, mu, sigma, psi), r in zip(draws, R):
+            r = r[:n]
+            powers = mu ** np.arange(n - 1, -1, -1, dtype=np.float64)
+            lower = float(powers @ psi)
+            inner = float(powers @ r)
+            gap = float(powers[1:] @ (sigma * r[:-1]))  # inner - lower, positively
+            upper = lower / (1.0 - sigma / mu)
+            margins.append((gap / inner, (upper * (1.0 + 1e-9) - inner) / upper))
     note = "location i: instance index; location coord 0 = strict lower, 1 = upper"
     return _worst("sum-exchange-bounds", margins, 0.0, note=note)
 

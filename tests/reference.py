@@ -96,6 +96,56 @@ def branch_samples_whole(p, w, K, rng):
     return oracle_rows(p, np.tile(w, (K, 1)), draws)
 
 
+def gradcheck_per_point(p, num_points, rng):
+    """``verify.gradcheck`` one point at a time: a (2 dim, dim) perturbation
+    slab through ``loss_batch`` and one ``grad`` call per point, as it was
+    written before its points were stacked.  The chunked check must give the
+    same result."""
+    from adamabc.problems import grad, loss_batch
+    from adamabc.verify import _worst, sample_points
+
+    margins = []
+    for w in sample_points(p, num_points, rng):
+        hstep = 1e-6 * (1.0 + np.abs(w))
+        P = np.repeat(w[None, :], 2 * p.dim, axis=0)
+        idx = np.arange(p.dim)
+        P[2 * idx, idx] += hstep
+        P[2 * idx + 1, idx] -= hstep
+        f = loss_batch(p, P)
+        fd = (f[0::2] - f[1::2]) / (2.0 * hstep)
+        g = grad(p, w)
+        rel_err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
+        margins.append(1e-6 - rel_err)
+    return _worst("finite-difference-gradcheck", margins, 0.0)
+
+
+def exchange_per_instance(num_instances, rng):
+    """``verify.check_exchange`` one instance at a time, its recurrence
+    stepped in Python floats, as it was written before the instances ran in
+    lockstep.  The lockstep check must give the same result."""
+    from adamabc.verify import _worst
+
+    margins = []
+    for _ in range(num_instances):
+        n = int(rng.integers(2, 201))
+        mu = float(rng.uniform(0.1, 0.95))
+        sigma = mu * float(rng.uniform(0.02, 0.9))
+        psi = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        acc, r = 0.0, []
+        for x in psi.tolist():
+            acc = sigma * acc + x
+            r.append(acc)
+        r = np.array(r)
+        powers = mu ** np.arange(n - 1, -1, -1, dtype=np.float64)
+        lower = float(powers @ psi)
+        inner = float(powers @ r)
+        gap = float(powers[1:] @ (sigma * r[:-1]))
+        upper = lower / (1.0 - sigma / mu)
+        margins.append((gap / inner, (upper * (1.0 + 1e-9) - inner) / upper))
+    note = "location i: instance index; location coord 0 = strict lower, 1 = upper"
+    return _worst("sum-exchange-bounds", margins, 0.0, note=note)
+
+
 def adam_rows_unstacked(w, m, v, g, sched, consts, out, tmp):
     """The update as seven ufuncs on separate m and v, each product into its
     own output: ``sched = (b2, 1 - b2, eta)``, ``consts = (beta1, 1 - beta1,

@@ -263,17 +263,19 @@ def test_folded_logistic_kernels_match_the_labelled_formulas(suite, scale):
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
-def test_stacked_grad_batch_is_bitwise_per_slab(suite, kind):
+def test_stacked_loss_and_grad_batch_are_bitwise_per_slab(suite, kind):
     p = suite[kind]
     rng = np.random.default_rng(kind)
     for S in (1, 2, 3, 20, 50, 100):
         for k in (1, 7, 32):
             # a leading slice of a ring buffer, as the sweep passes it
             W = rng.standard_normal((k + 1, S, p.dim))[:k]
-            stacked = grad_batch(p, W)
+            stacked, losses = grad_batch(p, W), loss_batch(p, W)
             assert stacked.shape == W.shape
+            assert losses.shape == W.shape[:-1]
             for j in range(k):
                 assert np.array_equal(stacked[j], grad_batch(p, W[j])), (S, k, j)
+                assert losses[j].tobytes() == loss_batch(p, W[j]).tobytes(), (S, k, j)
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
@@ -291,14 +293,15 @@ def test_rows_view_and_a_kept_workspace_give_the_fresh_kernels_bytes(suite, kind
         assert oracle_rows(rows, W, draws).tobytes() == oracle_rows(p, W, draws).tobytes()
 
 
-def test_grad_batch_rejects_vectors_and_wrong_widths(suite):
+def test_batch_kernels_reject_vectors_and_wrong_widths(suite):
     for p in suite:
-        with pytest.raises(DimensionMismatch):
-            grad_batch(p, np.zeros(p.dim))
-        with pytest.raises(DimensionMismatch):
-            grad_batch(p, np.zeros((3, p.dim + 1)))
-        with pytest.raises(DimensionMismatch):
-            grad_batch(p, np.zeros((2, 3, p.dim - 1)))
+        for kernel in (grad_batch, loss_batch):
+            with pytest.raises(DimensionMismatch):
+                kernel(p, np.zeros(p.dim))
+            with pytest.raises(DimensionMismatch):
+                kernel(p, np.zeros((3, p.dim + 1)))
+            with pytest.raises(DimensionMismatch):
+                kernel(p, np.zeros((2, 3, p.dim - 1)))
 
 
 def test_oracle_sample_equals_first_branch_draw(suite):

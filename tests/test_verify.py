@@ -14,6 +14,7 @@ from adamabc.optimizer import run_trajectory
 from adamabc.problems import (
     ROW_CHUNK,
     grad,
+    grad_batch,
     make_noisy_quadratic,
     rng_stream,
 )
@@ -37,7 +38,7 @@ from adamabc.verify import (
     run_trace_checks,
     sample_points,
 )
-from reference import descent_whole
+from reference import descent_whole, exchange_per_instance, gradcheck_per_point
 
 EXPECTED_CHECKS = [
     "rate-monotone",
@@ -159,8 +160,8 @@ def test_finite_difference_gradcheck_passes_and_detects_scaling(suite, monkeypat
         assert r.worst_margin > 0.0
     import adamabc.verify as V
 
-    true_grad = grad
-    monkeypatch.setattr(V, "grad", lambda p, w: 1.01 * true_grad(p, w))
+    true_grad_batch = grad_batch
+    monkeypatch.setattr(V, "grad_batch", lambda p, W, ws=None: 1.01 * true_grad_batch(p, W, ws))
     r = V.gradcheck(suite[0], 10, rng_stream("fd", 0, "points"))
     assert r.status == "fail"
 
@@ -249,6 +250,26 @@ def test_exchange_inequalities_hold_and_match_brute_force():
         assert lower < inner <= upper * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
+def test_chunked_gradcheck_is_the_per_point_check(suite, kind):
+    # chunks of ``per`` points: one chunk short, full, one over, and several
+    p = suite[kind]
+    per = ROW_CHUNK // (2 * p.dim)
+    for num_points in (1, per - 1, per, per + 1, 1000):
+        for seed in (0, 1):
+            got = gradcheck(p, num_points, rng_stream("fd-chunks", seed, "points"))
+            ref = gradcheck_per_point(p, num_points, rng_stream("fd-chunks", seed, "points"))
+            assert got.as_dict() == ref.as_dict(), (num_points, seed)
+
+
+@pytest.mark.parametrize("num_instances", [1, 2, ROW_CHUNK // 8 + 1, 1000])
+def test_lockstep_exchange_is_the_per_instance_check(num_instances):
+    for seed in (0, 1):
+        got = check_exchange(num_instances, rng_stream("ex-lockstep", seed, "misc"))
+        ref = exchange_per_instance(num_instances, rng_stream("ex-lockstep", seed, "misc"))
+        assert got.as_dict() == ref.as_dict(), seed
+
+
 def _nan_on_third_call(fn):
     calls = []
 
@@ -256,6 +277,15 @@ def _nan_on_third_call(fn):
         calls.append(None)
         out = fn(*args)
         return out * np.nan if len(calls) == 3 else out
+
+    return patched
+
+
+def _nan_in_third_row(fn):
+    def patched(*args):
+        out = fn(*args).copy()
+        out[2] = np.nan
+        return out
 
     return patched
 
@@ -282,7 +312,7 @@ def test_a_nan_margin_at_one_point_is_located_and_fails(suite, monkeypatch):
     import adamabc.verify as V
 
     nan_note = "non-finite margin nan"
-    monkeypatch.setattr(V, "grad", _nan_on_third_call(grad))
+    monkeypatch.setattr(V, "grad_batch", _nan_in_third_row(grad_batch))
     r = V.gradcheck(suite[0], 10, rng_stream("fd", 0, "points"))
     assert (r.status, r.location, r.note) == ("fail", (None, 2, None), nan_note)
 
