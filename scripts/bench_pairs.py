@@ -47,10 +47,18 @@ call seconds).  The ``tier1`` block holds the runs and the comparison of the
 whole run's wall time, of each acceptance test's setup (a module fixture's
 set-up is booked to the first test that uses it) and of criterion 2's call.
 
+``--experiment-default N`` alternates N parent and change runs of a default
+``adam-abc experiment`` (``python -m adamabc.cli experiment --out TMP`` with
+``src`` on ``PYTHONPATH``), each in a fresh process writing into a fresh
+temporary directory.  The ``experiment_default`` block holds each run's wall
+seconds, spawn to exit, and their comparison.
+
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-wide \\
         --seeds 301-310 --claim sweep-wide:wall_s --out bench_pairs.json
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --tier1 1 --out tier1.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --experiment-default 10 \\
+        --out experiment.json
 """
 
 from __future__ import annotations
@@ -159,11 +167,17 @@ def parse_durations(stdout: str) -> dict:
     return out
 
 
+def src_env() -> dict:
+    """The environment of a run that imports a checkout's package: its
+    ``src`` first on PYTHONPATH, and no bytecode written."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+
+
 def run_tier1(checkout: Path) -> dict:
     """One tier-1 run in ``checkout``: its wall time, exit code, outcome
     counts and per-test setup and call seconds."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    env = src_env()
     with tempfile.TemporaryDirectory() as tmp:
         xml = Path(tmp) / "junit.xml"
         cmd = [*TIER1, f"--junitxml={xml}", "--durations=0", "--durations-min=0"]
@@ -180,6 +194,25 @@ def run_tier1(checkout: Path) -> dict:
                   for phase, times in parse_durations(done.stdout).items()}
     return {"wall_s": wall, "exit_code": done.returncode, "counts": counts,
             "setup_s": acceptance["setup"], "call_s": acceptance["call"]}
+
+
+#: a default experiment, run in a checkout with its src/ first on PYTHONPATH
+EXPERIMENT = [sys.executable, "-m", "adamabc.cli", "experiment"]
+
+
+def run_experiment_default(checkout: Path) -> float:
+    """Wall seconds of one default ``adam-abc experiment`` in a fresh process
+    in ``checkout``, spawn to exit, writing into a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [*EXPERIMENT, "--out", tmp]
+        t0 = time.perf_counter()
+        done = subprocess.run(cmd, cwd=checkout, env=src_env(), capture_output=True, text=True,
+                              check=False)
+        wall = time.perf_counter() - t0
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-400:]}")
+    return wall
 
 
 #: a run keeps the acceptance tests' times: each one's setup, which books the
@@ -305,10 +338,14 @@ def main(argv=None) -> int:
                     help="also time N raw set-up probes a side per workload")
     ap.add_argument("--tier1", type=int, default=0, metavar="N",
                     help="also run N tier-1 pairs")
+    ap.add_argument("--experiment-default", type=int, default=0, metavar="N",
+                    help="also time N default experiment processes a side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if not (args.workload and (args.seeds or args.setup_probes)) and not args.tier1:
-        ap.error("nothing to run: give --workload with --seeds or --setup-probes, or --tier1")
+    if (not (args.workload and (args.seeds or args.setup_probes)) and not args.tier1
+            and not args.experiment_default):
+        ap.error("nothing to run: give --workload with --seeds or --setup-probes, --tier1 "
+                 "or --experiment-default")
     caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
     if caches:
         print("compiled bytecode would time one checkout's set-up apart from the other's; "
@@ -363,6 +400,14 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 doc["tier1"] = tier1_summary(runs)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.experiment_default:
+        raw = {"parent": [], "change": []}
+        for i in range(args.experiment_default):
+            for side in order(i):
+                raw[side].append(run_experiment_default(sides[side]))
+                print(f"experiment pair {i} {side}: {raw[side][-1]:.3f} s", file=sys.stderr)
+        doc["experiment_default"] = dict(compare(raw["parent"], raw["change"]), raw_s=raw)
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -566,6 +566,10 @@ def main(argv=None) -> int:
         # from _resolve, _prepare, a check the run repeats, or _emit's writes
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # sizes too large to allocate, as numpy reports them: before any artifact
+        print(f"config error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (NonFiniteSweep, NonFiniteTrace, NegativeGap) as e:
         # the run itself went non-finite or broke the rate ordering: a failed
         # outcome, reported before any artifact

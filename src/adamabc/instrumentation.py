@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperParams, alpha1, beta2_at, eta_at
+from .core import HyperParams, alpha1, eta_at
 from .problems import (
     ROW_CHUNK,
     Problem,
@@ -36,7 +36,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, _split, _step_coefs, adam_rows, rates
+from .optimizer import AdamState, _step_given, rates
 
 
 class NegativeGap(ValueError):
@@ -209,18 +209,16 @@ def _branch_step(p: Problem, s: AdamState, h: HyperParams, K: int, rng):
     Returns the draws G (K, d) from ``branch_samples``, the iterates W that
     ``adam_rows`` steps the state to against them and their rates E,
     eta_{v_{t+1}}: each row is bitwise ``adam_step`` of its draw.  The
-    state's [m; v] is one (2, 1, d) row that broadcasts over the branches.
-    No caller reads the new moments, so [m'; v'] go through the (2, K, d)
-    stack of W and E, and the draws sit in a (2, K, d) stack over the
-    update's scratch: the step holds four (K, d) arrays, scratch included.
+    state's [w; m; v] is one (3, 1, d) stack that broadcasts over the
+    branches.  No caller reads the new moments, so [m'; v'] go through the
+    (2, K, d) stack of W and E, and the draws sit in a (2, K, d) stack over
+    the update's scratch: the step holds four (K, d) arrays, scratch included.
     """
     tau = s.t + 1
     GG = np.empty((2, K, h.dim))
     branch_samples(p, s.w, K, rng, out=GG[0])
     WE = np.empty_like(GG)  # after the draws, whose own buffers are freed by then
-    mv = np.stack((s.m, s.v_vec))[:, None]
-    adam_rows(s.w, mv, _split(GG), _step_coefs(h, beta2_at(tau, h), 2), (eta_at(tau, h), h.mu),
-              (WE[0], _split(WE), WE[1]), np.empty_like(mv))
+    _step_given(np.stack((s.w, s.m, s.v_vec))[:, None], GG, h, tau, (WE[0], WE, WE[1]))
     return GG[0], WE[0], WE[1]
 
 

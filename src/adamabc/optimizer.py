@@ -9,11 +9,14 @@ The update, per step tau = completed-steps + 1:
 
 No bias correction anywhere; mu sits outside the square root.  Every run
 starts at w_1 = ones with m = 0 and v = h.v.  ``adam_rows`` is the only
-implementation, on a state whose moments are stacked as [m; v] with the
-gradient as [g; g*g], each (2, rows, d), so one ufunc forms both moments'
-products and one their sums; it allocates nothing and hands its rates eta_v
-to the caller.  ``run_steps`` is the one stepping loop, on a ring of ``SUB``
-steps that it owns; its consumers are the recording of ``run_trajectories``
+implementation, and the sub-block is its unit of Python work: it steps a
+list of slots in one frame, each step a state stack [w; m; v] whose one
+ufunc product with a coefficient column [kappa; beta1; beta2_tau] also
+forms the oracle's linear term kappa * w, one call to the oracle's kernel,
+and eight ufuncs on the stacks [m; v] and [g; g*g]; it allocates nothing
+and hands its rates eta_v to the caller.  ``run_steps`` is the one stepping
+loop, on a ring of ``SUB`` steps that it owns, for Adam and SGD on every
+problem kind; its consumers are the recording of ``run_trajectories``
 (``run_trajectory`` is its one-seed case), which copies each sub-block out,
 and the seed sweep of ``experiments``, which reduces it and reads its rate
 gaps from the ring.  ``adam_step`` keeps states immutable: it never mutates
@@ -39,7 +42,7 @@ from .core import (
     eta_steps,
     validate_hyperparams,
 )
-from .problems import NoisyQuadratic, Problem, oracle_draws, oracle_rows, rng_stream, rows_view
+from .problems import NoisyQuadratic, Problem, oracle_draws, oracle_kernel, rng_stream, rows_view
 
 #: bytes of oracle draws prefetched per row and block: 256 steps of the d = 10
 #: quadratic's noise (80 bytes a step), 2560 of a data problem's row indices
@@ -89,54 +92,89 @@ def rates(eta, v, mu, out=None):
     return np.true_divide(eta, r, r)
 
 
-def adam_rows(w, mv, gg, coefs, rate, out, tmp) -> None:
-    """One update of a (rows, d) state whose moments are stacked, allocating
-    nothing.
+def adam_rows(oracle, slots, check: bool = False) -> int:
+    """Step ``slots`` in order in one Python frame: the only statement of
+    the update, allocating nothing.
 
-    ``mv`` is the (2, rows, d) stack [m; v].  The stack [g; scratch] comes as
-    ``gg = _split(stack)``, the stack with views of its halves, and takes g*g,
-    then eta_v' * m', in its scratch half.  ``coefs = (b, c)`` hold
-    [beta1; b2] and [1 - beta1; 1 - b2] for the step's b2, and
-    ``rate = (eta, mu)``: scalars, or arrays that broadcast and hold the same
-    doubles (a product or quotient with such an array is bitwise the scalar
-    one).  Four ufuncs form both moments, each product the same IEEE
-    operation as in the formula on its own, each sum the same operands.
-    Full-shape coefficient arrays keep numpy on its fast loop, and halves
-    formed once by the caller spare each step the indexing, which costs
-    about a third of a ufunc.
-    The new state and its rates are written into
-    ``out = (w', _split(mv'), eta_v')``; ``tmp`` is shaped like ``b * mv``.
-    mv' may be mv, w' may be w, and eta_v' may be tmp[1] or v'; a caller
-    that keeps no new moments may pass m' as w' and v' as eta_v': m' is read
-    before w' is written, and the rates take v''s square root in place.  A
-    state broadcast from one row, as in the branch step, passes a (2, 1, d)
-    mv and tmp against (2, K, d) stacks.
-    Gradients are not checked here: callers that take them from outside
-    check them first.
+    Each slot holds one step's views, as ``_slot`` builds them.  A step
+    forms, with one ufunc, the product of its coefficient column and its
+    state stack [w; m; v]: [kappa * w; beta1 * m; b2 * v], where kappa is
+    the oracle's linear coefficient (``problems.Oracle``), or [beta1 * m;
+    b2 * v] when there is none.  Its one Python call,
+    ``oracle(kw, w, drawn, g)``, then writes the gradient g from kw = kappa
+    * w into the slot's gradient stack [g; scratch], and eight ufuncs form
+
+        [m'; v'] = [1 - beta1; 1 - b2] * [g; g*g] + [beta1 * m; b2 * v]
+        eta_v' = eta / (sqrt(v') + mu),   w' = w - eta_v' * m'
+
+    each product the same IEEE operation as in the formula on its own, each
+    sum the same operands (IEEE addition commutes), the rates ``rates``'s
+    three ufuncs inline.  ``eta`` and ``mu`` are scalars, or arrays that
+    broadcast and hold the same doubles (a product or quotient with such an
+    array is bitwise the scalar one); full-shape coefficients keep numpy on
+    its fast loop, and views formed once by the caller spare each step the
+    indexing.
+    Returns the number of steps taken: every slot's, or with ``check`` the
+    index of the first whose gradient is non-finite, which is left
+    unstepped.  Gradients are not checked otherwise: callers that take them
+    from outside check them first.
+    """
+    # local names: looked up as np attributes, a 20-row step's ufuncs cost 3% more
+    multiply, add, sqrt, divide, subtract = (
+        np.multiply, np.add, np.sqrt, np.true_divide, np.subtract)
+    for i, (b, x, px, kw, w, drawn, g, sq, c, gg, pmv, mv, m, v, eta, mu, e, w_out) in (
+            enumerate(slots)):
+        multiply(b, x, px)
+        oracle(kw, w, drawn, g)
+        # Python floats: cheaper than a numpy reduction over a few short rows
+        if check and not all(map(math.isfinite, g.ravel().tolist())):
+            return i
+        multiply(g, g, sq)
+        multiply(c, gg, mv)
+        add(pmv, mv, mv)
+        sqrt(v, e)
+        add(e, mu, e)
+        divide(eta, e, e)
+        multiply(e, m, sq)
+        subtract(w, sq, w_out)
+    return len(slots)
+
+
+def _slot(coefs, x, prod, drawn, gg, rate, out, sq=None) -> tuple:
+    """One step's views, as ``adam_rows`` takes them.
+
+    ``x`` is the state stack [w; m; v] and ``prod`` a buffer shaped like it;
+    ``coefs = (b, c)`` hold the product's coefficient column, [kappa; beta1;
+    b2], or [beta1; b2] without a linear term, and [1 - beta1; 1 - b2];
+    ``drawn`` is what the oracle reads for the step; ``gg`` the gradient
+    stack [g; scratch]; ``rate = (eta, mu)``.  The step writes
+    ``out = (w', [m'; v'], eta_v')``: [m'; v'] may be x's own moments (the
+    product has read them), w' may be w, and eta_v' may be the scratch or v'.
+    A caller that keeps no new moments may pass m' as w' and v' as eta_v':
+    m' is read before w' is written, and the rates take v''s square root in
+    place.  ``sq``, gg's scratch half unless given, takes g*g and then
+    eta_v' * m'.  A state broadcast from one row, as in the branch step, is
+    a (3, 1, d) stack against (2, K, d) gradients.
     """
     b, c = coefs
-    eta, mu = rate
-    G, g, scratch = gg
-    w_out, (mv_out, m_out, v_out), e_out = out
-    np.multiply(g, g, scratch)
-    np.multiply(b, mv, tmp)
-    np.multiply(c, G, mv_out)
-    np.add(tmp, mv_out, mv_out)
-    rates(eta, v_out, mu, e_out)
-    np.multiply(e_out, m_out, scratch)
-    np.subtract(w, scratch, w_out)
+    w_out, mv, e = out
+    lo = len(x) - len(b)
+    return (b, x[lo:], prod[lo:], None if lo else prod[0], x[0], drawn, gg[0],
+            gg[1] if sq is None else sq, c, gg, prod[1:], mv, mv[0], mv[1], *rate, e, w_out)
 
 
-def _split(stack):
-    """A (2, ...) stack with views of its two halves, as ``adam_rows`` takes it."""
-    return stack, stack[0], stack[1]
+def _given(kw, w, drawn, g) -> None:
+    """The oracle of a step whose caller wrote its gradient into the slot."""
 
 
-def _step_coefs(h: HyperParams, b2, ndim: int = 1):
-    """A step's stacked coefficients ([beta1; b2], [1 - beta1; 1 - b2]),
-    shaped to broadcast against a (2, ...) stack of ``ndim`` more axes."""
-    shape = (2,) + (1,) * ndim
-    return np.reshape((h.beta1, b2), shape), np.reshape((1.0 - h.beta1, 1.0 - b2), shape)
+def _step_given(x, gg, h: HyperParams, tau: int, out) -> None:
+    """Step tau of the state stack x = [w; m; v] against the gradient in gg
+    = [g; scratch], its caller's: one ``adam_rows`` slot, writing
+    ``out = (w', [m'; v'], eta_v')`` as ``_slot`` allows."""
+    b2 = beta2_at(tau, h)
+    shape = (2,) + (1,) * (x.ndim - 1)  # [beta1; b2] against x's [m; v]
+    coefs = np.reshape((h.beta1, b2), shape), np.reshape((1.0 - h.beta1, 1.0 - b2), shape)
+    adam_rows(_given, [_slot(coefs, x, np.empty_like(x), None, gg, (eta_at(tau, h), h.mu), out)])
 
 
 def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
@@ -147,13 +185,10 @@ def adam_step(s: AdamState, g, h: HyperParams) -> AdamState:
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient(f"non-finite gradient component at t={s.t + 1}")
     tau = s.t + 1
-    w, mv, gg = np.empty_like(g), np.stack((s.m, s.v_vec)), np.stack((g, g))
-    tmp = np.empty_like(mv)
-    adam_rows(s.w, mv, _split(gg), _step_coefs(h, beta2_at(tau, h)), (eta_at(tau, h), h.mu),
-              (w, _split(mv), tmp[1]), tmp)
-    for a in (w, mv):
-        a.setflags(write=False)
-    return AdamState(t=tau, w=w, m=mv[0], v_vec=mv[1])
+    x, gg = np.stack((s.w, s.m, s.v_vec)), np.stack((g, g))
+    _step_given(x, gg, h, tau, (x[0], x[1:], gg[1]))  # the new state over the copy of the old
+    x.setflags(write=False)
+    return AdamState(t=tau, w=x[0], m=x[1], v_vec=x[2])
 
 
 def prefetch_draws(p: Problem, take: int, rngs, out=None):
@@ -178,19 +213,26 @@ def prefetch_draws(p: Problem, take: int, rngs, out=None):
 
 
 class Ring(NamedTuple):
-    """The buffers ``run_steps`` owns, step-major: W and E (SUB + 1, S, d)
-    with the sub-block's start iterates in W[0] and their rates eta_{v_t} in
-    E[0] (the pre-run rate v / alpha1 before the first step), the moment
-    stacks MV (SUB + 1, 2, S, d) with the start moments [m; v] in MV[0], the
-    gradient stacks GG (SUB, 2, S, d), whose GG[:, 1] is the update's
-    scratch, and eta (SUB,).  G, M and V are views of the stacks, one row per
-    step."""
+    """The buffers ``run_steps`` owns, step-major: the state stacks X
+    (SUB + 1, 3, S, d), each slot [w; m; v], with the sub-block's start state
+    in X[0]; the rates E (SUB + 1, S, d), with the start state's eta_{v_t} in
+    E[0] (the pre-run rate v / alpha1 before the first step); the gradient
+    stacks GG (SUB, 2, S, d), whose GG[:, 1] is the update's scratch; and the
+    step sizes eta (SUB,).  W and MV are views of X, a slot per state; G, M
+    and V are views of the stacks, one row per step."""
 
-    W: np.ndarray
+    X: np.ndarray
     GG: np.ndarray
-    MV: np.ndarray
     eta: np.ndarray
     E: np.ndarray
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.X[:, 0]
+
+    @property
+    def MV(self) -> np.ndarray:
+        return self.X[:, 1:]
 
     @property
     def G(self) -> np.ndarray:
@@ -198,11 +240,11 @@ class Ring(NamedTuple):
 
     @property
     def M(self) -> np.ndarray:
-        return self.MV[1:, 0]
+        return self.X[1:, 1]
 
     @property
     def V(self) -> np.ndarray:
-        return self.MV[1:, 1]
+        return self.X[1:, 2]
 
 
 def _block_steps(p: Problem) -> int:
@@ -218,24 +260,32 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
 
     The loop owns a ``Ring`` of ``SUB`` steps and yields ``(t0, k, ring)``
     after each sub-block: the ring then holds steps t0 + 1 .. t0 + k, step i
-    reading W[i] and MV[i] and writing G[i], W[i + 1], MV[i + 1] (so M[i] and
-    V[i]), its step size eta[i] and its rates E[i + 1], the ones
-    ``adam_rows`` forms.  The next sub-block overwrites it, starting from
-    W[k], MV[k] and E[k], so a consumer copies or reduces what it needs
-    before it resumes the loop.
+    reading X[i] and writing G[i], X[i + 1] (so W[i + 1], M[i] and V[i]),
+    its step size eta[i] and its rates E[i + 1], the ones ``adam_rows``
+    forms.  The next sub-block overwrites it, starting from X[k] and E[k],
+    so a consumer copies or reduces what it needs before it resumes the loop.
     Every row starts at ones with m = 0 and v = h.v, draws from the
     ("trajectory", seeds[r], "oracle") stream a block of ``BLOCK`` bytes at a
     time, and only meets its own data, so it is bitwise a lone run.
     Per-run shapes are built once: the draws go into one seed-major
     (S, steps, ...) ``prefetch_draws`` buffer, so its size does not grow with
-    T, and each of its sub-blocks is copied into one step-major
-    (SUB, S, ...) buffer before its steps; the oracle writes g into GG[i, 0]
-    on ``rows_view(p, S)`` (the quadratic's eigenvalues tiled to the rows).
-    The coefficients [beta1; beta2_t] and [1 - beta1; 1 - beta2_t] are
-    full (SUB, 2, S, d) columns, whose beta2 halves are written once per
-    sub-block; mu, ``tmp`` and the slot views are built once per run.
-    ``rule="sgd"`` steps w - t^(-1/2) g, leaves M at 0, V at h.v and E at
-    v / alpha1.
+    T.  Before its steps, each sub-block copies its noise into a step-major
+    (SUB, S, d) buffer, or gathers the data rows (and least-squares targets)
+    its row indices draw into (SUB, S, ...) buffers, so each step reads one
+    contiguous slab.  A sub-block is one ``adam_rows`` call over the ring's
+    slots, views built once a run: per step one ufunc forms
+    [kappa * w; beta1 * m; beta2_t * v] from the full (SUB, 3, S, d)
+    coefficient column [kappa; beta1; beta2_t] (the oracle's linear
+    coefficient kappa on ``rows_view(p, S)``: the eigenvalues tiled to the
+    rows, the logistic reg; least squares has none, and its steps multiply
+    the [m; v] half only), and one call to the oracle's kernel writes g into
+    G[i], in buffers the loop owns.  beta2_t and its complement are written
+    once per sub-block.
+    ``rule="sgd"`` steps w - t^(-1/2) g on the same loop, as this update with
+    beta1 = beta2_t = 0 on a second moment held at 1 (the gradient stacks'
+    scratch halves), mu = 0 and eta = t^(-1/2): m' = g, v' = 1 and
+    eta_v' = t^(-1/2), with [m'; v'] and eta_v' written to a stack of its
+    own, so M stays at 0, V at h.v and E at v / alpha1.
     With ``check``, a non-finite gradient stops the loop at its step with
     NonFiniteGradient.
     """
@@ -244,54 +294,63 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     adam = rule == "adam"
     S, d = len(seeds), h.dim
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-    p_rows = rows_view(p, S)
-    ring = Ring(np.empty((SUB + 1, S, d)), np.empty((SUB, 2, S, d)),
-                np.zeros((SUB + 1, 2, S, d)), np.empty(SUB),
+    orc = oracle_kernel(rows_view(p, S))
+    ring = Ring(np.zeros((SUB + 1, 3, S, d)), np.empty((SUB, 2, S, d)), np.empty(SUB),
                 np.full((SUB + 1, S, d), h.v / alpha1(h)))
-    ring.W[0], ring.MV[:, 1] = 1.0, h.v
+    ring.W[0], ring.X[:, 2] = 1.0, h.v
     # A step reads its step size as a 0-d view, which a ufunc takes about as
     # cheaply as a full array and far more cheaply than a Python float, and its
     # coefficients as full slices: broadcast operands take numpy's slower
     # general loop.  So every per-step ufunc runs array by array, into a ring
-    # slot or into tmp.
-    B, C = np.empty((SUB, 2, S, d)), np.empty((SUB, 2, S, d))
-    B[:, 0], C[:, 0] = h.beta1, 1.0 - h.beta1
-    mu, tmp = np.full((S, d), h.mu), np.empty((2, S, d))
-    rates_in = [(ring.eta[i, ...], mu) for i in range(SUB)]
-    outs = zip(ring.W[1:], map(_split, ring.MV[1:]), ring.E[1:])
-    # step i: w, mv, gg, coefs, rate, out
-    slots = list(zip(ring.W, ring.MV, map(_split, ring.GG), zip(B, C), rates_in, outs))
+    # slot or into a buffer built once.
+    K, C = np.empty((SUB, 3, S, d)), np.empty((SUB, 2, S, d))
+    lo = int(orc.kappa is None)
+    if not lo:
+        K[:, 0] = orc.kappa
+    if adam:
+        K[:, 1], C[:, 0] = h.beta1, 1.0 - h.beta1
+        lr, mu = ring.eta, np.full((S, d), h.mu)
+        outs = [(ring.W[i + 1], ring.MV[i + 1], ring.E[i + 1], None) for i in range(SUB)]
+    else:  # SGD, as the docstring says: m' = g, v' = 1 and eta_v' = t^(-1/2)
+        K[:, 1:], C[:], ring.GG[:, 1] = 0.0, 1.0, 1.0
+        lr, mu, J = np.empty(SUB), np.zeros((S, d)), np.empty((2, S, d))
+        outs = [(ring.W[i + 1], J, J[1], J[1]) for i in range(SUB)]
     steps = _block_steps(p)
-    block = D = None
-    draws = [None] * SUB  # each step's draws, as views bound once
+    block = prefetch_draws(p, min(steps, T), rngs)  # None when the oracle draws nothing
+    if orc.tables:
+        gathered = [np.empty((SUB, S) + t.shape[1:]) for t in orc.tables]
+        drawn = [orc.drawn(*rows) for rows in zip(*gathered)]
+    else:  # the quadratic's noise, if it draws any
+        D = None if block is None else np.empty((SUB, S, d))
+        drawn = [None] * SUB if D is None else list(D)
+    P = np.empty((3, S, d))
+    slots = [_slot((K[i, lo:], C[i]), ring.X[i], P, drawn[i], ring.GG[i], (lr[i, ...], mu),
+                   out[:3], out[3]) for i, out in enumerate(outs)]
     for t0 in range(0, T, SUB):
         k = min(SUB, T - t0)
         if t0:  # only the last sub-block is short
-            ring.W[0], ring.MV[0], ring.E[0] = ring.W[SUB], ring.MV[SUB], ring.E[SUB]
-        if t0 % steps == 0:
-            block = prefetch_draws(p, min(steps, T - t0), rngs, out=block)
+            ring.X[0], ring.E[0] = ring.X[SUB], ring.E[SUB]
+            if t0 % steps == 0:
+                block = prefetch_draws(p, min(steps, T - t0), rngs, out=block)
         if block is not None:
-            # each step then reads one contiguous slab, not S rows strided across
-            # the block: the copy costs less than the strided reads
-            if D is None:
-                D = np.empty((SUB,) + block.shape[1:], block.dtype)
-                draws = list(D)
-            D[:k] = block[t0 % steps : t0 % steps + k]
+            these = block[t0 % steps : t0 % steps + k]
+            if orc.tables:
+                # the default mode="raise" gathers through a buffer; indices
+                # drawn in [0, n) leave "clip" nothing to clip
+                for table, rows in zip(orc.tables, gathered):
+                    np.take(table, these, axis=0, out=rows[:k], mode="clip")
+            else:  # the copy costs less than reading S rows strided across the block
+                D[:k] = these
         taus = range(t0 + 1, t0 + k + 1)
         ring.eta[:k] = eta_steps(taus, h)
         if adam:
             b2 = np.reshape(beta2_steps(taus, h), (k, 1, 1))
-            B[:k, 1], C[:k, 1] = b2, np.subtract(1.0, b2)
-        for i, (w, mv, gg, coefs, rate, out), dr in zip(range(k), slots, draws):
-            g = oracle_rows(p_rows, w, dr, gg[1])
-            # Python floats: cheaper than a numpy reduction over a few short rows
-            if check and not all(map(math.isfinite, g.ravel().tolist())):
-                raise NonFiniteGradient(_non_finite_message(g, seeds, t0 + i + 1))
-            if adam:
-                adam_rows(w, mv, gg, coefs, rate, out, tmp)
-            else:
-                np.multiply((t0 + i + 1) ** -0.5, g, gg[2])
-                np.subtract(w, gg[2], out[0])
+            K[:k, 2], C[:k, 1] = b2, np.subtract(1.0, b2)
+        else:
+            lr[:k] = [t**-0.5 for t in taus]
+        done = adam_rows(orc.kernel, slots[:k], check)
+        if done < k:
+            raise NonFiniteGradient(_non_finite_message(ring.G[done], seeds, t0 + done + 1))
         yield t0, k, ring
 
 

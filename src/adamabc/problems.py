@@ -19,10 +19,13 @@ y = +/-1 every sign flip is exact, so folding the labels in moves no bit.
 gemv per (k, d) slab and each row's sums in the same order, so a slab is
 bitwise its own 2-D call; ``grad_batch`` runs in a ``grad_workspace`` a
 loop may keep for all its calls.
-``oracle_rows`` writes into a caller's slot when given one, as the stepping
-loop's ring does, and ``oracle_draws`` into a caller's buffer.  A loop over
-(S, d) rows passes both kernels ``rows_view(p, S)``, whose quadratic carries
-its eigenvalues tiled to the rows.  ``branch_samples`` forms each distinct
+``oracle_rows`` runs each kind's one oracle kernel (``oracle_kernel``): the
+gradient from the product kappa * w with the oracle's linear coefficient,
+which the stepping loop forms in the same ufunc as its moments' decay
+products, and from the step's draws, which the loop gathers a sub-block at
+a time into buffers it owns.  ``oracle_draws`` draws into a caller's
+buffer.  A loop over (S, d) rows takes the kernels of ``rows_view(p, S)``,
+whose quadratic carries its eigenvalues tiled to the rows.  ``branch_samples`` forms each distinct
 gradient at its fixed w once, through ``oracle_rows``, and fills its
 (K, dim) result from it ``ROW_CHUNK`` rows at a time, so its memory is the
 result plus an m-row table (one row for the quadratic) and one chunk's
@@ -39,6 +42,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -248,7 +252,8 @@ def _sigmoid(x: np.ndarray, e=None, num=None, pos=None) -> np.ndarray:
     numerator max(e, x >= 0) is 1 where x >= 0 (there e <= 1) and e elsewhere
     (NaN stays NaN); the denominator is formed in e's own buffer.  The buffers
     ``e``, ``num`` (returned) and the sign mask ``pos`` are fresh when None;
-    ``e`` may be x itself, whose signs are read first.
+    ``e`` may be x itself, whose signs are read first.  ``_logistic_oracle``
+    runs the same ufuncs inline.
     """
     pos = np.greater_equal(x, 0, out=pos)
     e = np.abs(x, out=e)
@@ -496,26 +501,99 @@ def oracle_draws(p: Problem, K: int, rng: np.random.Generator, out=None):
     raise TypeError(f"unknown problem type {type(p).__name__}")
 
 
+def _quadratic_oracle(kw, W, noise, out):
+    """kappa * w + noise, kappa the eigenvalues; without noise kappa * w
+    itself, copied, since kw + 0.0 would turn a -0.0 into +0.0."""
+    if noise is not None:
+        return np.add(kw, noise, out)
+    if out is None:
+        return kw
+    np.copyto(out, kw)
+    return out
+
+
+def _least_squares_oracle(kw, W, drawn, out):
+    """(a . w - b) * a for each row's drawn data row a and target b."""
+    a, b, z, zcol = drawn
+    np.einsum("kd,kd->k", a, W, out=z)
+    np.subtract(z, b, z)
+    return np.multiply(a, zcol, out)
+
+
+def _logistic_oracle(kw, W, drawn, out):
+    """sigmoid(a . w) * a + reg * w for each row's drawn signed row a."""
+    a, z, num, pos, ncol = drawn
+    np.einsum("kd,kd->k", a, W, out=z)
+    # ``_sigmoid`` inline, in z's buffer: the stepping loop makes one Python call a step
+    np.greater_equal(z, 0, out=pos)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.maximum(z, pos, out=num)
+    np.add(z, 1.0, out=z)
+    np.true_divide(num, z, out=num)
+    g = np.multiply(ncol, a, out)
+    return np.add(g, kw, g)
+
+
+def _least_squares_drawn(a, b):
+    z = np.empty(a.shape[:-1])
+    return a, b, z, z[..., None]
+
+
+def _logistic_drawn(a):
+    z, num = np.empty(a.shape[:-1]), np.empty(a.shape[:-1])
+    return a, z, num, np.empty(z.shape, bool), num[..., None]
+
+
+class Oracle(NamedTuple):
+    """A problem's oracle as its kernel takes it.
+
+    ``kernel(kw, W, drawn, out)`` writes the gradients at the (K, dim) rows W
+    into ``out`` (fresh when None) and returns them.  ``kw`` is the product
+    kappa * W with the oracle's linear coefficient ``kappa``: the
+    eigenvalues, the logistic ``reg``, or None for least squares, which has
+    none (kw is then None).  IEEE addition commutes, so adding kw after the
+    rest of the gradient is bitwise adding it before.  ``drawn`` is the
+    quadratic's noise (None when noiseless) or, for the data problems, what
+    ``drawn(*gathered)`` makes of the rows of ``tables`` the draws index,
+    gathered to one per row of W (the least-squares rows and targets, the
+    logistic signed rows): those rows and the kernel's buffers.
+    """
+
+    kappa: np.ndarray | float | None
+    kernel: Callable
+    tables: tuple
+    drawn: Callable | None
+
+
+def oracle_kernel(p: Problem) -> Oracle:
+    """The ``Oracle`` of ``p``."""
+    if isinstance(p, NoisyQuadratic):
+        return Oracle(p.eigenvalues, _quadratic_oracle, (), None)
+    if isinstance(p, LeastSquares):
+        return Oracle(None, _least_squares_oracle, (p.rows, p.targets), _least_squares_drawn)
+    if isinstance(p, Logistic):
+        return Oracle(p.reg, _logistic_oracle, (p.signed_rows,), _logistic_drawn)
+    raise TypeError(f"unknown problem type {type(p).__name__}")
+
+
 def oracle_rows(p: Problem, W: np.ndarray, draws, out=None) -> np.ndarray:
     """Stochastic gradients at the rows of W (shape (K, dim)) from ``draws``.
 
     ``draws`` holds one ``oracle_draws`` row per row of W; for the noisy
     quadratic W may also be a single row shared by all draws.  The gradients
-    are written into ``out`` (shaped like W) when given; the quadratic's
-    ``eig * W + draws`` then allocates nothing.  Rowwise dots go through one
-    einsum kernel on contiguous (K, dim) operands, so a row rounds the same
-    whether it is evaluated alone or stacked with others.
+    are written into ``out`` (shaped like W) when given.  The arithmetic is
+    the ``Oracle`` kernel's, which the stepping loop runs on the rows its
+    ring gathers.  Rowwise dots go through one einsum kernel on contiguous
+    (K, dim) operands, so a row rounds the same whether it is evaluated alone
+    or stacked with others.
     """
-    if isinstance(p, NoisyQuadratic):
-        g = np.multiply(p.eigenvalues, W, out)
-        return g if draws is None else np.add(g, draws, out)
-    if isinstance(p, LeastSquares):
-        a = p.rows[draws]
-        return np.multiply(a, (np.einsum("kd,kd->k", a, W) - p.targets[draws])[:, None], out)
-    a = p.signed_rows[draws]
-    g = np.multiply(_sigmoid(np.einsum("kd,kd->k", a, W))[:, None], a, out)
-    g += p.reg * W
-    return g
+    o = oracle_kernel(p)
+    kw = None if o.kappa is None else np.multiply(o.kappa, W)
+    if o.tables:
+        draws = o.drawn(*(t[draws] for t in o.tables))
+    return o.kernel(kw, W, draws, out)
 
 
 #: rows ``branch_samples`` draws and fills at a time (320 KB at dim 10);

@@ -236,7 +236,7 @@ print(time.monotonic_ns())
 
 def test_setup_probes_time_fresh_stub_processes_raw(tmp_path):
     parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "probes.json"
-    for checkout, delay in ((parent, 0.2), (change, 0.0)):
+    for checkout, delay in ((parent, 1.0), (change, 0.0)):
         (checkout / "perfbench").mkdir(parents=True)
         (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(delay=delay))
     (change / "BENCHMARK.json").write_text(json.dumps(
@@ -245,10 +245,38 @@ def test_setup_probes_time_fresh_stub_processes_raw(tmp_path):
     assert bench_pairs.main(argv) == 0
     probes = json.loads(out.read_text())["end_to_end"]["w"]["setup_probes"]
     assert [len(probes["raw_s"][side]) for side in ("parent", "change")] == [3, 3]
-    # spawn to ready: at least the parent stub's 0.2 s sleep, every probe
-    assert min(probes["raw_s"]["parent"]) >= 0.2 > 0.0 < min(probes["raw_s"]["change"])
+    # spawn to ready: at least the parent stub's 1 s sleep, every probe
+    assert min(probes["raw_s"]["parent"]) >= 1.0 > 0.0 < min(probes["raw_s"]["change"])
     assert probes["change_wins"] == 3 and probes["median_change_rel"] < 0
     assert probes["parent"]["median"] == sorted(probes["raw_s"]["parent"])[1]
+
+
+STUB_CLI = """import os, sys, time
+args = sys.argv[1:]
+assert args[:2] == ["experiment", "--out"] and os.path.isdir(args[2]), args
+assert os.environ["PYTHONPATH"].split(os.pathsep)[0] == "src", os.environ["PYTHONPATH"]
+assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+time.sleep({delay})
+"""
+
+
+def test_default_experiments_time_fresh_stub_processes(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "exp.json"
+    for checkout, delay in ((parent, 1.0), (change, 0.0)):
+        (checkout / "src" / "adamabc").mkdir(parents=True)
+        (checkout / "src" / "adamabc" / "__init__.py").write_text("")
+        (checkout / "src" / "adamabc" / "cli.py").write_text(STUB_CLI.format(delay=delay))
+    argv = [str(parent), str(change), "--experiment-default", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    exp = json.loads(out.read_text())["experiment_default"]
+    assert [len(exp["raw_s"][side]) for side in ("parent", "change")] == [2, 2]
+    # spawn to exit: at least the parent stub's 1 s sleep, every run
+    assert min(exp["raw_s"]["parent"]) >= 1.0 > 0.0 < min(exp["raw_s"]["change"])
+    assert exp["change_wins"] == 2 and exp["median_change_rel"] < 0
+    # a failing run stops the script
+    (change / "src" / "adamabc" / "cli.py").write_text("import sys; sys.exit(3)")
+    with pytest.raises(RuntimeError, match="exited 3"):
+        bench_pairs.main(argv)
 
 
 def test_a_run_with_nothing_to_do_is_refused(tmp_path):

@@ -433,6 +433,9 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command, args, me
     ("verify", "suite ="),
     ("verify", "T = 1"),
     ("experiment", "probes ="),
+    # sizes numpy refuses to allocate at once on any host
+    ("experiment", "d = 1000000000000000000"),
+    ("trace", "d = 1000000000000000000"),
 ])
 def test_config_error_creates_no_output_directory(tmp_path, capsys, command, text):
     out = tmp_path / "out"

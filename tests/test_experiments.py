@@ -104,7 +104,11 @@ def test_stacked_sweep_matches_single_runs(kind):
                 np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", list(SPECS))
+#: the noiseless quadratic draws nothing, and its first product is the whole gradient
+NOISELESS = ProblemSpec(kind="noisy_quadratic", d=10, sigma=0.0)
+
+
+@pytest.mark.parametrize("kind", [*SPECS, "noiseless_quadratic"])
 @pytest.mark.parametrize("rows", [1, 3, 20])
 @pytest.mark.parametrize("rule", ["adam", "sgd"])
 def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
@@ -112,8 +116,9 @@ def test_sweep_sub_blocks_match_the_per_step_reference(kind, rows, rule):
     # quadratic's prefetch block edge (4096 = 16 blocks of 256 draws)
     T, seeds = 4100, tuple(range(rows))
     cps = (1, SUB - 1, SUB, SUB + 1, 2 * SUB, 4095, 4096, 4097, 4100)
-    cfg = ExperimentConfig(problem=SPECS[kind], h=HyperParams(dim=SPECS[kind].d), T=T,
-                           seeds=seeds, checkpoints=cps)
+    spec = SPECS.get(kind, NOISELESS)
+    cfg = ExperimentConfig(problem=spec, h=HyperParams(dim=spec.d), T=T, seeds=seeds,
+                           checkpoints=cps)
     dsum = rule == "adam"
     got = run_sweep(cfg, rule=rule, collect_dsum=dsum)
     ref = sweep_per_step(cfg.problem.build(), cfg.h, T, seeds, cps, rule, dsum)

@@ -10,7 +10,8 @@ from adamabc.core import ConstraintViolation, DimensionMismatch, HyperParams, be
 from adamabc.optimizer import (
     SUB,
     NonFiniteGradient,
-    _split,
+    _given,
+    _slot,
     adam_init,
     adam_rows,
     adam_step,
@@ -21,7 +22,7 @@ from adamabc.optimizer import (
     run_trajectory,
 )
 from adamabc.instrumentation import synthetic_eta_v0
-from adamabc.problems import make_noisy_quadratic, oracle_draws, rng_stream
+from adamabc.problems import make_noisy_quadratic, oracle_draws, oracle_kernel, rng_stream
 from reference import adam_rows_unstacked
 
 H1 = HyperParams(beta1=0.0, alpha0=0.5, gamma=1.25, delta=0.25, mu=0.0, v=1.0, dim=1)
@@ -95,7 +96,12 @@ def _stacked_case(S, d, seed=5):
 def _gg(g):
     gg = np.empty((2,) + g.shape)
     gg[0] = g
-    return _split(gg)
+    return gg
+
+
+def _step(coefs, x, gg, rate, out):
+    """One ``adam_rows`` step of the state stack x against its given gradient stack."""
+    assert adam_rows(_given, [_slot(coefs, x, np.empty_like(x), None, gg, rate, out)]) == 1
 
 
 def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
@@ -103,7 +109,7 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
     S, d = 7, 5
     h = HyperParams(dim=d)
     w, m, v, g = _stacked_case(S, d)
-    mv = np.stack((m, v))
+    x = np.stack((w, m, v))
     b2, eta = beta2_at(7, h), eta_at(7, h)
     bc = (np.reshape((h.beta1, b2), (2, 1, 1)), np.reshape((1.0 - h.beta1, 1.0 - b2), (2, 1, 1)))
 
@@ -111,43 +117,44 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
         return np.broadcast_to(c, (2, S, d)).copy()
 
     def fresh():
-        return np.empty((S, d)), _split(np.empty((2, S, d))), np.empty((S, d))
+        return np.empty((S, d)), np.empty((2, S, d)), np.empty((S, d))
 
     scalar, columns, views = fresh(), fresh(), fresh()
-    adam_rows(w, mv, _gg(g), bc, (eta, h.mu), scalar, np.empty((2, S, d)))
-    adam_rows(w, mv, _gg(g), tuple(map(full, bc)), (np.full((S, d), eta), np.full((S, d), h.mu)),
-              columns, np.empty((2, S, d)))
+    _step(bc, x.copy(), _gg(g), (eta, h.mu), scalar)
+    _step(tuple(map(full, bc)), x.copy(), _gg(g), (np.full((S, d), eta), np.full((S, d), h.mu)),
+          columns)
     # as the stepping loop passes them: the step size as a 0-d view of a column
     column = np.array([eta])
-    adam_rows(w, mv, _gg(g), tuple(map(full, bc)), (column[0, ...], np.full((S, d), h.mu)),
-              views, np.empty((2, S, d)))
+    _step(tuple(map(full, bc)), x.copy(), _gg(g), (column[0, ...], np.full((S, d), h.mu)), views)
     # the update's formula, one numpy expression per line
     v_ref = b2 * v + (1.0 - b2) * (g * g)
     m_ref = h.beta1 * m + (1.0 - h.beta1) * g
     w_ref = w - eta / (np.sqrt(v_ref) + h.mu) * m_ref
     e_ref = rates(eta, v_ref, h.mu)
     for case in (scalar, columns, views):
-        (w_out, (_, m_out, v_out), e_out) = case
-        for a, ref in zip((w_out, m_out, v_out, e_out), (w_ref, m_ref, v_ref, e_ref)):
+        (w_out, mv_out, e_out) = case
+        for a, ref in zip((w_out, mv_out[0], mv_out[1], e_out), (w_ref, m_ref, v_ref, e_ref)):
             assert a.tobytes() == ref.tobytes()
-    # the rates written into the scratch itself, as adam_step passes them
-    tmp = np.empty((2, S, d))
+    assert x.tobytes() == np.stack((w, m, v)).tobytes()  # the state is only read
+    # the rates written into the scratch itself, as adam_step passes them: the
+    # scratch then takes eta_v' * m' over them
+    gg = _gg(g)
     w_out, mv_out = np.empty((S, d)), np.empty((2, S, d))
-    adam_rows(w, mv, _gg(g), bc, (eta, h.mu), (w_out, _split(mv_out), tmp[1]), tmp)
-    for a, ref in zip((w_out, mv_out[0], mv_out[1], tmp[1]), (w_ref, m_ref, v_ref, e_ref)):
+    _step(bc, x.copy(), gg, (eta, h.mu), (w_out, mv_out, gg[1]))
+    for a, ref in zip((w_out, mv_out[0], mv_out[1], gg[1]),
+                      (w_ref, m_ref, v_ref, e_ref * m_ref)):
         assert a.tobytes() == ref.tobytes()
     # in place, over the state itself
-    w_in, mv_in = w.copy(), mv.copy()
-    adam_rows(w_in, mv_in, _gg(g), bc, (eta, h.mu), (w_in, _split(mv_in), tmp[1]), tmp)
-    for a, ref in zip((w_in, mv_in[0], mv_in[1]), (w_ref, m_ref, v_ref)):
+    x_in = x.copy()
+    _step(bc, x_in, _gg(g), (eta, h.mu), (x_in[0], x_in[1:], np.empty((S, d))))
+    for a, ref in zip(x_in, (w_ref, m_ref, v_ref)):
         assert a.tobytes() == ref.tobytes()
     # keeping no moments, as the branch step does: one broadcast state row,
     # m' through w', v' through eta_v'
     for r in range(S):
-        mv_row = np.stack((m[r], v[r]))[:, None]
+        x_row = np.stack((w[r], m[r], v[r]))[:, None]
         WE = np.empty((2, S, d))
-        adam_rows(w[r], mv_row, _gg(g), bc, (eta, h.mu), (WE[0], _split(WE), WE[1]),
-                  np.empty_like(mv_row))
+        _step(bc, x_row, _gg(g), (eta, h.mu), (WE[0], WE, WE[1]))
         v_r = b2 * v[r] + (1.0 - b2) * (g * g)
         m_r = h.beta1 * m[r] + (1.0 - h.beta1) * g
         assert WE[0].tobytes() == (w[r] - eta / (np.sqrt(v_r) + h.mu) * m_r).tobytes()
@@ -156,25 +163,35 @@ def test_adam_rows_with_coefficient_arrays_matches_the_scalar_call():
 
 @pytest.mark.parametrize("rows", [1, 3, 20])
 def test_stacked_step_is_the_seven_ufunc_step(rows):
-    # the stacked [m; v] update against the separate m and v formulas, ufunc by ufunc
+    # the stacked [w; m; v] update against the separate m and v formulas, ufunc
+    # by ufunc: with the gradient given, and formed by the quadratic's kernel
+    # from the product's linear term kappa * w
     d = 10
     h = HyperParams(dim=d)
     w, m, v, g = _stacked_case(rows, d, seed=rows)
+    kappa = np.tile(np.linspace(1.0, 4.0, d), (rows, 1))
+    noise = g - kappa * w
     for t in (1, 2, 7, 4097):
         b2, eta = beta2_at(t, h), eta_at(t, h)
-        ref = [np.empty((rows, d)) for _ in range(4)]
-        adam_rows_unstacked(w, m, v, g, (b2, 1.0 - b2, eta), (h.beta1, 1.0 - h.beta1, h.mu),
-                            ref, np.empty((rows, d)))
         # the coefficients as the stepping loop fills them: full columns
-        B, C = np.empty((2, rows, d)), np.empty((2, rows, d))
-        B[0], B[1], C[0] = h.beta1, b2, 1.0 - h.beta1
-        np.subtract(1.0, B[1], out=C[1])
-        w_out, mv_out, e_out = np.empty((rows, d)), np.empty((2, rows, d)), np.empty((rows, d))
-        adam_rows(w, np.stack((m, v)), _gg(g), (B, C),
-                  (np.array([eta])[0, ...], np.full((rows, d), h.mu)),
-                  (w_out, _split(mv_out), e_out), np.empty((2, rows, d)))
-        for a, b in zip((w_out, mv_out[0], mv_out[1], e_out), ref):
-            assert a.tobytes() == b.tobytes(), t
+        B, C = np.empty((3, rows, d)), np.empty((2, rows, d))
+        B[0], B[1], B[2], C[0] = kappa, h.beta1, b2, 1.0 - h.beta1
+        np.subtract(1.0, B[2], out=C[1])
+        for lo, oracle, drawn, grad in ((1, _given, None, g),
+                                        (0, oracle_kernel(make_noisy_quadratic([1.0], 1.0)).kernel,
+                                         noise, kappa * w + noise)):
+            ref = [np.empty((rows, d)) for _ in range(4)]
+            adam_rows_unstacked(w, m, v, grad, (b2, 1.0 - b2, eta),
+                                (h.beta1, 1.0 - h.beta1, h.mu), ref, np.empty((rows, d)))
+            x, gg = np.stack((w, m, v)), _gg(g if lo else np.empty_like(g))
+            w_out, mv_out, e_out = np.empty((rows, d)), np.empty((2, rows, d)), np.empty((rows, d))
+            slot = _slot((B[lo:], C), x, np.empty_like(x), drawn, gg,
+                         (np.array([eta])[0, ...], np.full((rows, d), h.mu)),
+                         (w_out, mv_out, e_out))
+            assert adam_rows(oracle, [slot]) == 1
+            assert gg[0].tobytes() == grad.tobytes()
+            for a, b in zip((w_out, mv_out[0], mv_out[1], e_out), ref):
+                assert a.tobytes() == b.tobytes(), (t, lo)
 
 
 def test_the_rings_rates_are_the_updates_rates(quad10, h10):
@@ -332,17 +349,22 @@ def test_nonfinite_oracle_reports_failing_step():
 def test_nonfinite_gradient_mid_block_stops_at_its_step(monkeypatch, quad10, h10):
     import adamabc.optimizer as O
 
-    real = O.oracle_rows
+    real = O.oracle_kernel
     calls = []
 
-    def faulty(p, W, draws, out=None):
-        calls.append(None)
-        g = real(p, W, draws, out)
-        if len(calls) == 4100:
-            g[0, 3] = np.nan
-        return g
+    def faulty_kernel(p):
+        o = real(p)
 
-    monkeypatch.setattr(O, "oracle_rows", faulty)
+        def kernel(kw, W, drawn, out):
+            calls.append(None)
+            g = o.kernel(kw, W, drawn, out)
+            if len(calls) == 4100:
+                g[0, 3] = np.nan
+            return g
+
+        return o._replace(kernel=kernel)
+
+    monkeypatch.setattr(O, "oracle_kernel", faulty_kernel)
     with pytest.raises(NonFiniteGradient, match=r"^step 4100: non-finite gradient component at t=4100$"):
         run_trajectory(quad10, h10, T=5000, seed=0)
     assert len(calls) == 4100
@@ -352,17 +374,22 @@ def test_nonfinite_gradient_mid_block_stops_at_its_step(monkeypatch, quad10, h10
 def test_stacked_nonfinite_gradient_names_its_seed(monkeypatch, quad10, h10):
     import adamabc.optimizer as O
 
-    real = O.oracle_rows
+    real = O.oracle_kernel
     calls = []
 
-    def faulty(p, W, draws, out=None):
-        calls.append(None)
-        g = real(p, W, draws, out)
-        if len(calls) == 4100:
-            g[1, 3] = np.inf
-        return g
+    def faulty_kernel(p):
+        o = real(p)
 
-    monkeypatch.setattr(O, "oracle_rows", faulty)
+        def kernel(kw, W, drawn, out):
+            calls.append(None)
+            g = o.kernel(kw, W, drawn, out)
+            if len(calls) == 4100:
+                g[1, 3] = np.inf
+            return g
+
+        return o._replace(kernel=kernel)
+
+    monkeypatch.setattr(O, "oracle_kernel", faulty_kernel)
     match = r"^seed 11, step 4100: non-finite gradient component at t=4100$"
     with pytest.raises(NonFiniteGradient, match=match):
         next(run_trajectories(quad10, h10, 5000, (3, 11, 12)))
