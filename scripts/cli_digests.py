@@ -15,14 +15,15 @@ the fields that differ, and exits 1 if any case differs, else 0.
 
 The corpus covers every command; exit 0, exit 1 from a failed check, exit 1
 from a run that broke down, and exit 2; all six probes and all three problem
-kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Four
-cases, an ``experiment`` per problem kind and a ``trace``, run T = 4100
-steps: across 16 prefetch blocks of 256 draws on the quadratic (two of 2560
-on the data problems), ending on a short block and a 4-step sub-block (and,
-for the trace, a 4-row CSV chunk).  One
-``moment`` experiment runs T = 8192, past the 2^22 / 525 = 7989 steps above
-which the surrogate product's tail sums take their FFT path.  Every other
-horizon is at most 1000 steps, so one corpus run takes seconds.
+kinds; ``--threads 2``, trace row selection and a skipped slope fit.  Six
+cases run T = 4100 steps: an ``experiment`` per problem kind, a
+``last_iterate`` experiment per data problem and a ``trace``.  They cross 16
+prefetch blocks of 256 draws on the quadratic (two of 2560 on the data
+problems) and end on a short block and a 4-step sub-block (and, for the
+trace, a 4-row CSV chunk).  One ``moment`` experiment runs T = 8192, past
+the 2^22 / 525 = 7989 steps above which the surrogate product's tail sums
+take their FFT path.  Every other horizon is at most 1000 steps, so one
+corpus run takes seconds.
 
 Usage:
     python3 scripts/cli_digests.py PARENT_DIR CHANGE_DIR
@@ -44,6 +45,7 @@ RUNNER = "import sys; from adamabc.cli import main; sys.exit(main(sys.argv[1:]))
 ALL_PROBES = "rate,last_iterate,l1,summability,moment,sgd_anchor"
 LEAST_SQUARES = "problem = least_squares\nd = 5\nn = 50\ndata_seed = 7"
 LONG = "T = 4100\nseeds = 0,1,2\nprobes = rate,moment"
+LAST_ITERATE = "T = 4100\nseeds = 0,1,2\nprobes = last_iterate"
 
 #: (case name, argv); a comment names the exit code where it is not 0
 CORPUS = (
@@ -75,6 +77,13 @@ CORPUS = (
                                         "--out", "out"]),
     ("experiment-logistic-T4100", ["experiment", "--config", f"problem = logistic\n{LONG}",
                                    "--out", "out"]),
+    # last_grad alone, on the data problems: the exact gradient only in the
+    # sub-blocks that hold a checkpoint
+    ("experiment-last-iterate-least-squares", ["experiment", "--config",
+                                               f"{LEAST_SQUARES}\n{LAST_ITERATE}",
+                                               "--out", "out"]),
+    ("experiment-last-iterate-logistic", ["experiment", "--config",
+                                          f"problem = logistic\n{LAST_ITERATE}", "--out", "out"]),
     # the moment probe's tail sums take the FFT path
     ("experiment-moment-fft", ["experiment", "--config", "T = 8192\nseeds = 0,1,2\nprobes = moment",
                                "--out", "out"]),

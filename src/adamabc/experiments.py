@@ -41,7 +41,6 @@ from .problems import (
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
-    rows_view,
 )
 from .optimizer import SUB, run_steps
 from .instrumentation import _carried, _require_gaps, log_pi_series
@@ -312,12 +311,13 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
 
     The steps are ``optimizer.run_steps``, so row s matches the single-seed
     trajectory bitwise.  The terms of the ``_SWEEP_TABLE`` rows in ``reads``
-    are formed once a sub-block, the exact gradient (one (k, S, d)
-    ``grad_batch`` stack on ``rows_view(p, S)`` in a (SUB, S) workspace) at
-    every step when a running series reads it, else at last_grad's
-    checkpoint steps only.  An Adam sweep always reads its rate gaps
-    E[:k] - E[1:k + 1] from the ring's rates, which raise NegativeGap as in
-    ``build_trace``.
+    are formed once a sub-block.  The exact gradient has one rule: one
+    ``grad_batch`` call on the sub-block's (k, S, d) stack of pre-update
+    iterates, in a (SUB, S) workspace, whenever a running series reads it
+    or a checkpoint falls in the sub-block; every slab is (S, d), so a
+    reading does not depend on which series asked for it.  An Adam sweep
+    always reads its rate gaps E[:k] - E[1:k + 1] from the ring's rates,
+    which raise NegativeGap as in ``build_trace``.
     """
     S, d = len(seeds), p.dim
     cps = list(checkpoints)
@@ -342,8 +342,7 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
             carry[0] = start(h)
         series.append((name, terms[term], red, carry, read))
     if "grad_sq" in terms:
-        p_rows, ws = rows_view(p, S), grad_workspace(p, (SUB, S))
-        gn = terms["grad_sq"][..., 0]
+        ws, gn = grad_workspace(p, (SUB, S)), terms["grad_sq"][..., 0]
     gaps = np.empty((SUB, S, d))
 
     c = 0  # the next checkpoint
@@ -352,13 +351,9 @@ def _sweep_seeds(p: Problem, h: HyperParams, T: int, seeds, checkpoints,
         while c < len(cps) and cps[c] <= t0 + k:
             here.append((c, cps[c], cps[c] - t0))
             c += 1
-        if every:  # at the pre-update iterates
-            g = grad_batch(p_rows, ring.W[:k], [b[:k] for b in ws])
+        if "grad_sq" in terms and (every or here):
+            g = grad_batch(p, ring.W[:k], [b[:k] for b in ws])
             np.einsum("ksd,ksd->ks", g, g, out=gn[:k])
-        elif "grad_sq" in terms:  # last_grad alone: at its checkpoint steps only
-            for _, _, i in here:
-                g = grad_batch(p_rows, ring.W[i - 1 : i], [b[:1] for b in ws])
-                np.einsum("ksd,ksd->ks", g, g, out=gn[i - 1 : i])
         for fill, buf in fills:
             fill(ring, k, terms, buf[:k])
         if rule == "adam":

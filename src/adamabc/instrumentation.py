@@ -36,20 +36,11 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, _step_given, rates
+from .optimizer import AdamState, _step_given, rates, synthetic_eta_v0
 
 
 class NegativeGap(ValueError):
     """A rate gap eta_{v_{t-1}} - eta_{v_t} came out materially negative."""
-
-
-# ---------------------------------------------------------------------------
-# the synthetic pre-run rate
-
-
-def synthetic_eta_v0(h: HyperParams) -> np.ndarray:
-    """The defined pre-run rate vector eta_{v_0} = (v / alpha1) * ones."""
-    return np.full(h.dim, h.v / alpha1(h))
 
 
 def _require_gaps(delta, eta_prev, seeds, t0: int = 0) -> None:
@@ -145,6 +136,8 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     the trace CSV's pi_hat column holds its bytes.
     """
     D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
+    if D.ndim != 2 or min(D.shape) < 1:
+        raise ValueError(f"deltas must be (T >= 1, d >= 1), got shape {D.shape}")
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
     # the tail sums of the per-step gap totals sum_i Delta_{t,i}
@@ -372,6 +365,8 @@ def build_trace(p: Problem, h: HyperParams, W, G, M, V, eta, seed=None) -> Theor
         raise ValueError(
             f"inconsistent raw shapes W={W.shape} G={G.shape} M={M.shape} V={V.shape}"
         )
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     cert = p.certificate
 
     steps = np.arange(1, T + 1, dtype=np.float64)

@@ -42,7 +42,7 @@ from .core import (
     eta_steps,
     validate_hyperparams,
 )
-from .problems import NoisyQuadratic, Problem, oracle_draws, oracle_kernel, rng_stream, rows_view
+from .problems import Problem, oracle_draws, oracle_kernel, rng_stream
 
 #: bytes of oracle draws prefetched per row and block: 256 steps of the d = 10
 #: quadratic's noise (80 bytes a step), 2560 of a data problem's row indices
@@ -74,6 +74,11 @@ class AdamState:
     w: np.ndarray
     m: np.ndarray
     v_vec: np.ndarray
+
+
+def synthetic_eta_v0(h: HyperParams) -> np.ndarray:
+    """The defined pre-run rate vector eta_{v_0} = (v / alpha1) * ones."""
+    return np.full(h.dim, h.v / alpha1(h))
 
 
 def adam_init(w1, h: HyperParams) -> AdamState:
@@ -216,7 +221,7 @@ class Ring(NamedTuple):
     """The buffers ``run_steps`` owns, step-major: the state stacks X
     (SUB + 1, 3, S, d), each slot [w; m; v], with the sub-block's start state
     in X[0]; the rates E (SUB + 1, S, d), with the start state's eta_{v_t} in
-    E[0] (the pre-run rate v / alpha1 before the first step); the gradient
+    E[0] (``synthetic_eta_v0`` before the first step); the gradient
     stacks GG (SUB, 2, S, d), whose GG[:, 1] is the update's scratch; and the
     step sizes eta (SUB,).  W and MV are views of X, a slot per state; G, M
     and V are views of the stacks, one row per step."""
@@ -250,7 +255,7 @@ class Ring(NamedTuple):
 def _block_steps(p: Problem) -> int:
     """Steps of draws per prefetched block: ``BLOCK`` bytes a row, in whole
     sub-blocks, at least one."""
-    per_step = 8 * p.dim if isinstance(p, NoisyQuadratic) else 8  # noise or a row index
+    per_step = 8 if oracle_kernel(p).tables else 8 * p.dim  # a row index or the noise
     return max(SUB, BLOCK // per_step // SUB * SUB)
 
 
@@ -276,16 +281,16 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     slots, views built once a run: per step one ufunc forms
     [kappa * w; beta1 * m; beta2_t * v] from the full (SUB, 3, S, d)
     coefficient column [kappa; beta1; beta2_t] (the oracle's linear
-    coefficient kappa on ``rows_view(p, S)``: the eigenvalues tiled to the
-    rows, the logistic reg; least squares has none, and its steps multiply
-    the [m; v] half only), and one call to the oracle's kernel writes g into
+    coefficient kappa, broadcast into it once a run: the eigenvalues, the
+    logistic reg; least squares has none, and its steps multiply the
+    [m; v] half only), and one call to the oracle's kernel writes g into
     G[i], in buffers the loop owns.  beta2_t and its complement are written
     once per sub-block.
     ``rule="sgd"`` steps w - t^(-1/2) g on the same loop, as this update with
     beta1 = beta2_t = 0 on a second moment held at 1 (the gradient stacks'
     scratch halves), mu = 0 and eta = t^(-1/2): m' = g, v' = 1 and
     eta_v' = t^(-1/2), with [m'; v'] and eta_v' written to a stack of its
-    own, so M stays at 0, V at h.v and E at v / alpha1.
+    own, so M stays at 0, V at h.v and E at ``synthetic_eta_v0``.
     With ``check``, a non-finite gradient stops the loop at its step with
     NonFiniteGradient.
     """
@@ -294,9 +299,9 @@ def run_steps(p: Problem, h: HyperParams, T: int, seeds, rule: str = "adam",
     adam = rule == "adam"
     S, d = len(seeds), h.dim
     rngs = [rng_stream("trajectory", s, "oracle") for s in seeds]
-    orc = oracle_kernel(rows_view(p, S))
+    orc = oracle_kernel(p)
     ring = Ring(np.zeros((SUB + 1, 3, S, d)), np.empty((SUB, 2, S, d)), np.empty(SUB),
-                np.full((SUB + 1, S, d), h.v / alpha1(h)))
+                np.tile(synthetic_eta_v0(h), (SUB + 1, S, 1)))
     ring.W[0], ring.X[:, 2] = 1.0, h.v
     # A step reads its step size as a 0-d view, which a ufunc takes about as
     # cheaply as a full array and far more cheaply than a Python float, and its

@@ -21,11 +21,10 @@ bitwise its own 2-D call; ``grad_batch`` runs in a ``grad_workspace`` a
 loop may keep for all its calls.
 ``oracle_rows`` runs each kind's one oracle kernel (``oracle_kernel``): the
 gradient from the product kappa * w with the oracle's linear coefficient,
-which the stepping loop forms in the same ufunc as its moments' decay
-products, and from the step's draws, which the loop gathers a sub-block at
-a time into buffers it owns.  ``oracle_draws`` draws into a caller's
-buffer.  A loop over (S, d) rows takes the kernels of ``rows_view(p, S)``,
-whose quadratic carries its eigenvalues tiled to the rows.  ``branch_samples`` forms each distinct
+which the stepping loop broadcasts over its rows and forms in the same
+ufunc as its moments' decay products, and from the step's draws, which the
+loop gathers a sub-block at a time into buffers it owns.  ``oracle_draws``
+draws into a caller's buffer.  ``branch_samples`` forms each distinct
 gradient at its fixed w once, through ``oracle_rows``, and fills its
 (K, dim) result from it ``ROW_CHUNK`` rows at a time, so its memory is the
 result plus an m-row table (one row for the quadratic) and one chunk's
@@ -38,7 +37,6 @@ generation, and trajectory noise never share or perturb each other's state.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -465,16 +463,6 @@ def grad_batch(p: Problem, W: np.ndarray, ws=None) -> np.ndarray:
     if isinstance(p, Logistic):
         return _logistic_grad(p.signed_rows, p.reg, W, ws)
     raise TypeError(f"unknown problem type {type(p).__name__}")
-
-
-def rows_view(p: Problem, S: int) -> Problem:
-    """``p`` for ``oracle_rows`` and ``grad_batch`` on (S, dim) rows, or
-    stacks of them: the quadratic with its eigenvalues tiled to (S, dim), a
-    product with which is bitwise the broadcast one; other kinds as they are.
-    Its ``eigenvalues`` are no spectrum, so no other kernel takes it."""
-    if isinstance(p, NoisyQuadratic):
-        return dataclasses.replace(p, eigenvalues=_frozen(np.tile(p.eigenvalues, (S, 1))))
-    return p
 
 
 def oracle_draws(p: Problem, K: int, rng: np.random.Generator, out=None):

@@ -222,6 +222,25 @@ def test_sweep_exact_gradient_equals_grad_batch_slab_by_slab(kind):
     assert res["sup_grad"].tobytes() == np.maximum.accumulate(gn, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_checkpoint_gradients_take_the_whole_sub_block(monkeypatch, kind):
+    # last_grad alone: one grad_batch call per sub-block that holds a
+    # checkpoint, on the whole (k, S, d) slab, and none elsewhere; T = 4100
+    # ends on a 4-step sub-block
+    spec, seeds, T = SPECS[kind], (0, 5, 7), 4100
+    shapes = []
+
+    def recorded(p, W, ws=None):
+        shapes.append(W.shape)
+        return grad_batch(p, W, ws)
+
+    monkeypatch.setattr(E, "grad_batch", recorded)
+    _sweep_seeds(spec.build(), HyperParams(dim=spec.d), T, seeds, (1, SUB + 1, 2560, T),
+                 reads=("last_grad",))
+    S, d = len(seeds), spec.d
+    assert shapes == [(SUB, S, d), (SUB, S, d), (SUB, S, d), (4, S, d)]
+
+
 def test_sweep_sorts_seeds_and_thread_split_is_equivalent():
     for kind in ("noisy_quadratic", "logistic"):
         a = run_sweep(cfg_for(kind, 300, (0, 1, 2, 5), threads=1), collect_dsum=True)

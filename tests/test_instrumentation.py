@@ -1,6 +1,7 @@
 """Derived series: auxiliary iterates, gaps, energies, the product surrogate."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,14 @@ def test_pi_hat_no_gaps_means_no_contraction():
     s = pi_hat(np.zeros((10, 3)), H, (4.0, 0.0, 1.0, 10.0))
     assert np.array_equal(s.values, np.ones(11))
     assert np.array_equal(s.dbar_realized, np.zeros(10))
+
+
+@pytest.mark.parametrize("deltas", [[], np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((2, 3, 1))],
+                         ids=["empty-list", "no-steps", "no-coordinates", "3-d"])
+def test_pi_hat_rejects_what_is_not_steps_by_coordinates(deltas):
+    shape = np.atleast_2d(np.asarray(deltas, dtype=np.float64)).shape
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        pi_hat(deltas, H, (4.0, 0.0, 1.0, 10.0))
 
 
 def test_pi_hat_two_step_hand_value():
@@ -389,6 +398,9 @@ def test_build_trace_rejects_inconsistent_shapes(quad10, h10):
         build_trace(quad10, h10, W, G, np.ones((T + 1, d)), np.ones((T, d)), eta)
     with pytest.raises(ValueError, match="inconsistent raw shapes"):
         build_trace(quad10, h10, np.ones((T, d)), G, np.ones((T, d)), np.ones((T, d)), eta)
+    none = np.ones((0, d))  # the consistent shapes of a zero-step run
+    with pytest.raises(ValueError, match=r"T must be >= 1, got 0"):
+        build_trace(quad10, h10, np.ones((1, d)), none, none, none, np.ones(0))
 
 
 def test_recorded_step_sizes_give_the_recomputed_trace(quad10, h10):

@@ -25,11 +25,9 @@ from adamabc.problems import (
     make_least_squares,
     make_logistic,
     make_noisy_quadratic,
-    oracle_draws,
     oracle_rows,
     oracle_sample,
     rng_stream,
-    rows_view,
 )
 from reference import (
     branch_samples_whole,
@@ -279,18 +277,16 @@ def test_stacked_loss_and_grad_batch_are_bitwise_per_slab(suite, kind):
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2], ids=["noisy_quadratic", "least_squares", "logistic"])
-def test_rows_view_and_a_kept_workspace_give_the_fresh_kernels_bytes(suite, kind):
+def test_a_kept_workspace_gives_the_fresh_kernels_bytes(suite, kind):
     p = suite[kind]
     rng = np.random.default_rng(10 + kind)
     for S in (1, 3, 20):
-        rows, ws = rows_view(p, S), grad_workspace(p, (32, S))
+        ws = grad_workspace(p, (32, S))
         for k in (32, 5):  # a full sub-block, then a short one in the same buffers
             W = rng.standard_normal((k, S, p.dim))
-            got = grad_batch(rows, W, [b[:k] for b in ws])
+            got = grad_batch(p, W, [b[:k] for b in ws])
             assert got.tobytes() == grad_batch(p, W).tobytes(), (S, k)
             assert any(np.shares_memory(got, b) for b in ws)
-        W, draws = rng.standard_normal((S, p.dim)), oracle_draws(p, S, rng)
-        assert oracle_rows(rows, W, draws).tobytes() == oracle_rows(p, W, draws).tobytes()
 
 
 def test_batch_kernels_reject_vectors_and_wrong_widths(suite):
