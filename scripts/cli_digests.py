@@ -137,6 +137,12 @@ CORPUS = (
                           "--out", "out"]),
     # 2: trace takes exactly one seed
     ("trace-two-seeds", ["trace", "--config", "T = 8", "--seeds", "0,1", "--out", "out"]),
+    # 2: the logistic certificate's C = (max_i|a_i| + reg*R)^2 overflows
+    ("experiment-logistic-reg-overflow", ["experiment", "--config",
+                                          "problem = logistic\nreg = 1e153", "--out", "out"]),
+    # 2: one row without a ridge term makes every Newton system singular
+    ("trace-logistic-singular", ["trace", "--config", "problem = logistic\nn = 1\nd = 3\nreg = 0",
+                                 "--seeds", "0", "--out", "out"]),
     # 2: argparse rejects an unknown flag
     ("usage", ["verify", "--bogus"]),
     # 2: a problem kind no build knows, which verify alone does not build

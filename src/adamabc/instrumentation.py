@@ -36,7 +36,7 @@ from .problems import (
     grad_batch,
     loss_batch,
 )
-from .optimizer import AdamState, _step_given, rates, synthetic_eta_v0
+from .optimizer import AdamState, _step_given, adam_init, rates, synthetic_eta_v0
 
 
 class NegativeGap(ValueError):
@@ -135,9 +135,9 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     per-row transforms.  The running product stays a plain cumprod:
     the trace CSV's pi_hat column holds its bytes.
     """
-    D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
+    D = np.asarray(deltas, dtype=np.float64)
     if D.ndim != 2 or min(D.shape) < 1:
-        raise ValueError(f"deltas must be (T >= 1, d >= 1), got shape {D.shape}")
+        raise ValueError(f"deltas must be (T >= 1, d >= 1), got shape {np.atleast_2d(D).shape}")
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
     # the tail sums of the per-step gap totals sum_i Delta_{t,i}
@@ -233,33 +233,28 @@ def _carried(ufunc, stack: np.ndarray, k: int, out=None) -> np.ndarray:
 
 
 def _mean_sd(x: np.ndarray):
-    """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise, from one shared sum
-    pass: numpy's own steps, written out (``std(mean=)`` needs numpy 2).
+    """``x.mean(0)`` and ``x.std(0, ddof=1)``, bitwise.
 
-    A C-contiguous (K, d >= 2) stack is summed in row order by ``_carried``:
-    its mean over all K rows, which allocates one row, and its squared
-    deviations ``ROW_CHUNK`` rows at a time, never building the (K, d)
-    deviations.  Other inputs, which numpy sums pairwise, keep one
-    whole-array ``np.add.reduce`` per pass, which no chunking reproduces.
+    A C-contiguous (K, d >= 2) stack is summed in row order by ``_carried``,
+    as numpy sums it: its mean over all K rows, which allocates one row, and
+    its squared deviations ``ROW_CHUNK`` rows at a time, never building the
+    (K, d) deviations.  Other inputs, which numpy sums pairwise and no
+    chunking reproduces, go to numpy's own mean and std.
     """
     K = x.shape[0]
-    rows = x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous
-    mean = _carried(np.add, x, K - 1)[None] if rows else np.add.reduce(x, 0, keepdims=True)
+    if not (x.ndim == 2 and x.shape[1] >= 2 and x.flags.c_contiguous):
+        return x.mean(0), x.std(0, ddof=1)
+    mean = _carried(np.add, x, K - 1)
     np.true_divide(mean, K, mean)
-    if rows:
-        buf, sd = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1])), np.zeros_like(mean)
-        for s in range(0, K, ROW_CHUNK):
-            dev = buf[1 : min(ROW_CHUNK, K - s) + 1]
-            np.multiply(np.subtract(x[s : s + len(dev)], mean, dev), dev, dev)
-            buf[0] = sd
-            _carried(np.add, buf, len(dev), out=sd[0])
-    else:
-        dev = np.subtract(x, mean)
-        np.multiply(dev, dev, dev)
-        sd = np.add.reduce(dev, 0, keepdims=True)
+    buf, sd = np.empty((min(K, ROW_CHUNK) + 1, x.shape[1])), np.zeros_like(mean)
+    for s in range(0, K, ROW_CHUNK):
+        dev = buf[1 : min(ROW_CHUNK, K - s) + 1]
+        np.multiply(np.subtract(x[s : s + len(dev)], mean, dev), dev, dev)
+        buf[0] = sd
+        _carried(np.add, buf, len(dev), out=sd)
     np.true_divide(sd, K - 1, sd)
     np.sqrt(sd, sd)
-    return mean.reshape(x.shape[1:]), sd.reshape(x.shape[1:])
+    return mean, sd
 
 
 def branch_conditional(p: Problem, s: AdamState, h: HyperParams, K: int, rng) -> BranchEstimate:
@@ -336,17 +331,13 @@ class TheoryTrace:
         return self.W.shape[1]
 
     def state_before(self, t: int) -> AdamState:
-        """Reconstruct the AdamState holding w_t, i.e. just before step t."""
+        """Reconstruct the AdamState holding w_t, i.e. just before step t:
+        ``adam_init`` at w_1 for t = 1, else the trace's rows (views)."""
         if not 1 <= t <= self.T:
             raise IndexError(f"step {t} outside 1..{self.T}")
-        d = self.dim
         if t == 1:
-            m = np.zeros(d)
-            v = np.full(d, self.h.v)
-        else:
-            m = self.M[t - 2]
-            v = self.V[t - 2]
-        return AdamState(t=t - 1, w=self.W[t - 1], m=np.asarray(m), v_vec=np.asarray(v))
+            return adam_init(self.W[0], self.h)
+        return AdamState(t=t - 1, w=self.W[t - 1], m=self.M[t - 2], v_vec=self.V[t - 2])
 
 
 def build_trace(p: Problem, h: HyperParams, W, G, M, V, eta, seed=None) -> TheoryTrace:

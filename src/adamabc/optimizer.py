@@ -42,7 +42,7 @@ from .core import (
     eta_steps,
     validate_hyperparams,
 )
-from .problems import Problem, oracle_draws, oracle_kernel, rng_stream
+from .problems import Problem, _frozen, oracle_draws, oracle_kernel, rng_stream
 
 #: bytes of oracle draws prefetched per row and block: 256 steps of the d = 10
 #: quadratic's noise (80 bytes a step), 2560 of a data problem's row indices
@@ -58,12 +58,6 @@ SUB = 32
 
 class NonFiniteGradient(ValueError):
     """A gradient sample contained NaN or +/-inf; traces must be gap-free."""
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,8 @@ def adam_init(w1, h: HyperParams) -> AdamState:
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape != (h.dim,):
         raise DimensionMismatch(f"w1 shape {w1.shape} != ({h.dim},)")
-    return AdamState(t=0, w=_ro(w1), m=_ro(np.zeros(h.dim)), v_vec=_ro(np.full(h.dim, h.v)))
+    return AdamState(t=0, w=_frozen(w1), m=_frozen(np.zeros(h.dim)),
+                     v_vec=_frozen(np.full(h.dim, h.v)))
 
 
 def rates(eta, v, mu, out=None):
@@ -363,12 +358,13 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds):
     """Run T Adam steps from ones for every seed at once; yield one TheoryTrace
     per seed, in the order of ``seeds``.
 
-    The recording mode of ``run_steps``: each sub-block of its ring is copied
-    into the step-major (T+1, S, d) / (T, S, d) trace arrays and the (T,) step
-    sizes, which ``build_trace`` reuses, and a non-finite gradient stops the
-    run at its step with NonFiniteGradient.  Each trace is bitwise the one a
-    lone run gives, and is built as it is consumed, on a contiguous copy of
-    its seed's rows.
+    The recording mode of ``run_steps``: each sub-block of its ring, start
+    state included (so w_1 is the loop's), is copied into the step-major
+    (T+1, S, d) / (T, S, d) trace arrays and the (T,) step sizes, which
+    ``build_trace`` reuses, and a non-finite gradient stops the run at its
+    step with NonFiniteGradient.  Each trace is bitwise the one a lone run
+    gives, and is built as it is consumed, on a contiguous copy of its
+    seed's rows.
 
     The trace stores w_1 .. w_{T+1}: the loop that performs T updates ends one
     iterate past the last gradient, and callers pick the convention they need.
@@ -379,12 +375,11 @@ def run_trajectories(p: Problem, h: HyperParams, T: int, seeds):
     seeds = list(seeds)
     S, d = len(seeds), h.dim
     W = np.empty((T + 1, S, d))
-    W[0] = 1.0
     G, M, V = (np.empty((T, S, d)) for _ in range(3))
     eta = np.empty(T)
     for t0, k, ring in run_steps(p, h, T, seeds, check=True):
         steps = slice(t0, t0 + k)
-        W[t0 + 1 : t0 + k + 1] = ring.W[1 : k + 1]
+        W[t0 : t0 + k + 1] = ring.W[: k + 1]
         G[steps], M[steps], V[steps], eta[steps] = ring.G[:k], ring.M[:k], ring.V[:k], ring.eta[:k]
 
     from .instrumentation import build_trace  # deferred: instrumentation imports optimizer

@@ -112,8 +112,10 @@ class Problem:
     certificate: ProblemCertificate
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def _frozen(a) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of ``a``: always a copy, so no
+    caller's array aliases a problem's or a state's, and none can move it."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 
@@ -250,8 +252,8 @@ def _sigmoid(x: np.ndarray, e=None, num=None, pos=None) -> np.ndarray:
     numerator max(e, x >= 0) is 1 where x >= 0 (there e <= 1) and e elsewhere
     (NaN stays NaN); the denominator is formed in e's own buffer.  The buffers
     ``e``, ``num`` (returned) and the sign mask ``pos`` are fresh when None;
-    ``e`` may be x itself, whose signs are read first.  ``_logistic_oracle``
-    runs the same ufuncs inline.
+    ``e`` may be x itself, whose signs are read first, as in the exact
+    gradient and the oracle's kernel.
     """
     pos = np.greater_equal(x, 0, out=pos)
     e = np.abs(x, out=e)
@@ -302,7 +304,11 @@ def _solve_logistic(signed_rows, reg):
             return w[0], gn
         p = _sigmoid(w @ signed_rows.T)[0]
         H = (signed_rows.T * (p * (1.0 - p))) @ signed_rows / n + reg * np.eye(d)
-        step = np.linalg.solve(H, g)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError as e:  # e.g. one row and reg = 0
+            raise ConstraintViolation("logistic solver failed to certify the minimum: "
+                                      "singular Newton system") from e
         # near w* the predicted decrease g.step / 2 falls below the rounding of
         # f, where comparing values of f judges nothing: take the full step
         tiny = g @ step < 1e-14 * f
@@ -325,6 +331,12 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
         raise ConstraintViolation("labels must be a length-n vector of +/-1")
     if not (math.isfinite(reg) and reg >= 0):
         raise ConstraintViolation(f"reg must be finite and >= 0, got {reg}")
+    max_row = float(np.sqrt(np.einsum("ij,ij->i", rows, rows).max()))
+    bound = max_row + reg * radius
+    # a float product, not bound ** 2, which raises OverflowError
+    if not math.isfinite(bound * bound):
+        raise ConstraintViolation("C = (max_i|a_i| + reg*R)^2 must be finite, "
+                                  f"got reg = {reg}")
     signed_rows = -labels[:, None] * rows
     w_star, gn = _solve_logistic(signed_rows, reg)
     if not gn <= 1e-10:  # a NaN norm certifies nothing
@@ -337,14 +349,13 @@ def _logistic_from_data(rows, labels, reg: float, radius: float = 100.0) -> Logi
             f"logistic minimizer |w*| = {w_norm:.4g} lies outside the certified ball R = {radius:g}"
         )
     lam_max = float(np.linalg.eigvalsh(rows.T @ rows / n)[-1])
-    max_row = float(np.sqrt(np.einsum("ij,ij->i", rows, rows).max()))
     f_star = float(_logistic_loss(signed_rows, reg, w_star[None])[0])
     cert = ProblemCertificate(
         L_f=0.25 * lam_max + reg,
         f_star=f_star,
         A=0.0,
         B=0.0,
-        C=(max_row + reg * radius) ** 2,
+        C=bound ** 2,
         description=(
             "regularized logistic regression: L_f = (1/4)*lambda_max((1/n) sum a_i a_i^T) "
             f"+ reg (sigmoid curvature <= 1/4); f* certified by a damped Newton solve to "
@@ -395,6 +406,13 @@ def _check_dim(p: Problem, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_rows(p: Problem, W: np.ndarray) -> np.ndarray:
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim < 2 or W.shape[-1] != p.dim:
+        raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
+    return W
+
+
 def loss(p: Problem, w) -> float:
     """Deterministic objective value f(w)."""
     w = _check_dim(p, w)
@@ -421,9 +439,7 @@ def loss_batch(p: Problem, W: np.ndarray) -> np.ndarray:
     each row's sums run in the same order, so every slab of a stack is
     bitwise that slab's own ``loss_batch``.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim < 2 or W.shape[-1] != p.dim:
-        raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
+    W = _check_rows(p, W)
     if isinstance(p, NoisyQuadratic):
         return 0.5 * (W * W) @ p.eigenvalues
     if isinstance(p, LeastSquares):
@@ -451,9 +467,7 @@ def grad_batch(p: Problem, W: np.ndarray, ws=None) -> np.ndarray:
     a ``grad_workspace(p, W.shape[:-1])``, fresh when None; a loop that keeps
     one gets back a view of its output buffer, overwritten by the next call.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim < 2 or W.shape[-1] != p.dim:
-        raise DimensionMismatch(f"{p.name}: expected (..., k, {p.dim}), got {W.shape}")
+    W = _check_rows(p, W)
     if ws is None:
         ws = grad_workspace(p, W.shape[:-1])
     if isinstance(p, NoisyQuadratic):
@@ -509,17 +523,10 @@ def _least_squares_oracle(kw, W, drawn, out):
 
 
 def _logistic_oracle(kw, W, drawn, out):
-    """sigmoid(a . w) * a + reg * w for each row's drawn signed row a."""
+    """sigmoid(a . w) * a + reg * w for each row's drawn signed row a, the
+    sigmoid ``_sigmoid``'s in the buffers of ``drawn``, z's own among them."""
     a, z, num, pos, ncol = drawn
-    np.einsum("kd,kd->k", a, W, out=z)
-    # ``_sigmoid`` inline, in z's buffer: the stepping loop makes one Python call a step
-    np.greater_equal(z, 0, out=pos)
-    np.abs(z, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    np.maximum(z, pos, out=num)
-    np.add(z, 1.0, out=z)
-    np.true_divide(num, z, out=num)
+    _sigmoid(np.einsum("kd,kd->k", a, W, out=z), z, num, pos)
     g = np.multiply(ncol, a, out)
     return np.add(g, kw, g)
 

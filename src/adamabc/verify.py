@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import HyperParams, alpha1
-from .instrumentation import TheoryTrace, _branch_step, _mean_sd, aux_iterate, eta_v_at_state
+from .instrumentation import TheoryTrace, _branch_step, _mean_sd, aux_iterate
 from .problems import (
     ROW_CHUNK,
     Problem,
@@ -410,8 +410,9 @@ def check_descent_expectation(
     Expectations are surrogate branch means; the composite verdict is a >= 95%
     checkpoint pass rate, and K < 1000 downgrades the result to informational.
     The branches are drawn and stepped ``ROW_CHUNK`` rows at a time, and only
-    their K per-branch statistics outlive a chunk; eta_{v_{t-1}} and
-    grad f(w_t) are formed once per checkpoint.
+    their K per-branch statistics outlive a chunk; eta_{v_{t-1}} is the
+    trace's own row, the one its gaps start from, and grad f(w_t) is formed
+    once per checkpoint.
     """
     _require_complete(trace)
     _at_least("K", K, 2)
@@ -427,7 +428,7 @@ def check_descent_expectation(
     margins, X = [], np.empty(K)
     for t in checkpoints:
         s = trace.state_before(t)
-        eta_v_prev = eta_v_at_state(s, h)
+        eta_v_prev = trace.eta_v[t - 1]
         E2 = float(np.sum((eta_v_prev * s.m) ** 2))
         fhat_t = float(trace.fhat[t - 1])
         # X = C2 E2 + Delta @ c + (Delta/2 + (L_f+1) eta_v^2) . g^2 - (fhat(u_{t+1}) - fhat(u_t)):

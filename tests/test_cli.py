@@ -429,6 +429,11 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command, args, me
     ("trace", "problem = least_squares\nd = 5\nn = 3"),
     ("trace", "eig_min = -1"),
     ("trace", "problem = logistic\nd = 30\nn = 20\nreg = 0"),  # |w*| outside its ball
+    # C = (max_i|a_i| + reg*R)^2 overflows; one row without reg makes a singular Newton system
+    ("experiment", "problem = logistic\nreg = 1e153"),
+    ("trace", "problem = logistic\nreg = 1e153"),
+    ("experiment", "problem = logistic\nn = 1\nd = 3\nreg = 0"),
+    ("trace", "problem = logistic\nn = 1\nd = 3\nreg = 0"),
     # each command's own checks (trace's seed count: test_trace_requires_exactly_one_seed)
     ("verify", "suite ="),
     ("verify", "T = 1"),

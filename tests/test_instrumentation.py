@@ -98,8 +98,9 @@ def test_pi_hat_no_gaps_means_no_contraction():
     assert np.array_equal(s.dbar_realized, np.zeros(10))
 
 
-@pytest.mark.parametrize("deltas", [[], np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((2, 3, 1))],
-                         ids=["empty-list", "no-steps", "no-coordinates", "3-d"])
+@pytest.mark.parametrize("deltas", [[], np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((2, 3, 1)),
+                                    np.array([0.5, 0.25])],
+                         ids=["empty-list", "no-steps", "no-coordinates", "3-d", "1-d"])
 def test_pi_hat_rejects_what_is_not_steps_by_coordinates(deltas):
     shape = np.atleast_2d(np.asarray(deltas, dtype=np.float64)).shape
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

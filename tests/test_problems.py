@@ -14,6 +14,7 @@ from adamabc.problems import (
     EmptySpectrum,
     SingularSystem,
     _least_squares_from_data,
+    _logistic_from_data,
     _sigmoid,
     branch_samples,
     default_suite,
@@ -176,8 +177,6 @@ def test_logistic_certificate_and_labels():
 
 def test_logistic_rejects_nonsign_labels_and_bad_reg():
     p = make_logistic(30, 4, seed=0)
-    from adamabc.problems import _logistic_from_data
-
     with pytest.raises(ConstraintViolation):
         _logistic_from_data(p.rows, np.zeros(30), reg=0.05)
     with pytest.raises(ConstraintViolation):
@@ -185,6 +184,17 @@ def test_logistic_rejects_nonsign_labels_and_bad_reg():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConstraintViolation, match="reg must be finite and >= 0"):
             make_logistic(30, 4, seed=0, reg=bad)
+
+
+@pytest.mark.parametrize("n, d, reg, message", [
+    # (max_i|a_i| + reg*R) ** 2 would raise OverflowError
+    (100, 10, 1e153, r"C = \(max_i\|a_i\| \+ reg\*R\)\^2 must be finite, got reg = 1e\+153"),
+    # one row and no ridge term: every Newton system has rank one
+    (1, 3, 0.0, "logistic solver failed to certify the minimum: singular Newton system"),
+], ids=["reg-overflow", "singular-newton"])
+def test_logistic_without_a_finite_certificate_is_a_constraint_violation(n, d, reg, message):
+    with pytest.raises(ConstraintViolation, match=message):
+        make_logistic(n, d, 0, reg=reg)
 
 
 def test_logistic_loss_is_the_loss_batch_row(suite):
@@ -379,6 +389,22 @@ def test_problem_arrays_are_readonly(suite):
             if a is not None:
                 with pytest.raises(ValueError):
                     a[...] = 0.0
+
+
+def test_a_problem_keeps_its_own_copy_of_its_inputs(suite):
+    e = np.array([1.0, 2.0, 3.0])
+    p = make_noisy_quadratic(e, 1.0)
+    e[0] = 100.0
+    assert np.array_equal(p.eigenvalues, [1.0, 2.0, 3.0]) and p.certificate.L_f == 3.0
+    ls, lg = suite[1], suite[2]
+    rows, targets, a, labels = (np.array(x) for x in (ls.rows, ls.targets, lg.rows, lg.labels))
+    built = _least_squares_from_data(rows, targets), _logistic_from_data(a, labels, lg.reg)
+    for x in (rows, targets, a, labels):
+        x *= -1.0  # the labels stay +/-1
+    for q, b in zip((ls, lg), built):
+        for f in ("rows", "targets", "labels"):
+            if hasattr(q, f):
+                assert np.array_equal(getattr(b, f), getattr(q, f)), f
 
 
 @given(st.integers(0, 2**32 - 1))
