@@ -1,57 +1,53 @@
 #!/usr/bin/env python3
-"""Alternating parent/change benchmark pairs, summarised per workload.
+"""Alternating parent/change runs in fresh processes, compared pair by pair.
 
-Runs the benchmark command that ``BENCHMARK.json`` (read from the change
-checkout) declares, ``python3 perfbench/run.py``, with ``--workload W --seed S
---seconds N --trace 0`` in each of two checkout directories, one new process
-per run.  Pair i uses seed ``seeds[i]`` on both sides; the parent runs first
-in even pairs and the change in odd ones.  The last line a run prints is its
-JSON result; every end-to-end metric the benchmark declares is taken from it.
-Beside them each run keeps ``raw_median_s``, the raw median of its timed
-passes from its ``timing pass:`` line, summarised like ``wall_s`` and under
-its bound: the normalised ``wall_s`` divides by a calibration that can move
-when the timed operation's allocations change, the raw median cannot.
+One runner starts every run as a new process in one of two checkouts: with
+``PYTHONDONTWRITEBYTECODE=1``, with the checkout's ``src`` first on
+``PYTHONPATH`` when the run imports the package, timed by CLOCK_MONOTONIC
+from just before the spawn to just after the exit, and stopped by a
+``RuntimeError`` naming the command, checkout, exit code and output tail when
+it exits with a code its measurement does not accept.  Runs come in pairs,
+one a side; pair i runs the parent first when i is even, and the output file
+is rewritten after every pair.  A figure is compared over the pairs both
+sides of which have run: each side's median and quartiles (linear
+interpolation, as numpy's default), the change's wins and ties, the relative
+change of the medians and the parent's interquartile range.
 
-The output file holds an ``end_to_end`` block, keyed by workload: the raw
-runs, each side's share of failed operations over the pairs, and per metric
-each side's median and quartiles (linear interpolation, as numpy's default),
-the change's wins and ties over the pairs, the relative change of the
-medians, the parent's interquartile range, the metric's bound, whether the
-change's median is worse than the parent's by more than it, and whether the
-metric is unresolved: the parent's interquartile range exceeds the bound
-relative to its median, and not every change run beats every parent run.
-With ``--claim W:METRIC`` it also holds a ``claim`` block: met when the change
-wins at least nine tenths of the pairs, the medians differ by more than the
-parent's interquartile range, and the change failed no larger share of its
-operations than the parent.  The file is rewritten after every pair.
+``setup_s`` times the interpreter from spawn, so a checkout that imports from
+cached bytecode starts faster than one that compiles: the script refuses to
+start, naming them, while either checkout holds a ``__pycache__`` under
+``src/`` or ``perfbench/``.  It deletes nothing.
 
-``setup_s`` times the interpreter from spawn, so a checkout that imports
-from cached bytecode starts faster than one that compiles.  Every run is
-made with ``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to start,
-naming the directories, while either checkout holds a ``__pycache__`` under
-``src/`` or ``perfbench/``; it deletes nothing.
+The measurements, each a block of the output file:
 
-``--setup-probes N`` also times, per workload, N alternating fresh
-``perfbench/run.py --setup-probe`` processes a side (probe i at seed
-``seeds[i]``, cycled, or 0), raw: spawn to ready, as perfbench's ``setup_s``
-times them but with no calibration.  Each workload's ``setup_probes`` block
-holds the raw seconds and the comparison (each side's median and quartiles,
-wins and ties, the relative change of the medians, the parent's
-interquartile range), beside the pairs' normalised ``setup_s``.
-
-``--tier1 N`` alternates N parent and change runs of the tier-1 command,
-``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
-``PYTHONPATH``, each with ``--junitxml`` (the pass, fail, error, skip and
-xfail counts) and ``--durations=0 --durations-min=0`` (each test's setup and
-call seconds).  The ``tier1`` block holds the runs and the comparison of the
-whole run's wall time, of each acceptance test's setup (a module fixture's
-set-up is booked to the first test that uses it) and of criterion 2's call.
-
-``--experiment-default N`` alternates N parent and change runs of a default
-``adam-abc experiment`` (``python -m adamabc.cli experiment --out TMP`` with
-``src`` on ``PYTHONPATH``), each in a fresh process writing into a fresh
-temporary directory.  The ``experiment_default`` block holds each run's wall
-seconds, spawn to exit, and their comparison.
+- ``--workload W --seeds S`` (``end_to_end``, keyed by workload): the command
+  ``BENCHMARK.json`` declares (read from the change checkout), with
+  ``--workload W --seed S --seconds N --trace 0``, N its ``run_seconds``;
+  pair i runs seed ``seeds[i]``.  The figures are every end-to-end metric,
+  from the JSON result the run prints last, and ``raw_median_s``, the raw
+  median of its timed passes (its ``timing pass:`` line), held to
+  ``wall_s``'s bound: the normalised ``wall_s`` divides by a calibration that
+  can move when the timed operation's allocations change.  Beside the runs
+  and each side's share of failed operations, each metric's comparison gives
+  its bound, whether the change's median is worse than the parent's by more,
+  and whether it is unresolved: the parent's interquartile range exceeds the
+  bound relative to its median, and not every change run beats every parent
+  run.  ``--claim W:METRIC`` adds a ``claim`` block, met when the change wins
+  at least nine tenths of the pairs, the medians differ by more than the
+  parent's interquartile range, and the change failed no larger share of
+  its operations than the parent.
+- ``--setup-probes N`` (``setup_probes`` in each workload's block): N pairs of
+  ``--setup-probe`` runs of that command (probe i at seed ``seeds[i]``,
+  cycled, or 0).  The figure is the raw seconds from spawn to the ready stamp
+  a probe prints last: perfbench's ``setup_s`` with no calibration.
+- ``--tier1 N`` (``tier1``): N pairs of ``python -m pytest -q
+  --continue-on-collection-errors`` with ``--junitxml`` (the outcome counts)
+  and ``--durations=0 --durations-min=0``.  The figures are the run's wall
+  time, each acceptance test's setup (a module fixture's set-up is booked to
+  the first test that uses it) and criterion 2's call.
+- ``--experiment-default N`` (``experiment_default``): N pairs of ``python -m
+  adamabc.cli experiment --out TMP``, each into a fresh temporary directory.
+  The figure is its wall time.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-wide \\
@@ -73,6 +69,9 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from functools import partial
+from itertools import cycle, islice
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -103,34 +102,42 @@ def bytecode_caches(checkout: Path) -> list:
     return sorted(d for top in ("src", "perfbench") for d in (checkout / top).rglob("__pycache__"))
 
 
-def run_once(command, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process in ``checkout``; its final JSON line, parsed,
-    with its raw pass median as ``raw_median_s``."""
-    cmd = [*command, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run(cmd, checkout: Path, *, src: bool = False, codes=(0,)):
+    """``cmd`` in a new process in ``checkout``, writing no bytecode, with
+    the checkout's ``src`` first on PYTHONPATH when ``src`` is set.  Returns
+    the finished process, the CLOCK_MONOTONIC nanoseconds read just before
+    its spawn and its wall seconds, spawn to exit."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                          check=False)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-400:]}")
-    return dict(json.loads(lines[-1]), raw_median_s=raw_median(done.stdout))
-
-
-def setup_probe(command, checkout: Path, workload: str, seed: int) -> float:
-    """Raw seconds from spawning one ``--setup-probe`` process in ``checkout``
-    to its workload being ready: the CLOCK_MONOTONIC reading it prints last,
-    less the one taken just before the spawn."""
-    cmd = [*command, "--setup-probe", "--workload", workload, "--seed", str(seed)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    if src:
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     t0 = time.monotonic_ns()
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           check=False)
-    if done.returncode != 0 or not done.stdout.split():
+    wall = (time.monotonic_ns() - t0) / 1e9
+    if done.returncode not in codes:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-400:]}")
-    return (int(done.stdout.split()[-1]) - t0) / 1e9
+                           f"{(done.stdout + done.stderr).strip()[-400:]}")
+    return done, t0, wall
+
+
+def benchmark_run(bench: dict, workload: str, checkout: Path, seed: int) -> dict:
+    """One benchmark run: its verdict, operation counts, end-to-end metrics
+    and raw pass median."""
+    done, _, _ = run([*bench["command"], "--workload", workload, "--seed", str(seed),
+                      "--seconds", str(bench["run_seconds"]), "--trace", "0"], checkout)
+    res = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
+            **{m["name"]: res["metrics"][m["name"]]["value"] for m in bench["end_to_end"]},
+            "raw_median_s": raw_median(done.stdout)}
+
+
+def setup_probe(command, workload: str, checkout: Path, seed: int) -> dict:
+    """Raw seconds from spawning one ``--setup-probe`` process to its
+    workload being ready: the CLOCK_MONOTONIC reading it prints last, less
+    the one taken just before the spawn."""
+    done, t0, _ = run([*command, "--setup-probe", "--workload", workload, "--seed", str(seed)],
+                      checkout)
+    return {"ready_s": (int(done.stdout.split()[-1]) - t0) / 1e9}
 
 
 #: the tier-1 command, run in a checkout with its src/ first on PYTHONPATH
@@ -138,6 +145,11 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 #: one line of pytest's ``--durations`` report: seconds, phase, test id
 DURATION = re.compile(r"^\s*(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*?)\s*$", re.MULTILINE)
+
+#: a run keeps the acceptance tests' times: each one's setup, which books the
+#: module fixtures' sweeps to the first test that uses them, and its call
+ACCEPTANCE = "tests/test_acceptance.py::"
+CRITERION_2 = "test_criterion_02_oracle_soundness"
 
 
 def parse_junit(text: str) -> dict:
@@ -167,27 +179,13 @@ def parse_durations(stdout: str) -> dict:
     return out
 
 
-def src_env() -> dict:
-    """The environment of a run that imports a checkout's package: its
-    ``src`` first on PYTHONPATH, and no bytecode written."""
-    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-
-
-def run_tier1(checkout: Path) -> dict:
-    """One tier-1 run in ``checkout``: its wall time, exit code, outcome
-    counts and per-test setup and call seconds."""
-    env = src_env()
+def tier1_run(checkout: Path) -> dict:
+    """One tier-1 run, which may fail tests (exit 1): its wall time, exit
+    code, outcome counts and the acceptance tests' setup and call seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         xml = Path(tmp) / "junit.xml"
-        cmd = [*TIER1, f"--junitxml={xml}", "--durations=0", "--durations-min=0"]
-        t0 = time.perf_counter()
-        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                              check=False)
-        wall = time.perf_counter() - t0
-        if done.returncode not in (0, 1) or not xml.exists():
-            raise RuntimeError(f"tier-1 in {checkout} exited {done.returncode}: "
-                               f"{(done.stdout + done.stderr).strip()[-400:]}")
+        done, _, wall = run([*TIER1, f"--junitxml={xml}", "--durations=0", "--durations-min=0"],
+                            checkout, src=True, codes=(0, 1))
         counts = parse_junit(xml.read_text())
     acceptance = {phase: {test[len(ACCEPTANCE):]: sec for test, sec in times.items()
                           if test.startswith(ACCEPTANCE)}
@@ -200,49 +198,29 @@ def run_tier1(checkout: Path) -> dict:
 EXPERIMENT = [sys.executable, "-m", "adamabc.cli", "experiment"]
 
 
-def run_experiment_default(checkout: Path) -> float:
-    """Wall seconds of one default ``adam-abc experiment`` in a fresh process
-    in ``checkout``, spawn to exit, writing into a fresh temporary directory."""
+def experiment_run(checkout: Path) -> dict:
+    """Wall seconds of one default ``adam-abc experiment`` writing into a
+    fresh temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        cmd = [*EXPERIMENT, "--out", tmp]
-        t0 = time.perf_counter()
-        done = subprocess.run(cmd, cwd=checkout, env=src_env(), capture_output=True, text=True,
-                              check=False)
-        wall = time.perf_counter() - t0
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-400:]}")
-    return wall
+        _, _, wall = run([*EXPERIMENT, "--out", tmp], checkout, src=True)
+    return {"wall_s": wall}
 
 
-#: a run keeps the acceptance tests' times: each one's setup, which books the
-#: module fixtures' sweeps to the first test that uses them, and its call
-ACCEPTANCE = "tests/test_acceptance.py::"
-CRITERION_2 = "test_criterion_02_oracle_soundness"
-
-
-def paired(runs) -> list:
-    """{side: run} for every pair both sides of which have run, in pair order."""
+def paired(runs, figures) -> tuple:
+    """The pairs both sides of which have run, as {side: run} in pair order,
+    and for each figure (name: the function that reads it from a run) the
+    parent's and the change's values over those pairs.  A figure that some
+    paired run lacks (reads None) is left out."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r
-    return [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
-
-
-def tier1_summary(runs) -> dict:
-    """The tier-1 block: its runs, and the paired comparison of the wall
-    time, of every acceptance test's setup and of criterion 2's call."""
-    pairs = paired(runs)
-    figures = {"wall_s": lambda r: r["wall_s"],
-               "call_s." + CRITERION_2: lambda r: r["call_s"].get(CRITERION_2)}
-    for t in sorted({t for r in runs for t in r["setup_s"]}):
-        figures["setup_s." + t] = lambda r, t=t: r["setup_s"].get(t)
-    out = {"pairs": len(pairs), "runs": runs, "metrics": {}}
+    pairs = [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
+    values = {}
     for name, read in figures.items():
-        values = [(read(p["parent"]), read(p["change"])) for p in pairs]
-        if pairs and all(v is not None for pc in values for v in pc):
-            out["metrics"][name] = compare(*zip(*values))
-    return out
+        parent, change = [read(p["parent"]) for p in pairs], [read(p["change"]) for p in pairs]
+        if pairs and None not in parent + change:
+            values[name] = (parent, change)
+    return pairs, values
 
 
 def quartiles(values) -> dict:
@@ -277,7 +255,7 @@ def summarise(runs, metrics) -> dict:
     ``failed`` and one value per metric); ``metrics`` are BENCHMARK.json's
     end-to-end entries.
     """
-    pairs = paired(runs)
+    pairs, values = paired(runs, {m["name"]: itemgetter(m["name"]) for m in metrics})
     out = {"pairs": len(pairs), "seeds": [p["parent"]["seed"] for p in pairs],
            "runs": runs, "failed_share": {}, "metrics": {}}
     if not pairs:
@@ -287,8 +265,7 @@ def summarise(runs, metrics) -> dict:
         out["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / attempted
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+        parent, change = values[name]
         c = compare(parent, change, m["better"])
         separated = min(sign * c for c in change) > max(sign * p for p in parent)
         out["metrics"][name] = dict(
@@ -299,6 +276,26 @@ def summarise(runs, metrics) -> dict:
             and not separated,
         )
     return out
+
+
+def tier1_summary(runs) -> dict:
+    """The tier-1 block: its runs, and the paired comparison of the wall
+    time, of every acceptance test's setup and of criterion 2's call."""
+    figures = {"wall_s": itemgetter("wall_s"),
+               "call_s." + CRITERION_2: lambda r: r["call_s"].get(CRITERION_2)}
+    for t in sorted({t for r in runs for t in r["setup_s"]}):
+        figures["setup_s." + t] = lambda r, t=t: r["setup_s"].get(t)
+    pairs, values = paired(runs, figures)
+    return {"pairs": len(pairs), "runs": runs,
+            "metrics": {name: compare(*pc) for name, pc in values.items()}}
+
+
+def raw_summary(runs, figure: str) -> dict:
+    """The paired comparison of one figure, with each side's values in pair
+    order as ``raw_s``."""
+    _, values = paired(runs, {figure: itemgetter(figure)})
+    parent, change = values[figure]
+    return dict(compare(parent, change), raw_s={"parent": parent, "change": change})
 
 
 def claim(summary: dict, workload: str, metric: str) -> dict:
@@ -332,7 +329,6 @@ def main(argv=None) -> int:
                     help="workload name; repeat for several")
     ap.add_argument("--seeds", type=parse_seeds, default=[],
                     help="one seed per pair, e.g. 301-310")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
     ap.add_argument("--setup-probes", type=int, default=0, metavar="N",
                     help="also time N raw set-up probes a side per workload")
@@ -346,68 +342,62 @@ def main(argv=None) -> int:
             and not args.experiment_default):
         ap.error("nothing to run: give --workload with --seeds or --setup-probes, --tier1 "
                  "or --experiment-default")
+    if args.workload:
+        bench = json.loads((args.change / "BENCHMARK.json").read_text())
+        wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
+        metrics = bench["end_to_end"] + [dict(wall, name="raw_median_s")]
+    claimed, colon, metric = (args.claim or "").partition(":")
+    if args.claim:
+        if not colon:
+            ap.error(f"--claim takes WORKLOAD:METRIC, got {args.claim!r}")
+        if claimed not in args.workload:
+            ap.error(f"--claim names workload {claimed!r}, which no --workload gives")
+        if metric not in {m["name"] for m in metrics}:
+            ap.error(f"--claim names metric {metric!r}, which is neither an end-to-end metric "
+                     "of BENCHMARK.json nor raw_median_s")
     caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
     if caches:
         print("compiled bytecode would time one checkout's set-up apart from the other's; "
               "remove these and rerun:", *caches, sep="\n  ", file=sys.stderr)
         return 2
 
-    if args.workload:
-        bench = json.loads((args.change / "BENCHMARK.json").read_text())
-        names = [m["name"] for m in bench["end_to_end"]]
-        wall = next(m for m in bench["end_to_end"] if m["name"] == "wall_s")
-        metrics = bench["end_to_end"] + [dict(wall, name="raw_median_s")]
-    claimed = args.claim.split(":") if args.claim else None
-    sides = {"parent": args.parent, "change": args.change}
-
-    def order(pair):  # the parent first in even pairs, the change in odd ones
-        return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-
+    checkouts = {"parent": args.parent, "change": args.change}
     doc = {"end_to_end": {}}
-    for workload in args.workload:
+    blocks = doc["end_to_end"]
+
+    def alternate(label, inputs, measure, refresh):
+        """One pair of ``measure(checkout, **inputs[i])`` runs per pair i,
+        each run recorded with its side, inputs, pair and first side; after
+        each pair ``refresh(runs)`` updates its block and the file is
+        rewritten."""
         runs = []
-        for pair, seed in enumerate(args.seeds):
-            for side in order(pair):
-                res = run_once(bench["command"], sides[side], workload, seed, args.seconds)
-                rec = {"side": side, "seed": seed, "pair": pair, "first": order(pair)[0],
-                       "correct": res["correct"], "attempted": res["attempted"],
-                       "failed": res["failed"]}
-                rec.update({n: res["metrics"][n]["value"] for n in names})
-                rec["raw_median_s"] = res["raw_median_s"]
-                runs.append(rec)
-                print(f"{workload} pair {pair} seed {seed} {side}: wall_s {rec['wall_s']:.4g}",
-                      file=sys.stderr)
-            doc["end_to_end"][workload] = summarise(runs, metrics)
-            if claimed and claimed[0] in doc["end_to_end"]:
-                doc["claim"] = claim(doc["end_to_end"], *claimed)
+        for i, given in enumerate(inputs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                print(label, "pair", i, side, *given.values(), file=sys.stderr)
+                runs.append({"side": side, **given, "pair": i, "first": order[0],
+                             **measure(checkouts[side], **given)})
+            refresh(runs)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-        if args.setup_probes:
-            raw = {"parent": [], "change": []}
-            for i in range(args.setup_probes):
-                seed = args.seeds[i % len(args.seeds)] if args.seeds else 0
-                for side in order(i):
-                    raw[side].append(setup_probe(bench["command"], sides[side], workload, seed))
-            block = doc["end_to_end"].setdefault(workload, {})
-            block["setup_probes"] = dict(compare(raw["parent"], raw["change"]), raw_s=raw)
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    if args.tier1:
-        runs = []
-        for pair in range(args.tier1):
-            for side in order(pair):
-                res = run_tier1(sides[side])
-                runs.append(dict(res, side=side, pair=pair, first=order(pair)[0]))
-                print(f"tier-1 pair {pair} {side}: {res['wall_s']:.1f} s {res['counts']}",
-                      file=sys.stderr)
-                doc["tier1"] = tier1_summary(runs)
-                args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    if args.experiment_default:
-        raw = {"parent": [], "change": []}
-        for i in range(args.experiment_default):
-            for side in order(i):
-                raw[side].append(run_experiment_default(sides[side]))
-                print(f"experiment pair {i} {side}: {raw[side][-1]:.3f} s", file=sys.stderr)
-        doc["experiment_default"] = dict(compare(raw["parent"], raw["change"]), raw_s=raw)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for w in args.workload:
+        def pairs_done(runs, w=w):
+            blocks[w] = summarise(runs, metrics)
+            if w == claimed:
+                doc["claim"] = claim(blocks, claimed, metric)
+
+        def probes_done(runs, w=w):
+            blocks.setdefault(w, {})["setup_probes"] = raw_summary(runs, "ready_s")
+
+        alternate(w, [{"seed": s} for s in args.seeds], partial(benchmark_run, bench, w),
+                  pairs_done)
+        alternate(f"{w} setup probe",
+                  [{"seed": s} for s in islice(cycle(args.seeds or [0]), args.setup_probes)],
+                  partial(setup_probe, bench["command"], w), probes_done)
+    alternate("tier-1", [{}] * args.tier1, tier1_run,
+              lambda runs: doc.update(tier1=tier1_summary(runs)))
+    alternate("experiment", [{}] * args.experiment_default, experiment_run,
+              lambda runs: doc.update(experiment_default=raw_summary(runs, "wall_s")))
     return 0
 
 

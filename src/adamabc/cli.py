@@ -352,6 +352,11 @@ def trace_csv(trace: TheoryTrace, rows=None) -> str:
 # commands
 
 
+#: the problem kind whose first seed's trace ``verify`` runs the descent check on;
+#: it branches at checkpoints below T, so that kind needs T >= 2
+_DESCENT_KIND = "noisy_quadratic"
+
+
 def _suite_problems(cfg: ExperimentConfig) -> list:
     by_kind = {p.name: p for p in default_suite()}
     return [by_kind[kind] for kind in cfg.suite]
@@ -368,8 +373,7 @@ def _prepare(command: str, cfg: ExperimentConfig, out: str | None):
     if command == "verify":
         if not cfg.suite:
             raise ConstraintViolation("empty problem suite")
-        if "noisy_quadratic" in cfg.suite and cfg.T < 2:
-            # the quadratic's descent check branches at checkpoints below T
+        if _DESCENT_KIND in cfg.suite and cfg.T < 2:
             raise ConstraintViolation(f"the descent check needs T >= 2, got T = {cfg.T}")
     else:
         if command == "experiment":
@@ -419,7 +423,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, start: tuple) -> int:
         # byte depends on when) and its result is listed last.
         descent = []
         for trace in run_trajectories(p, h_p, cfg.T, cfg.seeds):
-            if p.name == "noisy_quadratic" and not descent:
+            if p.name == _DESCENT_KIND and not descent:
                 cps = [c for c in default_checkpoints(cfg.T) if c < cfg.T][:8]
                 branch_rng = rng_stream(f"verify-branch:{p.name}", cfg.seeds[0], "branch")
                 descent.append(check_descent_expectation(p, trace, cps, 2_000, branch_rng))

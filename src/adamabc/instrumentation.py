@@ -137,7 +137,7 @@ def pi_hat(deltas, h: HyperParams, constants) -> PiHatSeries:
     """
     D = np.asarray(deltas, dtype=np.float64)
     if D.ndim != 2 or min(D.shape) < 1:
-        raise ValueError(f"deltas must be (T >= 1, d >= 1), got shape {np.atleast_2d(D).shape}")
+        raise ValueError(f"deltas must be (T >= 1, d >= 1), got shape {D.shape}")
     L_f, A, B, C = (float(x) for x in constants)
     q = math.sqrt(h.beta1)
     # the tail sums of the per-step gap totals sum_i Delta_{t,i}

@@ -132,7 +132,7 @@ def test_runs_start_only_when_neither_checkout_holds_bytecode_caches(tmp_path, m
         (checkout / "src" / "adamabc").mkdir(parents=True)
         (checkout / "perfbench").mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(
-        {"command": ["python3", "perfbench/run.py"], "end_to_end": METRICS}))
+        {"command": ["python3", "perfbench/run.py"], "run_seconds": 25, "end_to_end": METRICS}))
     started = []
 
     def fake_run(cmd, cwd, env, **kw):
@@ -228,24 +228,25 @@ def test_tier1_pairs_alternate_and_compare_wall_setup_and_call(tmp_path, monkeyp
 STUB_RUN = """import sys, time
 args = sys.argv[1:]
 assert args[:3] == ["--setup-probe", "--workload", "w"], args
-time.sleep({delay})
 print("set up", args[4])
-print(time.monotonic_ns())
+print(time.monotonic_ns() + {delay_ns})
 """
 
 
 def test_setup_probes_time_fresh_stub_processes_raw(tmp_path):
     parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "probes.json"
-    for checkout, delay in ((parent, 1.0), (change, 0.0)):
+    # the parent stub's ready stamp reads 1 s late, so no run sleeps
+    for checkout, delay_ns in ((parent, 10**9), (change, 0)):
         (checkout / "perfbench").mkdir(parents=True)
-        (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(delay=delay))
+        (checkout / "perfbench" / "run.py").write_text(STUB_RUN.format(delay_ns=delay_ns))
     (change / "BENCHMARK.json").write_text(json.dumps(
-        {"command": [sys.executable, "perfbench/run.py"], "end_to_end": METRICS}))
+        {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 25,
+         "end_to_end": METRICS}))
     argv = [str(parent), str(change), "--workload", "w", "--setup-probes", "3", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     probes = json.loads(out.read_text())["end_to_end"]["w"]["setup_probes"]
     assert [len(probes["raw_s"][side]) for side in ("parent", "change")] == [3, 3]
-    # spawn to ready: at least the parent stub's 1 s sleep, every probe
+    # spawn to ready: at least the parent stub's 1 s stamp offset, every probe
     assert min(probes["raw_s"]["parent"]) >= 1.0 > 0.0 < min(probes["raw_s"]["change"])
     assert probes["change_wins"] == 3 and probes["median_change_rel"] < 0
     assert probes["parent"]["median"] == sorted(probes["raw_s"]["parent"])[1]
@@ -277,6 +278,34 @@ def test_default_experiments_time_fresh_stub_processes(tmp_path):
     (change / "src" / "adamabc" / "cli.py").write_text("import sys; sys.exit(3)")
     with pytest.raises(RuntimeError, match="exited 3"):
         bench_pairs.main(argv)
+
+
+def test_a_claim_is_checked_before_the_first_run(tmp_path, monkeypatch, capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "claim.json"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "perfbench/run.py"], "run_seconds": 25, "end_to_end": METRICS}))
+    started = []
+
+    def fake_run(cmd, cwd, env, **kw):
+        started.append(cwd)
+        result = {"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}, "ok_frac": {"value": 1.0}}}
+        return subprocess.CompletedProcess(cmd, 0, f"timing pass: n=3 raw median 0.5 s\n"
+                                                    f"{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1", "--out", str(out)]
+    # no colon, a workload no --workload gives, and a metric BENCHMARK.json does not declare
+    for bad, named in (("w", "WORKLOAD:METRIC"), ("v:wall_s", "'v'"), ("w:wall", "'wall'")):
+        with pytest.raises(SystemExit) as refused:
+            bench_pairs.main([*argv, "--claim", bad])
+        assert refused.value.code == 2 and named in capsys.readouterr().err
+        assert started == [] and not out.exists()
+    # the raw pass median is a metric a claim may name
+    assert bench_pairs.main([*argv, "--claim", "w:raw_median_s"]) == 0
+    assert json.loads(out.read_text())["claim"]["metric"] == "raw_median_s"
 
 
 def test_a_run_with_nothing_to_do_is_refused(tmp_path):

@@ -102,7 +102,7 @@ def test_pi_hat_no_gaps_means_no_contraction():
                                     np.array([0.5, 0.25])],
                          ids=["empty-list", "no-steps", "no-coordinates", "3-d", "1-d"])
 def test_pi_hat_rejects_what_is_not_steps_by_coordinates(deltas):
-    shape = np.atleast_2d(np.asarray(deltas, dtype=np.float64)).shape
+    shape = np.asarray(deltas).shape
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         pi_hat(deltas, H, (4.0, 0.0, 1.0, 10.0))
 
